@@ -7,6 +7,13 @@ is recorded in a manifest; replaying the manifest against the original
 dataset reproduces the contaminated dataset exactly. When a heuristic's
 preconditions cannot be met, the shortfall is a warning, never an error.
 
+The contaminator and replay share one edit engine, ``EditLog``: a slot list
+with holes plus a position map, so value-based edits are O(1) and both paths
+apply an edit the same way. The log also keeps the schema index and the
+class memberships that heuristics read, and rebuilds each one only after an
+edit that can change it: a declaration triple for the schema index, an
+``rdf:type`` triple for the memberships.
+
 Injected terms live under the reserved ``contam:`` IRI scheme so they are
 recognizable and can never collide with source vocabulary.
 
@@ -28,9 +35,9 @@ import string
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .core.indexing import PropertyKind, build_instance_index, build_schema_index
+from .core.indexing import PropertyKind, SchemaIndex, build_instance_index, build_schema_index
 from .core.model import (
     OWL_CLASS,
     OWL_DISJOINT_WITH,
@@ -55,7 +62,6 @@ from .core.model import (
     Literal,
     Triple,
     is_declaration_triple,
-    make_dataset,
 )
 from .core.parsing import parse_ntriples, triple_to_ntriples
 from .metrics import Dictionary, MetricId, alpha_tokens, default_dictionary, has_unknown_token
@@ -151,17 +157,94 @@ def _no_checkable_alpha(text: str) -> bool:
     return next(alpha_tokens(text), None) is None
 
 
+_ADD_ACTIONS = frozenset({EditAction.ADD_TRIPLE, EditAction.ADD_AXIOM})
+_REMOVE_ACTIONS = frozenset({EditAction.REMOVE_TRIPLE, EditAction.REMOVE_AXIOM})
+
+
+class EditLog:
+    """The edit engine shared by the contaminator and manifest replay.
+
+    Triples sit in a slot list with ``None`` holes, and a position map finds
+    a triple's slot, so every edit is O(1) and a rewrite keeps its triple's
+    place in document order. ``schema()`` and ``members_of()`` are built from
+    the current triples on first use and cached until an edit touches a
+    triple they read.
+    """
+
+    def __init__(self, triples: Iterable[Triple]):
+        self.slots: list[Triple | None] = list(triples)
+        self.pos: dict[Triple, int] = {t: i for i, t in enumerate(self.slots)}
+        self.edits: list[Edit] = []
+        self._schema: SchemaIndex | None = None
+        self._members_of: Mapping[Iri, frozenset[Iri]] | None = None
+
+    def __contains__(self, t: Triple) -> bool:
+        return t in self.pos
+
+    def current(self) -> list[Triple]:
+        return [t for t in self.slots if t is not None]
+
+    def dataset(self, dataset_id: str) -> Dataset:
+        return Dataset(id=dataset_id, triples=tuple(self.current()), source_format="ntriples")
+
+    def apply(self, edit: Edit):
+        before, after = edit.before, edit.after
+        if edit.action in _ADD_ACTIONS:
+            if after is None or after in self.pos:
+                _reject(edit, after, "is already present")
+            self.pos[after] = len(self.slots)
+            self.slots.append(after)
+        elif edit.action in _REMOVE_ACTIONS:
+            if before is None or before not in self.pos:
+                _reject(edit, before, "is absent")
+            self.slots[self.pos.pop(before)] = None
+        else:
+            if before is None or after is None or before not in self.pos:
+                _reject(edit, before, "is absent")
+            if after != before and after in self.pos:
+                _reject(edit, after, "is already present")
+            i = self.pos.pop(before)
+            self.slots[i] = after
+            self.pos[after] = i
+        self.edits.append(edit)
+        for t in (before, after):
+            if t is None:
+                continue
+            if is_declaration_triple(t):
+                self._schema = None
+            if t.predicate == RDF_TYPE:
+                self._members_of = None
+
+    def declarations(self) -> list[Triple]:
+        return [t for t in self.slots if t is not None and is_declaration_triple(t)]
+
+    def schema(self) -> SchemaIndex:
+        # build_schema_index reads only declaration triples
+        if self._schema is None:
+            self._schema = build_schema_index(Dataset(id="", triples=tuple(self.declarations())))
+        return self._schema
+
+    def members_of(self) -> Mapping[Iri, frozenset[Iri]]:
+        # class memberships come from rdf:type triples alone
+        if self._members_of is None:
+            typed = tuple(t for t in self.slots if t is not None and t.predicate == RDF_TYPE)
+            self._members_of = build_instance_index(Dataset(id="", triples=typed)).members_of
+        return self._members_of
+
+
+def _reject(edit: Edit, t: Triple | None, why: str):
+    line = triple_to_ntriples(t) if t is not None else "(none given)"
+    raise ReplayError(f"cannot apply {edit.heuristic.value} {edit.action.value}, "
+                      f"triple {why}: {line}")
+
+
 class _Contaminator:
     def __init__(self, dataset: Dataset, plan: ContaminationPlan, dictionary: Dictionary):
         self.dataset_id = dataset.id
         self.plan = plan
         self.dictionary = dictionary
         self.rng = Random(plan.seed)
-        # slot list with None holes plus a position map keeps value-based
-        # edits O(1) and makes the mutation engine identical to replay
-        self.slots: list[Triple | None] = list(dataset.triples)
-        self.pos: dict[Triple, int] = {t: i for i, t in enumerate(dataset.triples)}
-        self.edits: list[Edit] = []
+        self.log = EditLog(dataset.triples)
         self.achieved: dict[HeuristicId, int] = {}
         self.warnings: list[str] = []
         self.seen_iris = {term.text for t in dataset.triples
@@ -172,26 +255,16 @@ class _Contaminator:
 
     # -- edit primitives
 
-    def current(self) -> list[Triple]:
-        return [t for t in self.slots if t is not None]
-
     def add(self, h: HeuristicId, t: Triple, axiom: bool = False):
-        self.pos[t] = len(self.slots)
-        self.slots.append(t)
         action = EditAction.ADD_AXIOM if axiom else EditAction.ADD_TRIPLE
-        self.edits.append(Edit(h, action, after=t))
+        self.log.apply(Edit(h, action, after=t))
 
     def remove(self, h: HeuristicId, t: Triple, axiom: bool = False):
-        i = self.pos.pop(t)
-        self.slots[i] = None
         action = EditAction.REMOVE_AXIOM if axiom else EditAction.REMOVE_TRIPLE
-        self.edits.append(Edit(h, action, before=t))
+        self.log.apply(Edit(h, action, before=t))
 
     def rewrite(self, h: HeuristicId, old: Triple, new: Triple):
-        i = self.pos.pop(old)
-        self.slots[i] = new
-        self.pos[new] = i
-        self.edits.append(Edit(h, EditAction.REWRITE_TRIPLE, before=old, after=new))
+        self.log.apply(Edit(h, EditAction.REWRITE_TRIPLE, before=old, after=new))
 
     def fresh_iri(self, tag: str) -> Iri:
         while True:
@@ -207,10 +280,6 @@ class _Contaminator:
             reason = f" ({why})" if why else ""
             self.warnings.append(f"{h.value}: requested {requested}, achieved {achieved}{reason}")
 
-    def indices(self):
-        d = make_dataset(self.dataset_id, self.current())
-        return d, build_schema_index(d), build_instance_index(d)
-
     # -- heuristics, in application order
 
     def h1_fresh_properties(self, n: int):
@@ -220,16 +289,16 @@ class _Contaminator:
         self.record(HeuristicId.H1, n, n)
 
     def h2_remove_triples(self, n: int):
-        candidates = [t for t in self.current() if not is_declaration_triple(t)]
+        candidates = [t for t in self.log.current() if not is_declaration_triple(t)]
         chosen = self.rng.sample(candidates, min(n, len(candidates)))
         for t in chosen:
             self.remove(HeuristicId.H2, t)
         self.record(HeuristicId.H2, n, len(chosen), "not enough removable triples")
 
     def h3_out_of_range(self, n: int):
-        _, schema, _ = self.indices()
+        schema = self.log.schema()
         candidates = []
-        for t in self.current():
+        for t in self.log.current():
             if schema.properties.get(t.predicate) is not PropertyKind.DATATYPE:
                 continue
             if not isinstance(t.object, Literal):
@@ -242,7 +311,7 @@ class _Contaminator:
         for t, target in chosen:
             lex = self._fresh_plain_value()
             new = Triple(t.subject, t.predicate, Literal(lex, datatype=target))
-            if new in self.pos:
+            if new in self.log:
                 continue
             self.rewrite(HeuristicId.H3, t, new)
             done += 1
@@ -256,7 +325,7 @@ class _Contaminator:
 
     def _spellable_candidates(self, schema):
         out = []
-        for t in self.current():
+        for t in self.log.current():
             if not isinstance(t.object, Literal):
                 continue
             lex = t.object.lexical
@@ -277,7 +346,7 @@ class _Contaminator:
         return out
 
     def h4_mutate_literals(self, n: int):
-        _, schema, _ = self.indices()
+        schema = self.log.schema()
         candidates = self._spellable_candidates(schema)
         self.rng.shuffle(candidates)
         done = 0
@@ -290,7 +359,7 @@ class _Contaminator:
             new = Triple(t.subject, t.predicate,
                          Literal(new_lex, datatype=t.object.datatype,
                                  language=t.object.language))
-            if new in self.pos:
+            if new in self.log:
                 continue
             self.rewrite(HeuristicId.H4, t, new)
             done += 1
@@ -313,7 +382,7 @@ class _Contaminator:
         return None
 
     def h5_replace_literals(self, n: int):
-        _, schema, _ = self.indices()
+        schema = self.log.schema()
         candidates = self._spellable_candidates(schema)
         chosen = self.rng.sample(candidates, min(n, len(candidates)))
         done = 0
@@ -322,7 +391,7 @@ class _Contaminator:
             new = Triple(t.subject, t.predicate,
                          Literal(token, datatype=t.object.datatype,
                                  language=t.object.language))
-            if new in self.pos:
+            if new in self.log:
                 continue
             self.rewrite(HeuristicId.H5, t, new)
             done += 1
@@ -343,8 +412,8 @@ class _Contaminator:
                 return token
 
     def h6_rename_terms(self, n: int):
-        _, schema, _ = self.indices()
-        type_cands = [t for t in self.current()
+        schema = self.log.schema()
+        type_cands = [t for t in self.log.current()
                       if t.predicate == RDF_TYPE and isinstance(t.object, Iri)
                       and t.object in schema.classes]
         chosen = self.rng.sample(type_cands, min(n, len(type_cands)))
@@ -356,7 +425,7 @@ class _Contaminator:
         if done < n:
             # fall back to renaming predicates of declared-property usage
             # triples; this also lowers the missing-values usage sum
-            usage_cands = [t for t in self.current()
+            usage_cands = [t for t in self.log.current()
                            if t.predicate != RDF_TYPE and t.predicate in schema.properties]
             extra = self.rng.sample(usage_cands, min(n - done, len(usage_cands)))
             for t in extra:
@@ -366,8 +435,8 @@ class _Contaminator:
         self.record(HeuristicId.H6, n, done, "no renameable usage triples")
 
     def h7_remove_declarations(self, n: int):
-        _, schema, _ = self.indices()
-        current = self.current()
+        schema = self.log.schema()
+        current = self.log.current()
         used_classes = sorted(
             {t.object for t in current
              if t.predicate == RDF_TYPE and isinstance(t.object, Iri)
@@ -378,8 +447,13 @@ class _Contaminator:
             key=lambda p: p.text)
         pool = [("class", c) for c in used_classes] + [("property", p) for p in used_props]
         chosen = self.rng.sample(pool, min(n, len(pool)))
+        # every triple that declares a term is a declaration triple, so one
+        # scan finds them all; a triple an earlier term removed is skipped
+        declarations = self.log.declarations()
         for kind, term in chosen:
-            for t in self.current():
+            for t in declarations:
+                if t not in self.log:
+                    continue
                 if kind == "class":
                     declares = (
                         (t.subject == term and t.predicate == RDF_TYPE
@@ -398,17 +472,18 @@ class _Contaminator:
         self.record(HeuristicId.H7, n, len(chosen), "no used declared terms")
 
     def h8_make_disjoint(self, n: int):
-        _, schema, instances = self.indices()
+        schema = self.log.schema()
+        members_of = self.log.members_of()
         classes = sorted(schema.classes, key=lambda c: c.text)
         candidates = []
         for i, a in enumerate(classes):
-            members_a = instances.members_of.get(a)
+            members_a = members_of.get(a)
             if not members_a:
                 continue
             for b in classes[i + 1:]:
                 if frozenset((a, b)) in schema.disjoint_pairs:
                     continue
-                members_b = instances.members_of.get(b)
+                members_b = members_of.get(b)
                 if members_b and members_a & members_b:
                     candidates.append((a, b))
         chosen = self.rng.sample(candidates, min(n, len(candidates)))
@@ -417,7 +492,7 @@ class _Contaminator:
         self.record(HeuristicId.H8, n, len(chosen), "no class pairs share instances")
 
     def h9_disjoint_instances(self, n: int):
-        _, schema, _ = self.indices()
+        schema = self.log.schema()
         pairs = sorted((tuple(sorted(p, key=lambda c: c.text))
                         for p in schema.disjoint_pairs),
                        key=lambda pair: (pair[0].text, pair[1].text))
@@ -433,8 +508,8 @@ class _Contaminator:
         self.record(HeuristicId.H9, n, done, "no disjoint class pairs available")
 
     def h10_type_conflicts(self, n: int):
-        _, schema, _ = self.indices()
-        candidates = [t for t in self.current()
+        schema = self.log.schema()
+        candidates = [t for t in self.log.current()
                       if t.predicate != RDF_TYPE
                       and isinstance(t.object, Literal)
                       and t.predicate in schema.properties
@@ -446,8 +521,8 @@ class _Contaminator:
         self.record(HeuristicId.H10, n, len(chosen), "no literal-valued usage triples")
 
     def h11_functional_duplicates(self, n: int):
-        _, schema, _ = self.indices()
-        candidates = [t for t in self.current() if t.predicate in schema.functional]
+        schema = self.log.schema()
+        candidates = [t for t in self.log.current() if t.predicate in schema.functional]
         chosen = self.rng.sample(candidates, min(n, len(candidates)))
         done = 0
         for t in chosen:
@@ -459,8 +534,8 @@ class _Contaminator:
         self.record(HeuristicId.H11, n, done, "no functional-property triples to copy")
 
     def h12_inverse_functional_duplicates(self, n: int):
-        _, schema, _ = self.indices()
-        candidates = [t for t in self.current() if t.predicate in schema.inverse_functional]
+        schema = self.log.schema()
+        candidates = [t for t in self.log.current() if t.predicate in schema.inverse_functional]
         chosen = self.rng.sample(candidates, min(n, len(candidates)))
         for t in chosen:
             subject = self.fresh_iri("h12-subject")
@@ -493,19 +568,19 @@ class _Contaminator:
             else:
                 return None  # xsd:boolean: no unbounded distinct values
             candidate = Literal(lex, datatype=t.object.datatype, language=t.object.language)
-            if candidate != t.object and Triple(t.subject, t.predicate, candidate) not in self.pos:
+            if candidate != t.object and Triple(t.subject, t.predicate, candidate) not in self.log:
                 return candidate
         return None
 
     def h13_retag_literals(self, n: int):
-        _, schema, _ = self.indices()
+        schema = self.log.schema()
         group_sizes: dict[tuple, int] = {}
-        for t in self.current():
+        for t in self.log.current():
             if t.predicate != RDF_TYPE:
                 key = (t.subject, t.predicate)
                 group_sizes[key] = group_sizes.get(key, 0) + 1
         candidates = []
-        for t in self.current():
+        for t in self.log.current():
             if schema.properties.get(t.predicate) is not PropertyKind.DATATYPE:
                 continue
             if not isinstance(t.object, Literal):
@@ -528,21 +603,22 @@ class _Contaminator:
         for t, xsd_ranges in chosen:
             new_tag = XSD_STRING if XSD_STRING not in xsd_ranges else XSD_INTEGER
             new = Triple(t.subject, t.predicate, Literal(t.object.lexical, datatype=new_tag))
-            if new in self.pos:
+            if new in self.log:
                 continue
             self.rewrite(HeuristicId.H13, t, new)
             done += 1
         self.record(HeuristicId.H13, n, done, "no retaggable datatype-property literals")
 
     def h14_clone_classes(self, n: int):
-        _, schema, instances = self.indices()
-        candidates = sorted((c for c in schema.classes if instances.members_of.get(c)),
+        schema = self.log.schema()
+        members_of = self.log.members_of()
+        candidates = sorted((c for c in schema.classes if members_of.get(c)),
                             key=lambda c: c.text)
         chosen = self.rng.sample(candidates, min(n, len(candidates)))
         for cls in chosen:
             clone = self.fresh_iri("h14-class")
             self.add(HeuristicId.H14, Triple(clone, RDF_TYPE, OWL_CLASS), axiom=True)
-            for member in sorted(instances.members_of[cls], key=lambda m: m.text):
+            for member in sorted(members_of[cls], key=lambda m: m.text):
                 self.add(HeuristicId.H14, Triple(member, RDF_TYPE, clone))
         self.record(HeuristicId.H14, n, len(chosen), "no classes with instances")
 
@@ -567,11 +643,10 @@ class _Contaminator:
             n = self.plan.intensity(h)
             if n > 0:
                 steps[h](n)
-        contaminated = Dataset(id=self.dataset_id, triples=tuple(self.current()),
-                               source_format="ntriples")
+        contaminated = self.log.dataset(self.dataset_id)
         manifest = ContaminationManifest(
             plan=self.plan,
-            edits=tuple(self.edits),
+            edits=tuple(self.log.edits),
             achieved=dict(self.achieved),
             warnings=tuple(self.warnings),
         )
@@ -595,26 +670,10 @@ def contaminate(dataset: Dataset, plan: ContaminationPlan,
 
 def replay_manifest(original: Dataset, manifest: ContaminationManifest) -> Dataset:
     """Re-apply a manifest's edits; reproduces the contaminated dataset exactly."""
-    slots: list[Triple | None] = list(original.triples)
-    pos = {t: i for i, t in enumerate(original.triples)}
+    log = EditLog(original.triples)
     for edit in manifest.edits:
-        if edit.action in (EditAction.ADD_TRIPLE, EditAction.ADD_AXIOM):
-            if edit.after is None or edit.after in pos:
-                raise ReplayError(f"cannot apply add edit: {edit}")
-            pos[edit.after] = len(slots)
-            slots.append(edit.after)
-        elif edit.action in (EditAction.REMOVE_TRIPLE, EditAction.REMOVE_AXIOM):
-            if edit.before is None or edit.before not in pos:
-                raise ReplayError(f"cannot apply remove edit: {edit}")
-            slots[pos.pop(edit.before)] = None
-        else:
-            if edit.before is None or edit.after is None or edit.before not in pos:
-                raise ReplayError(f"cannot apply rewrite edit: {edit}")
-            i = pos.pop(edit.before)
-            slots[i] = edit.after
-            pos[edit.after] = i
-    return Dataset(id=original.id, triples=tuple(t for t in slots if t is not None),
-                   source_format="ntriples")
+        log.apply(edit)
+    return log.dataset(original.id)
 
 
 # ---------------------------------------------------------------------------

@@ -65,8 +65,19 @@ _STRING_ESCAPES = {
 }
 
 
-def _unescape(raw: str, line: int, allow_echar: bool) -> str:
-    """Decode \\uXXXX / \\UXXXXXXXX and (for literals) ECHAR escapes."""
+def _unescape(raw: str, line: int, allow_echar: bool, col: int = 1) -> str:
+    """Decode \\uXXXX / \\UXXXXXXXX and (for literals) ECHAR escapes.
+
+    ``line`` and ``col`` locate ``raw[0]`` in the document, so an error
+    points at the offending escape, also inside a multi-line literal.
+    """
+
+    def fail(i: int, message: str):
+        nl = raw.rfind("\n", 0, i)
+        if nl < 0:
+            raise ParseError(line, col + i, message)
+        raise ParseError(line + raw.count("\n", 0, i), i - nl, message)
+
     out = []
     i = 0
     n = len(raw)
@@ -77,20 +88,25 @@ def _unescape(raw: str, line: int, allow_echar: bool) -> str:
             i += 1
             continue
         if i + 1 >= n:
-            raise ParseError(line, i + 1, "dangling backslash")
+            fail(i, "dangling backslash")
         e = raw[i + 1]
         if e == "u" or e == "U":
             width = 4 if e == "u" else 8
             hexpart = raw[i + 2:i + 2 + width]
             if len(hexpart) != width or any(h not in "0123456789abcdefABCDEF" for h in hexpart):
-                raise ParseError(line, i + 1, f"bad \\{e} escape")
-            out.append(chr(int(hexpart, 16)))
+                fail(i, f"bad \\{e} escape")
+            code = int(hexpart, 16)
+            # a lone surrogate cannot be encoded as UTF-8 and chr() refuses
+            # anything past U+10FFFF
+            if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+                fail(i, f"\\{e}{hexpart} is not a Unicode scalar value")
+            out.append(chr(code))
             i += 2 + width
         elif allow_echar and e in _STRING_ESCAPES:
             out.append(_STRING_ESCAPES[e])
             i += 2
         else:
-            raise ParseError(line, i + 1, f"unknown escape \\{e}")
+            fail(i, f"unknown escape \\{e}")
     return "".join(out)
 
 
@@ -134,18 +150,30 @@ def parse_ntriples(text: str, dataset_id: str = "") -> Dataset:
             _diagnose_nt_line(line, lineno)
             raise ParseError(lineno, 1, "malformed triple")
         s_iri, s_bnode, p_iri, o_iri, o_bnode, o_lex, o_dt, o_lang = m.groups()
-        subject = cache.iri(s_iri, lineno) if s_iri is not None else cache.bnode(s_bnode[2:])
-        predicate = cache.iri(p_iri, lineno)
-        if o_iri is not None:
-            obj: Term = cache.iri(o_iri, lineno)
-        elif o_bnode is not None:
-            obj = cache.bnode(o_bnode[2:])
-        else:
-            lex = _unescape(o_lex, lineno, allow_echar=True) if "\\" in o_lex else o_lex
-            dt = cache.iri(o_dt, lineno) if o_dt is not None else None
-            obj = Literal(lex, datatype=dt, language=o_lang)
+        try:
+            subject = cache.iri(s_iri, lineno) if s_iri is not None else cache.bnode(s_bnode[2:])
+            predicate = cache.iri(p_iri, lineno)
+            if o_iri is not None:
+                obj: Term = cache.iri(o_iri, lineno)
+            elif o_bnode is not None:
+                obj = cache.bnode(o_bnode[2:])
+            else:
+                lex = _unescape(o_lex, lineno, allow_echar=True) if "\\" in o_lex else o_lex
+                dt = cache.iri(o_dt, lineno) if o_dt is not None else None
+                obj = Literal(lex, datatype=dt, language=o_lang)
+        except ParseError:
+            _diagnose_nt_escapes(m, lineno)
+            raise
         triples.append(Triple(subject, predicate, obj))
     return make_dataset(dataset_id, triples, source_format=FORMAT_NTRIPLES)
+
+
+def _diagnose_nt_escapes(m: re.Match, lineno: int):
+    """Re-decode a matched line's escapes to report the column of a bad one."""
+    for group in (1, 3, 4, 6, 7):
+        raw = m.group(group)
+        if raw is not None and "\\" in raw:
+            _unescape(raw, lineno, allow_echar=group == 6, col=m.start(group) + 1)
 
 
 def _diagnose_nt_line(line: str, lineno: int):
@@ -376,7 +404,7 @@ class _TurtleParser:
 
     def resolve_iri(self, raw: str, tok: _Token) -> Iri:
         if "\\" in raw:
-            raw = _unescape(raw, tok.line, allow_echar=False)
+            raw = _unescape(raw, tok.line, allow_echar=False, col=tok.col + 1)
         if not _SCHEME_RE.match(raw):
             if self.base is None:
                 self.error(tok, f"relative IRI <{raw}> without a base")
@@ -515,11 +543,10 @@ class _TurtleParser:
 
     def finish_literal(self, tok: _Token) -> Literal:
         raw = tok.value
-        if raw.startswith(("'''", '"""')):
-            body = raw[3:-3]
-        else:
-            body = raw[1:-1]
-        lex = _unescape(body, tok.line, allow_echar=True) if "\\" in body else body
+        quote = 3 if raw.startswith(("'''", '"""')) else 1
+        body = raw[quote:-quote]
+        lex = (_unescape(body, tok.line, allow_echar=True, col=tok.col + quote)
+               if "\\" in body else body)
         nxt = self.peek()
         if nxt.kind == "langtag":
             self.next()

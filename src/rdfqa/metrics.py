@@ -40,6 +40,7 @@ from .core.model import (
     Literal,
     is_builtin,
 )
+from .fixtures import fixture_path
 
 __version__ = "0.1.0"
 
@@ -142,12 +143,7 @@ def load_dictionary(path: str | Path, dictionary_id: str | None = None) -> Dicti
 
 def default_dictionary() -> Dictionary:
     """The bundled English word list."""
-    from importlib.resources import files
-
-    path = files("rdfqa.data") / "words.txt"
-    words = {line.strip().lower() for line in path.read_text(encoding="utf-8").splitlines()
-             if line.strip() and not line.startswith("#")}
-    return Dictionary(id="builtin-en", words=frozenset(words))
+    return load_dictionary(fixture_path("words.txt"), "builtin-en")
 
 
 # tokens are maximal alphanumeric runs; digit-bearing tokens are exempt from

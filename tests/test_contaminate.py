@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -13,16 +14,22 @@ from rdfqa import (
     serialize_dataset,
 )
 from rdfqa.contaminate import (
+    Edit,
     EditAction,
+    EditLog,
     ReplayError,
     load_plan,
     manifest_from_dict,
     manifest_to_dict,
+    manifest_to_json,
     plan_from_dict,
     plan_to_dict,
 )
 from rdfqa.core.model import Iri, Triple, make_dataset
+from rdfqa.core.parsing import parse_dataset, triple_to_ntriples
 from rdfqa.fixtures import fixture_path
+
+from .test_acceptance import build_scale_document
 
 SEED = 424242
 
@@ -127,6 +134,53 @@ def test_replay_rejects_stale_manifest(zoo, words):
     wrong_base = make_dataset("other", list(zoo.triples[:5]))
     with pytest.raises(ReplayError):
         replay_manifest(wrong_base, manifest)
+
+
+def test_replay_error_names_the_stale_triple(zoo, words):
+    _, manifest = contaminate(zoo, plan_for(HeuristicId.H2, 2), words)
+    wrong_base = make_dataset("other", list(zoo.triples[:5]))
+    stale = next(e.before for e in manifest.edits if e.before not in wrong_base.triples)
+    with pytest.raises(ReplayError) as err:
+        replay_manifest(wrong_base, manifest)
+    assert triple_to_ntriples(stale) in str(err.value)
+    assert "remove_triple" in str(err.value)
+
+
+def test_edit_log_rejects_edits_that_cannot_apply():
+    a, b = (Triple(Iri("http://ex/s"), Iri("http://ex/p"), Iri(f"http://ex/{o}"))
+            for o in "ab")
+    log = EditLog([a])
+    for edit in (Edit(HeuristicId.H1, EditAction.ADD_TRIPLE, after=a),
+                 Edit(HeuristicId.H2, EditAction.REMOVE_TRIPLE, before=b),
+                 Edit(HeuristicId.H3, EditAction.REWRITE_TRIPLE, before=b, after=a)):
+        with pytest.raises(ReplayError):
+            log.apply(edit)
+    rewrite = Edit(HeuristicId.H3, EditAction.REWRITE_TRIPLE, before=a, after=b)
+    log.apply(rewrite)
+    assert log.current() == [b]
+    assert log.edits == [rewrite]  # rejected edits leave no trace
+
+
+# sha256 of the serialized output and of the manifest JSON for every
+# heuristic at 3 on the 30k-triple scale document, recorded before the
+# contaminator and replay were folded into one edit engine
+SCALE_30K_DIGESTS = {
+    0: ("b76c90236d9bb17f8a120feb5bfac0c021ee949bbb050826d351dd72749f8d21",
+        "466d4418f72f0d6aa63dab457cc09db0e34ecc99f586a4b50bacdc2c7b407fd2"),
+    1: ("fce1f748b02aa383680d0c7ac8d2a503de21fa2567602aa317ffa7e9e0e4c3ae",
+        "56206161407b8f82b83b3e22912beeddc3983368da96253b342c435b448a9821"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SCALE_30K_DIGESTS))
+def test_all_heuristics_on_scale_document_match_recorded_digests(words, seed):
+    scale = parse_dataset(build_scale_document(30_000), "ntriples", "scale")
+    plan = ContaminationPlan({h: 3 for h in HeuristicId}, seed, "scale")
+    dirty, manifest = contaminate(scale, plan, words)
+    digests = (hashlib.sha256(serialize_dataset(dirty)).hexdigest(),
+               hashlib.sha256(manifest_to_json(manifest).encode("utf-8")).hexdigest())
+    assert digests == SCALE_30K_DIGESTS[seed]
+    assert replay_manifest(scale, manifest).triples == dirty.triples
 
 
 def test_bundled_dirty_fixture_regenerates(zoo, words):

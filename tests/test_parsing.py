@@ -152,3 +152,34 @@ def test_merge_datasets_counts_cross_duplicates(family):
     assert set(merged.triples) == set(family.triples)
     assert merged.duplicate_count == 3
     assert merged.id == "family"
+
+
+@pytest.mark.parametrize("escape", ["\\uD800", "\\uDFFF", "\\U0000DC00", "\\U00110000",
+                                    "\\UFFFFFFFF"])
+@pytest.mark.parametrize("fmt, template, column", [
+    ("ntriples", '<http://a/s> <http://a/p> "ab{}" .\n', 30),
+    ("ntriples", "<http://a/s> <http://a/p> <http://a/o{}> .\n", 38),
+    ("turtle", '@prefix a: <http://a/> .\na:s a:p "ab{}" .\n', 12),
+    ("turtle", "@prefix a: <http://a/> .\na:s a:p <http://a/o{}> .\n", 20),
+])
+def test_escapes_outside_unicode_scalar_values_are_parse_errors(escape, fmt, template,
+                                                                column):
+    # a lone surrogate cannot be serialized and chr() rejects code points
+    # above U+10FFFF, so both fail at parse time, at the escape
+    with pytest.raises(ParseError) as err:
+        parse_dataset(template.format(escape), fmt)
+    assert (err.value.line, err.value.column) == (template.count("\n"), column)
+    assert escape in err.value.message
+
+
+def test_escape_error_in_multiline_literal_points_at_its_line():
+    text = '@prefix a: <http://a/> .\na:s a:p """one\ntwo \\uD800""" .\n'
+    with pytest.raises(ParseError) as err:
+        parse_dataset(text, "turtle")
+    assert (err.value.line, err.value.column) == (3, 5)
+
+
+def test_escapes_at_the_edges_of_the_scalar_values_parse():
+    ds = parse_dataset(f'<{EX}s> <{EX}p> "\\uD7FF\\uE000\\U0010FFFF" .\n', "ntriples")
+    assert ds.triples[0].object == Literal("\uD7FF\uE000\U0010FFFF")
+    assert parse_dataset(serialize_dataset(ds), "ntriples").triples == ds.triples

@@ -16,8 +16,9 @@ from rdfqa import (
     replay_manifest,
     serialize_dataset,
 )
+from rdfqa.contaminate import EditLog, manifest_to_json
 from rdfqa.core.indexing import PropertyKind
-from rdfqa.core.model import RDF_TYPE, XSD_NS, is_builtin
+from rdfqa.core.model import RDF_TYPE, XSD_NS, is_builtin, is_declaration_triple, make_dataset
 from rdfqa.metrics import (
     CHECKABLE_DATATYPES,
     Dictionary,
@@ -206,3 +207,38 @@ def test_contamination_replay_on_random_datasets():
             assert manifest.achieved.get(h, 0) <= requested
         for mv in assess(dirty, WORDS).metrics.values():
             assert 0.0 <= mv.value <= 1.0
+
+
+# -- the edit engine caches the schema index and the class memberships and
+#    drops them only after an edit to a triple they read
+
+
+def test_indices_read_only_their_own_triples():
+    for ds in datasets(109):
+        declarations = make_dataset(ds.id, [t for t in ds.triples if is_declaration_triple(t)])
+        typed = make_dataset(ds.id, [t for t in ds.triples if t.predicate == RDF_TYPE])
+        assert build_schema_index(ds) == build_schema_index(declarations)
+        assert build_instance_index(ds).members_of == build_instance_index(typed).members_of
+
+
+def test_index_cache_never_changes_a_choice(monkeypatch):
+    plans = [{h: 2} for h in HeuristicId] + [{h: 2 for h in HeuristicId}]
+    rng = Random(110)
+    cases = [(make_random_dataset(rng, max_triples=40), rng.randrange(1 << 32))
+             for _ in range(40)]
+
+    def run_all():
+        out = []
+        for ds, seed in cases:
+            for intensities in plans:
+                dirty, manifest = contaminate(ds, ContaminationPlan(intensities, seed), WORDS)
+                out.append((serialize_dataset(dirty), manifest_to_json(manifest)))
+        return out
+
+    cached = run_all()
+    # every read rebuilds from all current triples, as before the cache
+    monkeypatch.setattr(EditLog, "schema",
+                        lambda log: build_schema_index(make_dataset("", log.current())))
+    monkeypatch.setattr(EditLog, "members_of", lambda log: build_instance_index(
+        make_dataset("", log.current())).members_of)
+    assert run_all() == cached
