@@ -5,6 +5,9 @@ dataset contaminator with a replayable edit manifest, and rank-correlation
 analysis for studying metric interdependence.
 """
 
+# read by pyproject.toml and by metrics.py, so bound before the submodules
+__version__ = "0.1.0"
+
 from .contaminate import (
     ALL_HEURISTICS,
     ContaminationManifest,
@@ -53,8 +56,6 @@ from .stats import (
     spearman_rho,
     summarize,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ALL_HEURISTICS",

@@ -39,6 +39,7 @@ from typing import Iterable, Mapping
 
 from .core.indexing import PropertyKind, SchemaIndex, build_instance_index, build_schema_index
 from .core.model import (
+    CLASS_TYPES,
     OWL_CLASS,
     OWL_DISJOINT_WITH,
     RDF_PROPERTY,
@@ -64,7 +65,8 @@ from .core.model import (
     is_declaration_triple,
 )
 from .core.parsing import parse_ntriples, triple_to_ntriples
-from .metrics import Dictionary, MetricId, alpha_tokens, default_dictionary, has_unknown_token
+from .metrics import (Dictionary, MetricId, alpha_tokens, checkable_text,
+                      default_dictionary, has_unknown_token)
 
 
 class HeuristicId(str, enum.Enum):
@@ -149,7 +151,6 @@ class ReplayError(Exception):
 #: datatypes whose lexical space admits generated-invalid values
 _FAKEABLE = (XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE, XSD_BOOLEAN,
              XSD_DATE, XSD_DATETIME, XSD_GYEAR)
-_CLASS_DECL_OBJECTS = frozenset({Iri("http://www.w3.org/2000/01/rdf-schema#Class"), OWL_CLASS})
 _CLASS_AXIOM_PREDICATES = frozenset({RDFS_SUBCLASSOF, OWL_DISJOINT_WITH, OWL_COMPLEMENT_OF})
 
 
@@ -326,18 +327,12 @@ class _Contaminator:
     def _spellable_candidates(self, schema):
         out = []
         for t in self.log.current():
-            if not isinstance(t.object, Literal):
+            lex = checkable_text(t.object)
+            if lex is None:
                 continue
-            lex = t.object.lexical
-            if t.object.datatype is not None and t.object.datatype != XSD_STRING:
-                continue
-            if t.object.language is not None:
-                lang = t.object.language.lower()
-                if lang != "en" and not lang.startswith("en-"):
-                    continue
             if has_unknown_token(lex, self.dictionary):
                 continue
-            if next(alpha_tokens(lex), None) is None:
+            if _no_checkable_alpha(lex):
                 continue
             ranges = schema.range_of.get(t.predicate, ())
             if any(r in _FAKEABLE for r in ranges):
@@ -457,7 +452,7 @@ class _Contaminator:
                 if kind == "class":
                     declares = (
                         (t.subject == term and t.predicate == RDF_TYPE
-                         and t.object in _CLASS_DECL_OBJECTS)
+                         and t.object in CLASS_TYPES)
                         or (t.subject == term and t.predicate in _CLASS_AXIOM_PREDICATES)
                         or (t.predicate in (RDFS_DOMAIN, RDFS_RANGE) and t.object == term)
                     )

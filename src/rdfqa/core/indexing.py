@@ -16,16 +16,15 @@ from typing import Mapping
 
 from .model import (
     BUILTIN_NAMESPACES,
-    OWL_CLASS,
+    CLASS_TYPES,
     OWL_COMPLEMENT_OF,
     OWL_DATATYPE_PROPERTY,
     OWL_DISJOINT_WITH,
     OWL_FUNCTIONAL_PROPERTY,
     OWL_INVERSE_FUNCTIONAL_PROPERTY,
     OWL_OBJECT_PROPERTY,
-    RDF_PROPERTY,
+    PROPERTY_TYPES,
     RDF_TYPE,
-    RDFS_CLASS,
     RDFS_DOMAIN,
     RDFS_RANGE,
     RDFS_SUBCLASSOF,
@@ -40,13 +39,6 @@ class PropertyKind(enum.Enum):
     OBJECT = "object"
     DATATYPE = "datatype"
     UNKNOWN = "unknown"
-
-
-_CLASS_TYPES = frozenset({RDFS_CLASS, OWL_CLASS})
-_PROPERTY_TYPES = frozenset({
-    RDF_PROPERTY, OWL_OBJECT_PROPERTY, OWL_DATATYPE_PROPERTY,
-    OWL_FUNCTIONAL_PROPERTY, OWL_INVERSE_FUNCTIONAL_PROPERTY,
-})
 
 
 @dataclass(frozen=True)
@@ -125,9 +117,9 @@ def build_schema_index(dataset: Dataset,
         if p == RDF_TYPE:
             if not isinstance(t.subject, Iri) or not isinstance(t.object, Iri):
                 continue
-            if t.object in _CLASS_TYPES:
+            if t.object in CLASS_TYPES:
                 note_class(t.subject)
-            elif t.object in _PROPERTY_TYPES:
+            elif t.object in PROPERTY_TYPES:
                 prop_types.setdefault(t.subject, set()).add(t.object)
                 prop_order.setdefault(t.subject)
         elif p == RDFS_SUBCLASSOF:

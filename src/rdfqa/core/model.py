@@ -30,16 +30,10 @@ class Iri:
         if not self.text:
             raise ValueError("IRI must be non-empty")
 
-    def __str__(self):
-        return self.text
-
 
 @dataclass(frozen=True, slots=True)
 class BlankNode:
     label: str
-
-    def __str__(self):
-        return "_:" + self.label
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,13 +52,6 @@ class Literal:
         if self.datatype is not None and self.language is not None:
             raise ValueError("literal cannot carry both a datatype and a language tag")
 
-    def __str__(self):
-        if self.datatype is not None:
-            return f'"{self.lexical}"^^<{self.datatype.text}>'
-        if self.language is not None:
-            return f'"{self.lexical}"@{self.language}'
-        return f'"{self.lexical}"'
-
 
 Term = Union[Iri, BlankNode, Literal]
 SubjectTerm = Union[Iri, BlankNode]
@@ -75,11 +62,6 @@ class Triple:
     subject: SubjectTerm
     predicate: Iri
     object: Term
-
-    def __str__(self):
-        s = f"<{self.subject.text}>" if isinstance(self.subject, Iri) else str(self.subject)
-        o = f"<{self.object.text}>" if isinstance(self.object, Iri) else str(self.object)
-        return f"{s} <{self.predicate.text}> {o} ."
 
 
 @dataclass(frozen=True)
@@ -145,12 +127,14 @@ XSD_DATE = Iri(XSD_NS + "date")
 XSD_DATETIME = Iri(XSD_NS + "dateTime")
 XSD_GYEAR = Iri(XSD_NS + "gYear")
 
-#: rdf:type objects that mark a triple as a class or property declaration.
-DECLARATION_TYPES = frozenset({
-    RDFS_CLASS, OWL_CLASS, RDF_PROPERTY, OWL_OBJECT_PROPERTY,
-    OWL_DATATYPE_PROPERTY, OWL_FUNCTIONAL_PROPERTY,
-    OWL_INVERSE_FUNCTIONAL_PROPERTY,
+#: rdf:type objects that declare a class, and those that declare a property.
+CLASS_TYPES = frozenset({RDFS_CLASS, OWL_CLASS})
+PROPERTY_TYPES = frozenset({
+    RDF_PROPERTY, OWL_OBJECT_PROPERTY, OWL_DATATYPE_PROPERTY,
+    OWL_FUNCTIONAL_PROPERTY, OWL_INVERSE_FUNCTIONAL_PROPERTY,
 })
+#: rdf:type objects that mark a triple as a class or property declaration.
+DECLARATION_TYPES = CLASS_TYPES | PROPERTY_TYPES
 
 #: Predicates whose triples belong to the schema rather than the instance data.
 AXIOM_PREDICATES = frozenset({

@@ -15,7 +15,14 @@ from pathlib import Path
 from urllib.parse import urljoin
 
 from .model import (
-    XSD_NS,
+    RDF_FIRST,
+    RDF_NIL,
+    RDF_REST,
+    RDF_TYPE,
+    XSD_BOOLEAN,
+    XSD_DECIMAL,
+    XSD_DOUBLE,
+    XSD_INTEGER,
     BlankNode,
     Dataset,
     Iri,
@@ -162,18 +169,21 @@ def parse_ntriples(text: str, dataset_id: str = "") -> Dataset:
                 dt = cache.iri(o_dt, lineno) if o_dt is not None else None
                 obj = Literal(lex, datatype=dt, language=o_lang)
         except ParseError:
-            _diagnose_nt_escapes(m, lineno)
+            _diagnose_nt_terms(m, lineno)
             raise
         triples.append(Triple(subject, predicate, obj))
     return make_dataset(dataset_id, triples, source_format=FORMAT_NTRIPLES)
 
 
-def _diagnose_nt_escapes(m: re.Match, lineno: int):
-    """Re-decode a matched line's escapes to report the column of a bad one."""
+def _diagnose_nt_terms(m: re.Match, lineno: int):
+    """Re-decode a matched line's terms in parse order to report the column
+    of a bad escape, or of the '<' of an IRI that is not absolute."""
     for group in (1, 3, 4, 6, 7):
         raw = m.group(group)
         if raw is not None and "\\" in raw:
-            _unescape(raw, lineno, allow_echar=group == 6, col=m.start(group) + 1)
+            raw = _unescape(raw, lineno, allow_echar=group == 6, col=m.start(group) + 1)
+        if raw is not None and group != 6 and not _SCHEME_RE.match(raw):
+            raise ParseError(lineno, m.start(group), f"IRI is not absolute: <{raw}>")
 
 
 def _diagnose_nt_line(line: str, lineno: int):
@@ -356,17 +366,6 @@ def _tokenize_turtle(text: str) -> list[_Token]:
     return tokens
 
 
-_RDF_TYPE_TEXT = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
-_RDF_FIRST_TEXT = "http://www.w3.org/1999/02/22-rdf-syntax-ns#first"
-_RDF_REST_TEXT = "http://www.w3.org/1999/02/22-rdf-syntax-ns#rest"
-_RDF_NIL_TEXT = "http://www.w3.org/1999/02/22-rdf-syntax-ns#nil"
-
-_XSD_INTEGER_IRI = Iri(XSD_NS + "integer")
-_XSD_DECIMAL_IRI = Iri(XSD_NS + "decimal")
-_XSD_DOUBLE_IRI = Iri(XSD_NS + "double")
-_XSD_BOOLEAN_IRI = Iri(XSD_NS + "boolean")
-
-
 class _TurtleParser:
     """Recursive-descent parser over the token stream.
 
@@ -490,7 +489,7 @@ class _TurtleParser:
     def verb(self) -> Iri:
         tok = self.next()
         if tok.kind == "kw_a":
-            return self.cache.iri(_RDF_TYPE_TEXT, tok.line)
+            return RDF_TYPE
         if tok.kind == "iriref":
             return self.resolve_iri(tok.value[1:-1], tok)
         if tok.kind == "pname":
@@ -532,13 +531,13 @@ class _TurtleParser:
         if tok.kind == "string":
             return self.finish_literal(tok)
         if tok.kind == "integer":
-            return Literal(tok.value, datatype=_XSD_INTEGER_IRI)
+            return Literal(tok.value, datatype=XSD_INTEGER)
         if tok.kind == "decimal":
-            return Literal(tok.value, datatype=_XSD_DECIMAL_IRI)
+            return Literal(tok.value, datatype=XSD_DECIMAL)
         if tok.kind == "double":
-            return Literal(tok.value, datatype=_XSD_DOUBLE_IRI)
+            return Literal(tok.value, datatype=XSD_DOUBLE)
         if tok.kind == "boolean":
-            return Literal(tok.value, datatype=_XSD_BOOLEAN_IRI)
+            return Literal(tok.value, datatype=XSD_BOOLEAN)
         self.error(tok, f"expected object, found {tok.value!r}")
 
     def finish_literal(self, tok: _Token) -> Literal:
@@ -573,9 +572,6 @@ class _TurtleParser:
 
     def collection(self) -> Term:
         self.expect_punct("(")
-        rdf_first = self.cache.iri(_RDF_FIRST_TEXT, 0)
-        rdf_rest = self.cache.iri(_RDF_REST_TEXT, 0)
-        rdf_nil = self.cache.iri(_RDF_NIL_TEXT, 0)
         items = []
         while not (self.peek().kind == "punct" and self.peek().value == ")"):
             if self.peek().kind == "eof":
@@ -583,12 +579,12 @@ class _TurtleParser:
             items.append(self.object_term())
         self.next()
         if not items:
-            return rdf_nil
+            return RDF_NIL
         nodes = [self.fresh_bnode() for _ in items]
         for i, (node, item) in enumerate(zip(nodes, items)):
-            self.triples.append(Triple(node, rdf_first, item))
-            rest: Term = nodes[i + 1] if i + 1 < len(nodes) else rdf_nil
-            self.triples.append(Triple(node, rdf_rest, rest))
+            self.triples.append(Triple(node, RDF_FIRST, item))
+            rest: Term = nodes[i + 1] if i + 1 < len(nodes) else RDF_NIL
+            self.triples.append(Triple(node, RDF_REST, rest))
         return nodes[0]
 
 

@@ -40,9 +40,8 @@ from .core.model import (
     Literal,
     is_builtin,
 )
+from . import __version__
 from .fixtures import fixture_path
-
-__version__ = "0.1.0"
 
 DEFAULT_OFFENDER_CAP = 50
 
@@ -418,27 +417,38 @@ def m6_inconsistent_values(dataset: Dataset,
                         len(dataset.triples), offenders)
 
 
-def m7_functional_conflicts(dataset: Dataset, schema: SchemaIndex,
-                            offender_cap: int = DEFAULT_OFFENDER_CAP) -> MetricValue:
-    """Functional properties holding several distinct values for one subject."""
+def _group_conflicts(mid: MetricId, total: int, rows: Iterable[tuple[int, tuple, object]],
+                     offender_cap: int) -> MetricValue:
+    """Count conflicts over ``(idx, key, member)`` rows.
+
+    A group of k distinct members under one key contributes k-1; every
+    triple of a conflicting group is an offender, in first-seen group order.
+    """
     groups: dict[tuple, dict] = {}
     group_triples: dict[tuple, list[int]] = {}
-    for idx, t in enumerate(dataset.triples):
-        if t.predicate in schema.functional:
-            key = (t.subject, t.predicate)
-            groups.setdefault(key, {})[t.object] = None
-            group_triples.setdefault(key, []).append(idx)
+    for idx, key, member in rows:
+        groups.setdefault(key, {})[member] = None
+        group_triples.setdefault(key, []).append(idx)
     num = 0
     offenders = []
-    for key, objects in groups.items():
-        k = len(objects)
+    for key, members in groups.items():
+        k = len(members)
         if k > 1:
             num += k - 1
             for i in group_triples[key]:
                 if len(offenders) < offender_cap:
                     offenders.append(i)
-    return _ratio_value(MetricId.FUNCTIONAL_CONFLICTS, num,
-                        len(dataset.triples), offenders)
+    return _ratio_value(mid, num, total, offenders)
+
+
+def m7_functional_conflicts(dataset: Dataset, schema: SchemaIndex,
+                            offender_cap: int = DEFAULT_OFFENDER_CAP) -> MetricValue:
+    """Functional properties holding several distinct values for one subject."""
+    rows = ((idx, (t.subject, t.predicate), t.object)
+            for idx, t in enumerate(dataset.triples)
+            if t.predicate in schema.functional)
+    return _group_conflicts(MetricId.FUNCTIONAL_CONFLICTS, len(dataset.triples),
+                            rows, offender_cap)
 
 
 def m8_inverse_functional_conflicts(dataset: Dataset, schema: SchemaIndex,
@@ -448,26 +458,12 @@ def m8_inverse_functional_conflicts(dataset: Dataset, schema: SchemaIndex,
     Empty-string literal objects form a single shared group per property (the
     void-value pathology), whatever their datatype or language tag.
     """
-    groups: dict[tuple, dict] = {}
-    group_triples: dict[tuple, list[int]] = {}
-    for idx, t in enumerate(dataset.triples):
-        if t.predicate in schema.inverse_functional:
-            o = t.object
-            void = isinstance(o, Literal) and o.lexical == ""
-            key = (t.predicate, "") if void else (t.predicate, o)
-            groups.setdefault(key, {})[t.subject] = None
-            group_triples.setdefault(key, []).append(idx)
-    num = 0
-    offenders = []
-    for key, subjects in groups.items():
-        k = len(subjects)
-        if k > 1:
-            num += k - 1
-            for i in group_triples[key]:
-                if len(offenders) < offender_cap:
-                    offenders.append(i)
-    return _ratio_value(MetricId.INVERSE_FUNCTIONAL_CONFLICTS, num,
-                        len(dataset.triples), offenders)
+    rows = ((idx, (t.predicate, "" if isinstance(t.object, Literal)
+                   and t.object.lexical == "" else t.object), t.subject)
+            for idx, t in enumerate(dataset.triples)
+            if t.predicate in schema.inverse_functional)
+    return _group_conflicts(MetricId.INVERSE_FUNCTIONAL_CONFLICTS, len(dataset.triples),
+                            rows, offender_cap)
 
 
 def m9_improper_datatype(dataset: Dataset, schema: SchemaIndex,

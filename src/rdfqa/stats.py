@@ -3,10 +3,12 @@
 Per-metric summaries (mean, sample standard deviation), before/after deltas,
 and Spearman rank correlation with average-rank tie handling. The two-sided
 p-value uses the Student-t approximation t = rho*sqrt((n-2)/(1-rho^2)) with
-n-2 degrees of freedom; an exact permutation mode is available for small n as
-a cross-check. A constant input vector makes the correlation undefined - a
-tagged result (None cell), not an exception - because a vector of identical
-values (typically all zeros) carries no rank information.
+n-2 degrees of freedom, computed as the regularized incomplete beta function
+I_x((n-2)/2, 1/2) by its continued fraction; an exact permutation mode is
+available for small n as a cross-check. A constant input vector makes the
+correlation undefined - a tagged result (None cell), not an exception -
+because a vector of identical values (typically all zeros) carries no rank
+information.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import math
 import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-from scipy.stats import t as student_t
 
 from .metrics import MetricId, MetricReport
 
@@ -137,8 +137,39 @@ def spearman_rho(x: Sequence[float], y: Sequence[float]) -> SpearmanResult | Non
         p = 0.0
     else:
         t_stat = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        p = 2.0 * float(student_t.sf(abs(t_stat), n - 2))
+        p = _student_t_two_sided_p(t_stat, n - 2)
     return SpearmanResult(rho=rho, p_value=min(p, 1.0))
+
+
+def _student_t_two_sided_p(t: float, df: int) -> float:
+    """P(|T| >= |t|) = I_x(df/2, 1/2) at x = df/(df+t^2), by the modified
+    Lentz method (Numerical Recipes, 3rd ed., section 6.4). Past
+    x = (a+1)/(a+b+2) it uses I_x(a, b) = 1 - I_{1-x}(b, a), with 1-x formed
+    from t, so a small p is never a difference of two numbers near 1."""
+    a, b = df / 2.0, 0.5
+    x, y = df / (df + t * t), t * t / (df + t * t)
+    swap = x > (a + 1.0) / (a + b + 2.0)
+    if swap:
+        a, b, x, y = b, a, y, x
+    if x == 0.0:  # t == 0
+        return 1.0
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 / max(1.0 - (a + b) * x / (a + 1.0), tiny)
+    f = d
+    for m in range(1, 1000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            f *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            break
+    ix = f / a * math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                          + a * math.log(x) + b * math.log(y))
+    return 1.0 - ix if swap else ix
 
 
 def spearman_exact_p(x: Sequence[float], y: Sequence[float]) -> float:

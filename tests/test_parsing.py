@@ -172,6 +172,20 @@ def test_escapes_outside_unicode_scalar_values_are_parse_errors(escape, fmt, tem
     assert escape in err.value.message
 
 
+@pytest.mark.parametrize("line, column", [
+    ("<rel> <http://e/p> <http://e/o> .", 1),
+    ("<http://e/s> <rel> <http://e/o> .", 14),
+    ("<http://e/s> <http://e/p> <rel> .", 27),
+    ('<http://e/s> <http://e/p> "x"^^<rel> .', 32),
+    ('<http://e/s>  <http://e/p>  "x"^^<r\\u0065l> .', 34),
+])
+def test_relative_iri_error_points_at_the_iri(line, column):
+    with pytest.raises(ParseError) as err:
+        parse_dataset(f"<http://e/s> <http://e/p> <http://e/o> .\n{line}\n", "ntriples")
+    assert (err.value.line, err.value.column) == (2, column)
+    assert err.value.message.startswith("IRI is not absolute: <r")
+
+
 def test_escape_error_in_multiline_literal_points_at_its_line():
     text = '@prefix a: <http://a/> .\na:s a:p """one\ntwo \\uD800""" .\n'
     with pytest.raises(ParseError) as err:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -83,6 +87,51 @@ def test_p_value_properties():
     r = spearman_rho([1, 2, 3, 4, 5], [1, 2, 3, 5, 4])
     assert 0.0 < r.p_value <= 1.0
     assert spearman_rho([1, 2, 3], [1, 2, 3]).p_value == 0.0
+
+
+def test_p_value_matches_scipy_student_t():
+    # the p-value is computed without scipy; hold it to scipy's Student-t
+    # survival function on every n from 3 to 200
+    stats = pytest.importorskip("scipy.stats")
+    rng = Random(11)
+    checked = 0
+    for n in range(3, 201):
+        ident = list(range(n))
+        near_one = ident[:]
+        near_one[0], near_one[1] = near_one[1], near_one[0]
+        pairs = [(ident, near_one), (ident, near_one[::-1])]
+        for _ in range(10):
+            pairs.append((ident, rng.sample(ident, n)))
+            pairs.append(([rng.randrange(n // 3 + 2) for _ in ident],
+                          [rng.randrange(n // 3 + 2) for _ in ident]))
+        for x, y in pairs:
+            result = spearman_rho(x, y)
+            if result is None or abs(result.rho) == 1.0:
+                continue
+            rho = result.rho
+            t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
+            expected = min(2.0 * float(stats.t.sf(abs(t), n - 2)), 1.0)
+            diff = abs(result.p_value - expected)
+            assert diff <= 1e-10, (n, rho, result.p_value, expected)
+            if expected > 1e-300:
+                assert diff <= 1e-9 * expected, (n, rho, result.p_value, expected)
+            checked += 1
+    assert checked > 4000
+
+
+def test_runtime_needs_no_scipy():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    with (root / "pyproject.toml").open("rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import rdfqa.cli, sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_exact_permutation_agrees_in_direction():
