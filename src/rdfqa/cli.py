@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .contaminate import (
@@ -46,21 +45,6 @@ EXIT_INPUT = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_paths: list[Path] = field(default_factory=list)
-    schema_path: Path | None = None
-    dictionary_path: Path | None = None
-    plan_path: Path | None = None
-    output_path: Path | None = None
-    manifest_path: Path | None = None
-    format: str = "table"
-    metric_selection: tuple[MetricId, ...] | None = None
-    alpha: float = 0.05
-    seed_override: int | None = None
-
-
 def _fail(message: str, code: int) -> int:
     print(f"rdfqa: error: {message}", file=sys.stderr)
     return code
@@ -83,48 +67,63 @@ def _emit(text: str, output_path: Path | None):
         _write_atomic(output_path, text.encode("utf-8"))
 
 
-def _resolve_dictionary(cfg: RunConfig) -> Dictionary:
+def _resolve_dictionary(args: argparse.Namespace) -> Dictionary:
     # precedence: flag, then environment, then the packaged word list
-    if cfg.dictionary_path is not None:
-        return load_dictionary(cfg.dictionary_path)
+    if args.dictionary is not None:
+        return load_dictionary(args.dictionary)
     env = os.environ.get(DICTIONARY_ENV)
     if env:
         return load_dictionary(env)
     return default_dictionary()
 
 
-def _load_input_dataset(cfg: RunConfig):
-    dataset = load_dataset(cfg.input_paths[0])
-    if cfg.schema_path is not None:
-        dataset = merge_datasets(dataset, load_dataset(cfg.schema_path))
+def _load_input_dataset(args: argparse.Namespace):
+    dataset = load_dataset(args.dataset)
+    if args.schema is not None:
+        dataset = merge_datasets(dataset, load_dataset(args.schema))
     return dataset
 
 
-def cmd_assess(cfg: RunConfig) -> int:
+def _parse_metric_selection(raw: str) -> tuple[MetricId, ...]:
+    ids = []
+    for token in raw.replace(",", " ").split():
+        ids.append(metric_id(token))
+    if not ids:
+        raise ValueError("empty metric selection")
+    return tuple(dict.fromkeys(ids))
+
+
+def cmd_assess(args: argparse.Namespace) -> int:
+    selection = None
+    if args.metrics:
+        try:
+            selection = _parse_metric_selection(args.metrics)
+        except ValueError as exc:
+            return _fail(str(exc), EXIT_USAGE)
     try:
-        dataset = _load_input_dataset(cfg)
-        dictionary = _resolve_dictionary(cfg)
+        dataset = _load_input_dataset(args)
+        dictionary = _resolve_dictionary(args)
     except ParseError as exc:
-        return _fail(f"{cfg.input_paths[0]}: {exc}", EXIT_INPUT)
+        return _fail(f"{args.dataset}: {exc}", EXIT_INPUT)
     except OSError as exc:
         return _fail(str(exc), EXIT_INPUT)
-    report = assess(dataset, dictionary, selection=cfg.metric_selection)
-    _emit(render_report(report, cfg.format), cfg.output_path)
+    report = assess(dataset, dictionary, selection=selection)
+    _emit(render_report(report, args.format), args.output)
     return EXIT_OK
 
 
-def cmd_contaminate(cfg: RunConfig) -> int:
+def cmd_contaminate(args: argparse.Namespace) -> int:
     try:
-        dataset = _load_input_dataset(cfg)
-        plan = load_plan(cfg.plan_path)
-        dictionary = _resolve_dictionary(cfg)
+        dataset = _load_input_dataset(args)
+        plan = load_plan(args.plan)
+        dictionary = _resolve_dictionary(args)
     except ParseError as exc:
-        return _fail(f"{cfg.input_paths[0]}: {exc}", EXIT_INPUT)
+        return _fail(f"{args.dataset}: {exc}", EXIT_INPUT)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         return _fail(str(exc), EXIT_INPUT)
-    if cfg.seed_override is not None:
+    if args.seed is not None:
         plan = ContaminationPlan(intensities=plan.intensities,
-                                 seed=cfg.seed_override,
+                                 seed=args.seed,
                                  dataset_id=plan.dataset_id or dataset.id)
     elif not plan.dataset_id:
         plan = ContaminationPlan(intensities=plan.intensities, seed=plan.seed,
@@ -132,8 +131,8 @@ def cmd_contaminate(cfg: RunConfig) -> int:
     contaminated, manifest = contaminate(dataset, plan, dictionary)
     out_bytes = serialize_dataset(contaminated)
     manifest_json = manifest_to_json(manifest)
-    manifest_path = cfg.manifest_path or cfg.output_path.with_suffix(".manifest.json")
-    _write_atomic(cfg.output_path, out_bytes)
+    manifest_path = args.manifest or args.output.with_suffix(".manifest.json")
+    _write_atomic(args.output, out_bytes)
     _write_atomic(manifest_path, manifest_json.encode("utf-8"))
     for warning in manifest.warnings:
         print(f"rdfqa: warning: {warning}", file=sys.stderr)
@@ -159,18 +158,18 @@ def _trend_table(delta_report, manifest) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_compare(cfg: RunConfig) -> int:
+def cmd_compare(args: argparse.Namespace) -> int:
     try:
-        before = load_report(cfg.input_paths[0])
-        after = load_report(cfg.input_paths[1])
-        manifest = load_manifest(cfg.manifest_path) if cfg.manifest_path else None
+        before = load_report(args.before)
+        after = load_report(args.after)
+        manifest = load_manifest(args.manifest) if args.manifest else None
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         return _fail(f"cannot read reports: {exc}", EXIT_INPUT)
     try:
         delta_report = compute_delta(before, after)
     except MetricMismatch as exc:
         return _fail(str(exc), EXIT_USAGE)
-    if cfg.format == "json":
+    if args.format == "json":
         payload = delta_to_dict(delta_report)
         if manifest is not None:
             payload["trend"] = [
@@ -182,41 +181,32 @@ def cmd_compare(cfg: RunConfig) -> int:
                 for h in ALL_HEURISTICS if h in manifest.plan.intensities
             ]
         text = json.dumps(payload, indent=2) + "\n"
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         text = delta_to_csv(delta_report)
     else:
         text = render_delta_table(delta_report)
         if manifest is not None:
             text += "\n" + _trend_table(delta_report, manifest)
-    _emit(text, cfg.output_path)
+    _emit(text, args.output)
     return EXIT_OK
 
 
-def cmd_correlate(cfg: RunConfig) -> int:
-    if len(cfg.input_paths) < 3:
+def cmd_correlate(args: argparse.Namespace) -> int:
+    if len(args.reports) < 3:
         return _fail("correlate needs at least 3 report files", EXIT_USAGE)
     try:
-        reports = [load_report(p) for p in cfg.input_paths]
+        reports = [load_report(p) for p in args.reports]
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         return _fail(f"cannot read reports: {exc}", EXIT_INPUT)
-    matrix = correlation_matrix(reports, alpha=cfg.alpha)
-    if cfg.format == "json":
+    matrix = correlation_matrix(reports, alpha=args.alpha)
+    if args.format == "json":
         text = matrix_to_json(matrix)
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         text = matrix_to_csv(matrix)
     else:
         text = render_matrix(matrix)
-    _emit(text, cfg.output_path)
+    _emit(text, args.output)
     return EXIT_OK
-
-
-def _parse_metric_selection(raw: str) -> tuple[MetricId, ...]:
-    ids = []
-    for token in raw.replace(",", " ").split():
-        ids.append(metric_id(token))
-    if not ids:
-        raise ValueError("empty metric selection")
-    return tuple(dict.fromkeys(ids))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,43 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.format = getattr(args, "format", "table")
-    cfg.output_path = getattr(args, "output", None)
-    cfg.schema_path = getattr(args, "schema", None)
-    cfg.dictionary_path = getattr(args, "dictionary", None)
-    cfg.manifest_path = getattr(args, "manifest", None)
-    cfg.plan_path = getattr(args, "plan", None)
-    cfg.seed_override = getattr(args, "seed", None)
-    cfg.alpha = getattr(args, "alpha", 0.05)
-    if args.command == "assess":
-        cfg.input_paths = [args.dataset]
-        if args.metrics:
-            cfg.metric_selection = _parse_metric_selection(args.metrics)
-    elif args.command == "contaminate":
-        cfg.input_paths = [args.dataset]
-    elif args.command == "compare":
-        cfg.input_paths = [args.before, args.after]
-    else:
-        cfg.input_paths = list(args.reports)
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        cfg = config_from_args(args)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    args = build_parser().parse_args(argv)
     handlers = {
         "assess": cmd_assess,
         "contaminate": cmd_contaminate,
         "compare": cmd_compare,
         "correlate": cmd_correlate,
     }
-    return handlers[cfg.command](cfg)
+    return handlers[args.command](args)
 
 
 if __name__ == "__main__":

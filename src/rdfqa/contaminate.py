@@ -48,7 +48,6 @@ from .core.model import (
     RDFS_RANGE,
     RDFS_SUBCLASSOF,
     OWL_COMPLEMENT_OF,
-    XSD_BOOLEAN,
     XSD_DATE,
     XSD_DATETIME,
     XSD_DECIMAL,
@@ -65,8 +64,8 @@ from .core.model import (
     is_declaration_triple,
 )
 from .core.parsing import parse_ntriples, triple_to_ntriples
-from .metrics import (Dictionary, MetricId, alpha_tokens, checkable_text,
-                      default_dictionary, has_unknown_token)
+from .metrics import (CHECKABLE_DATATYPES, Dictionary, MetricId, alpha_tokens,
+                      checkable_text, default_dictionary, has_unknown_token)
 
 
 class HeuristicId(str, enum.Enum):
@@ -149,13 +148,18 @@ class ReplayError(Exception):
 
 
 #: datatypes whose lexical space admits generated-invalid values
-_FAKEABLE = (XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE, XSD_BOOLEAN,
-             XSD_DATE, XSD_DATETIME, XSD_GYEAR)
+_FAKEABLE = tuple(d for d in CHECKABLE_DATATYPES if d != XSD_STRING)
 _CLASS_AXIOM_PREDICATES = frozenset({RDFS_SUBCLASSOF, OWL_DISJOINT_WITH, OWL_COMPLEMENT_OF})
 
 
 def _no_checkable_alpha(text: str) -> bool:
     return next(alpha_tokens(text), None) is None
+
+
+def _fake_target(schema: SchemaIndex, predicate: Iri) -> Iri | None:
+    """The first declared range of ``predicate`` in ``_FAKEABLE`` order, if any."""
+    ranges = schema.range_of.get(predicate, ())
+    return next((r for r in _FAKEABLE if r in ranges), None)
 
 
 _ADD_ACTIONS = frozenset({EditAction.ADD_TRIPLE, EditAction.ADD_AXIOM})
@@ -186,7 +190,7 @@ class EditLog:
         return [t for t in self.slots if t is not None]
 
     def dataset(self, dataset_id: str) -> Dataset:
-        return Dataset(id=dataset_id, triples=tuple(self.current()), source_format="ntriples")
+        return Dataset(id=dataset_id, triples=tuple(self.current()))
 
     def apply(self, edit: Edit):
         before, after = edit.before, edit.after
@@ -304,9 +308,9 @@ class _Contaminator:
                 continue
             if not isinstance(t.object, Literal):
                 continue
-            targets = [r for r in _FAKEABLE if r in schema.range_of.get(t.predicate, ())]
-            if targets:
-                candidates.append((t, targets[0]))
+            target = _fake_target(schema, t.predicate)
+            if target is not None:
+                candidates.append((t, target))
         chosen = self.rng.sample(candidates, min(n, len(candidates)))
         done = 0
         for t, target in chosen:
@@ -334,8 +338,7 @@ class _Contaminator:
                 continue
             if _no_checkable_alpha(lex):
                 continue
-            ranges = schema.range_of.get(t.predicate, ())
-            if any(r in _FAKEABLE for r in ranges):
+            if _fake_target(schema, t.predicate) is not None:
                 continue
             out.append(t)
         return out
@@ -544,21 +547,21 @@ class _Contaminator:
         range/datatype metrics)."""
         if not isinstance(t.object, Literal):
             return self.fresh_iri(tag)
-        targets = [r for r in _FAKEABLE if r in schema.range_of.get(t.predicate, ())]
+        target = _fake_target(schema, t.predicate)
         for _ in range(50):
             self.value_counter += 1
             k = self.value_counter
-            if not targets:
+            if target is None:
                 lex = f"contamvalue{k}"
-            elif targets[0] == XSD_INTEGER:
+            elif target == XSD_INTEGER:
                 lex = str(900000 + k)
-            elif targets[0] in (XSD_DECIMAL, XSD_DOUBLE):
+            elif target in (XSD_DECIMAL, XSD_DOUBLE):
                 lex = f"{900000 + k}.5"
-            elif targets[0] == XSD_DATE:
+            elif target == XSD_DATE:
                 lex = f"{1200 + k % 700:04d}-01-15"
-            elif targets[0] == XSD_DATETIME:
+            elif target == XSD_DATETIME:
                 lex = f"{1200 + k % 700:04d}-01-15T10:30:00"
-            elif targets[0] == XSD_GYEAR:
+            elif target == XSD_GYEAR:
                 lex = f"{1200 + k % 700:04d}"
             else:
                 return None  # xsd:boolean: no unbounded distinct values

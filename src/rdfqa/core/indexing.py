@@ -11,11 +11,10 @@ undefined-terms metric compare the two.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .model import (
-    BUILTIN_NAMESPACES,
     CLASS_TYPES,
     OWL_COMPLEMENT_OF,
     OWL_DATATYPE_PROPERTY,
@@ -43,7 +42,12 @@ class PropertyKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SchemaIndex:
-    """Declared vocabulary of a dataset. Treat all fields as immutable."""
+    """Declared vocabulary of a dataset. Treat all fields as immutable.
+
+    Subclass links are kept only in their transitive closure, ``ancestors``;
+    every subclass test goes through it. IRIs under ``BUILTIN_NAMESPACES``
+    never enter ``classes``.
+    """
 
     classes: frozenset[Iri]
     properties: Mapping[Iri, PropertyKind]
@@ -52,10 +56,9 @@ class SchemaIndex:
     functional: frozenset[Iri]
     inverse_functional: frozenset[Iri]
     disjoint_pairs: frozenset[frozenset[Iri]]
-    subclass_of: Mapping[Iri, frozenset[Iri]]
     #: transitive superclasses per subclass subject (may include the class
     #: itself when the declared hierarchy is cyclic)
-    ancestors: Mapping[Iri, frozenset[Iri]] = field(default_factory=dict)
+    ancestors: Mapping[Iri, frozenset[Iri]]
 
     def superclasses(self, cls: Iri) -> frozenset[Iri]:
         return self.ancestors.get(cls, frozenset())
@@ -66,15 +69,18 @@ class SchemaIndex:
 
 @dataclass(frozen=True)
 class InstanceIndex:
-    """Usage-side view of a dataset. Treat all fields as immutable."""
+    """Usage-side view of a dataset. Treat all fields as immutable.
+
+    An instance is an IRI subject of an ``rdf:type`` triple whose object is
+    an IRI outside ``BUILTIN_NAMESPACES``; ``classes_of`` and ``members_of``
+    are the two directions of that membership.
+    """
 
     instances: frozenset[Iri]
     classes_of: Mapping[Iri, frozenset[Iri]]
     members_of: Mapping[Iri, frozenset[Iri]]
     #: triple indices per predicate, covering every triple in document order
     triples_by_predicate: Mapping[Iri, tuple[int, ...]]
-    #: triple indices of rdf:type triples keyed by their (IRI) object
-    type_object_triples: Mapping[Iri, tuple[int, ...]]
 
 
 def _transitive_parents(subclass_of: dict[Iri, set[Iri]]) -> dict[Iri, frozenset[Iri]]:
@@ -92,12 +98,10 @@ def _transitive_parents(subclass_of: dict[Iri, set[Iri]]) -> dict[Iri, frozenset
     return out
 
 
-def build_schema_index(dataset: Dataset,
-                       builtin_namespaces: tuple[str, ...] = BUILTIN_NAMESPACES) -> SchemaIndex:
+def build_schema_index(dataset: Dataset) -> SchemaIndex:
     """Collect the declared classes, properties and axioms of ``dataset``.
 
-    An empty or schema-free dataset yields an empty index. IRIs under the
-    builtin namespaces never enter ``classes``.
+    An empty or schema-free dataset yields an empty index.
     """
     classes: set[Iri] = set()
     prop_types: dict[Iri, set[Iri]] = {}
@@ -109,7 +113,7 @@ def build_schema_index(dataset: Dataset,
     prop_order: dict[Iri, None] = {}
 
     def note_class(term):
-        if isinstance(term, Iri) and not is_builtin(term, builtin_namespaces):
+        if isinstance(term, Iri) and not is_builtin(term):
             classes.add(term)
 
     for t in dataset.triples:
@@ -195,36 +199,30 @@ def build_schema_index(dataset: Dataset,
         functional=functional,
         inverse_functional=inverse_functional,
         disjoint_pairs=frozenset(disjoint_pairs),
-        subclass_of={c: frozenset(v) for c, v in subclass_of.items()},
         ancestors=ancestors,
     )
 
 
-def build_instance_index(dataset: Dataset,
-                         builtin_namespaces: tuple[str, ...] = BUILTIN_NAMESPACES) -> InstanceIndex:
+def build_instance_index(dataset: Dataset) -> InstanceIndex:
     """Collect instance memberships and per-predicate triple groups.
 
     Membership requires an IRI subject and a non-builtin IRI class; blank
-    nodes are never instances. ``type_object_triples`` covers every rdf:type
-    triple with an IRI object, builtin or not.
+    nodes are never instances.
     """
     classes_of: dict[Iri, set[Iri]] = {}
     members_of: dict[Iri, set[Iri]] = {}
     triples_by_predicate: dict[Iri, list[int]] = {}
-    type_object_triples: dict[Iri, list[int]] = {}
 
     for idx, t in enumerate(dataset.triples):
         triples_by_predicate.setdefault(t.predicate, []).append(idx)
-        if t.predicate == RDF_TYPE and isinstance(t.object, Iri):
-            type_object_triples.setdefault(t.object, []).append(idx)
-            if isinstance(t.subject, Iri) and not is_builtin(t.object, builtin_namespaces):
-                classes_of.setdefault(t.subject, set()).add(t.object)
-                members_of.setdefault(t.object, set()).add(t.subject)
+        if (t.predicate == RDF_TYPE and isinstance(t.object, Iri)
+                and isinstance(t.subject, Iri) and not is_builtin(t.object)):
+            classes_of.setdefault(t.subject, set()).add(t.object)
+            members_of.setdefault(t.object, set()).add(t.subject)
 
     return InstanceIndex(
         instances=frozenset(classes_of),
         classes_of={i: frozenset(v) for i, v in classes_of.items()},
         members_of={c: frozenset(v) for c, v in members_of.items()},
         triples_by_predicate={p: tuple(v) for p, v in triples_by_predicate.items()},
-        type_object_triples={c: tuple(v) for c, v in type_object_triples.items()},
     )

@@ -70,7 +70,6 @@ class Dataset:
 
     id: str
     triples: tuple[Triple, ...]
-    source_format: str = "ntriples"
     duplicate_count: int = 0
 
     def __len__(self):
@@ -80,8 +79,7 @@ class Dataset:
         return iter(self.triples)
 
 
-def make_dataset(dataset_id: str, triples: Iterable[Triple],
-                 source_format: str = "ntriples") -> Dataset:
+def make_dataset(dataset_id: str, triples: Iterable[Triple]) -> Dataset:
     """Build a Dataset, dropping exact duplicates and counting them."""
     seen = set()
     kept = []
@@ -92,12 +90,11 @@ def make_dataset(dataset_id: str, triples: Iterable[Triple],
         else:
             seen.add(t)
             kept.append(t)
-    return Dataset(id=dataset_id, triples=tuple(kept),
-                   source_format=source_format, duplicate_count=dup)
+    return Dataset(id=dataset_id, triples=tuple(kept), duplicate_count=dup)
 
 
-def is_builtin(iri: Iri, namespaces: tuple[str, ...] = BUILTIN_NAMESPACES) -> bool:
-    return iri.text.startswith(namespaces)
+def is_builtin(iri: Iri) -> bool:
+    return iri.text.startswith(BUILTIN_NAMESPACES)
 
 
 # Vocabulary terms consumed by the indexer and the contaminator.

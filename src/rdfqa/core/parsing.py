@@ -11,6 +11,7 @@ bytes and ``parse(serialize(d)) == d``.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from pathlib import Path
 from urllib.parse import urljoin
 
@@ -124,15 +125,14 @@ class _TermCache:
         self.iris: dict[str, Iri] = {}
         self.bnodes: dict[str, BlankNode] = {}
 
-    def iri(self, text: str, line: int) -> Iri:
-        node = self.iris.get(text)
+    def iri(self, raw: str, line: int) -> Iri:
+        """The IRI written as ``<raw>``, decoded and checked once per distinct ``raw``."""
+        node = self.iris.get(raw)
         if node is None:
-            if "\\" in text:
-                text = _unescape(text, line, allow_echar=False)
+            text = _unescape(raw, line, allow_echar=False) if "\\" in raw else raw
             if not _SCHEME_RE.match(text):
                 raise ParseError(line, 1, f"IRI is not absolute: <{text}>")
-            node = Iri(text)
-            self.iris.setdefault(text, node)
+            node = self.iris[raw] = Iri(text)
         return node
 
     def bnode(self, label: str) -> BlankNode:
@@ -172,7 +172,7 @@ def parse_ntriples(text: str, dataset_id: str = "") -> Dataset:
             _diagnose_nt_terms(m, lineno)
             raise
         triples.append(Triple(subject, predicate, obj))
-    return make_dataset(dataset_id, triples, source_format=FORMAT_NTRIPLES)
+    return make_dataset(dataset_id, triples)
 
 
 def _diagnose_nt_terms(m: re.Match, lineno: int):
@@ -287,10 +287,8 @@ def triple_to_ntriples(t: Triple) -> str:
     return f"{term_to_ntriples(t.subject)} {term_to_ntriples(t.predicate)} {term_to_ntriples(t.object)} ."
 
 
-def serialize_dataset(dataset: Dataset, fmt: str = FORMAT_NTRIPLES) -> bytes:
-    """Serialize to canonical N-Triples (the only supported output syntax)."""
-    if fmt != FORMAT_NTRIPLES:
-        raise ValueError(f"unsupported output format: {fmt!r} (canonical output is N-Triples)")
+def serialize_dataset(dataset: Dataset) -> bytes:
+    """Serialize to canonical N-Triples (the only output syntax)."""
     if not dataset.triples:
         return b""
     lines = [triple_to_ntriples(t) for t in dataset.triples]
@@ -591,7 +589,7 @@ class _TurtleParser:
 def parse_turtle(text: str, dataset_id: str = "") -> Dataset:
     """Parse a Turtle document into a dataset (document statement order)."""
     triples = _TurtleParser(text).parse()
-    return make_dataset(dataset_id, triples, source_format=FORMAT_TURTLE)
+    return make_dataset(dataset_id, triples)
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +628,6 @@ def load_dataset(path: str | Path, fmt: str | None = None,
 
 def merge_datasets(primary: Dataset, extra: Dataset) -> Dataset:
     """Concatenate two datasets (e.g. instance file + schema file), dedup'd."""
-    merged = make_dataset(primary.id, primary.triples + extra.triples,
-                          source_format=primary.source_format)
-    prior_dups = primary.duplicate_count + extra.duplicate_count
-    return Dataset(id=merged.id, triples=merged.triples,
-                   source_format=merged.source_format,
-                   duplicate_count=merged.duplicate_count + prior_dups)
+    merged = make_dataset(primary.id, primary.triples + extra.triples)
+    return replace(merged, duplicate_count=merged.duplicate_count
+                   + primary.duplicate_count + extra.duplicate_count)

@@ -2,9 +2,13 @@
 
 Each metric is a pure function over the immutable dataset/index structures
 and reports an undesirable-outcome ratio in [0, 1]: a numerator of offending
-items, a denominator of total outcomes, and a sample of offenders (triple
-indices or IRIs). A zero denominator never raises; it yields value 0 and a
-DegenerateDenominator flag on the report.
+items, a denominator of total outcomes, and the first ``OFFENDER_CAP``
+offenders (triple indices or IRIs). The per-triple metrics M2, M3, M4 and M9
+keep flagged triples in document order; M6, M7 and M8 keep whole conflicting
+groups in first-seen order; M1, M5 and M10 keep IRIs (see each metric). A
+zero denominator never raises; it yields value 0 and a
+DegenerateDenominator flag on the report. IRIs under ``BUILTIN_NAMESPACES``
+are never classes, instances or undefined terms.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .core.indexing import (
     build_schema_index,
 )
 from .core.model import (
-    BUILTIN_NAMESPACES,
     RDF_TYPE,
     XSD_BOOLEAN,
     XSD_DATE,
@@ -43,7 +46,8 @@ from .core.model import (
 from . import __version__
 from .fixtures import fixture_path
 
-DEFAULT_OFFENDER_CAP = 50
+#: Offenders kept per metric in a report; the numerator counts all of them.
+OFFENDER_CAP = 50
 
 
 class MetricId(str, enum.Enum):
@@ -235,10 +239,13 @@ def lexical_valid(lexical: str, datatype: Iri) -> bool | None:
     return pattern.match(lexical) is not None
 
 
-CHECKABLE_DATATYPES = frozenset({
+#: Datatypes whose lexical forms are checked, in the order the contaminator
+#: picks a target from a property's declared ranges; xsd:string comes last
+#: because every lexical form is valid for it.
+CHECKABLE_DATATYPES: tuple[Iri, ...] = (
     XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE, XSD_BOOLEAN,
     XSD_DATE, XSD_DATETIME, XSD_GYEAR, XSD_STRING,
-})
+)
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +260,15 @@ def _ratio_value(mid: MetricId, num: int, den: int,
         value = 1.0
         clamped = True
     return MetricValue(id=mid, value=value, numerator=num, denominator=den,
-                       clamped=clamped, offenders=tuple(offenders))
+                       clamped=clamped, offenders=tuple(offenders[:OFFENDER_CAP]))
 
 
-def m1_missing_property_values(schema: SchemaIndex, instances: InstanceIndex,
-                               offender_cap: int = DEFAULT_OFFENDER_CAP) -> MetricValue:
+def _triple_ratio(mid: MetricId, dataset: Dataset, flagged: list[int]) -> MetricValue:
+    """Flagged triple indices, in document order, over all triples."""
+    return _ratio_value(mid, len(flagged), len(dataset.triples), flagged)
+
+
+def m1_missing_property_values(schema: SchemaIndex, instances: InstanceIndex) -> MetricValue:
     """1 - (usage of declared properties) / (|Cls| * |Prp|), floored at 0.
 
     Offenders are declared properties that are never used as a predicate.
@@ -266,19 +277,16 @@ def m1_missing_property_values(schema: SchemaIndex, instances: InstanceIndex,
                 for p in schema.properties)
     den = len(schema.classes) * len(schema.properties)
     offenders = [p.text for p in schema.properties
-                 if not instances.triples_by_predicate.get(p)][:offender_cap]
-    if den == 0:
-        return MetricValue(MetricId.MISSING_VALUES, 0.0, usage, den,
-                           offenders=tuple(offenders))
-    value = 1.0 - usage / den
+                 if not instances.triples_by_predicate.get(p)]
+    value = 1.0 - usage / den if den else 0.0
     clamped = value < 0.0
     return MetricValue(MetricId.MISSING_VALUES, 0.0 if clamped else value,
-                       usage, den, clamped=clamped, offenders=tuple(offenders))
+                       usage, den, clamped=clamped,
+                       offenders=tuple(offenders[:OFFENDER_CAP]))
 
 
 def m2_out_of_range_values(dataset: Dataset, schema: SchemaIndex,
-                           instances: InstanceIndex,
-                           offender_cap: int = DEFAULT_OFFENDER_CAP) -> MetricValue:
+                           instances: InstanceIndex) -> MetricValue:
     """Triples whose object falls outside the predicate's declared range.
 
     Object properties: the object must carry at least one asserted class that
@@ -296,87 +304,59 @@ def m2_out_of_range_values(dataset: Dataset, schema: SchemaIndex,
             dt_ranges[prop] = tuple(r for r in sorted(ranges, key=lambda i: i.text)
                                     if r in CHECKABLE_DATATYPES)
 
-    num = 0
-    offenders = []
+    flagged = []
     for idx, t in enumerate(dataset.triples):
-        flagged = False
         ranges = class_ranges.get(t.predicate)
         if ranges:
             if isinstance(t.object, Iri):
                 asserted = instances.classes_of.get(t.object)
-                if asserted:
-                    ok = any(c in ranges or ranges & schema.superclasses(c)
-                             for c in asserted)
-                    flagged = not ok
+                if asserted and not any(c in ranges or ranges & schema.superclasses(c)
+                                        for c in asserted):
+                    flagged.append(idx)
         else:
             dts = dt_ranges.get(t.predicate)
-            if dts and isinstance(t.object, Literal):
-                flagged = not any(lexical_valid(t.object.lexical, d) for d in dts)
-        if flagged:
-            num += 1
-            if len(offenders) < offender_cap:
-                offenders.append(idx)
-    return _ratio_value(MetricId.OUT_OF_RANGE, num, len(dataset.triples), offenders)
+            if (dts and isinstance(t.object, Literal)
+                    and not any(lexical_valid(t.object.lexical, d) for d in dts)):
+                flagged.append(idx)
+    return _triple_ratio(MetricId.OUT_OF_RANGE, dataset, flagged)
 
 
-def m3_misspelled_values(dataset: Dataset, dictionary: Dictionary,
-                         offender_cap: int = DEFAULT_OFFENDER_CAP) -> MetricValue:
+def m3_misspelled_values(dataset: Dataset, dictionary: Dictionary) -> MetricValue:
     """Triples whose checkable literal object carries a token not in the dictionary."""
-    num = 0
-    offenders = []
+    flagged = []
     for idx, t in enumerate(dataset.triples):
         text = checkable_text(t.object)
         if text is not None and has_unknown_token(text, dictionary):
-            num += 1
-            if len(offenders) < offender_cap:
-                offenders.append(idx)
-    return _ratio_value(MetricId.MISSPELLED_VALUES, num, len(dataset.triples), offenders)
+            flagged.append(idx)
+    return _triple_ratio(MetricId.MISSPELLED_VALUES, dataset, flagged)
 
 
-def m4_undefined_terms(dataset: Dataset, schema: SchemaIndex,
-                       offender_cap: int = DEFAULT_OFFENDER_CAP) -> MetricValue:
+def m4_undefined_terms(dataset: Dataset, schema: SchemaIndex) -> MetricValue:
     """Usage of classes (as rdf:type objects) or properties never declared."""
-    num = 0
-    offenders = []
+    flagged = []
     for idx, t in enumerate(dataset.triples):
-        hit = False
         if t.predicate == RDF_TYPE:
             if (isinstance(t.object, Iri) and not is_builtin(t.object)
                     and t.object not in schema.classes):
-                hit = True
+                flagged.append(idx)
         elif not is_builtin(t.predicate) and t.predicate not in schema.properties:
-            hit = True
-        if hit:
-            num += 1
-            if len(offenders) < offender_cap:
-                offenders.append(idx)
-    return _ratio_value(MetricId.UNDEFINED_TERMS, num, len(dataset.triples), offenders)
+            flagged.append(idx)
+    return _triple_ratio(MetricId.UNDEFINED_TERMS, dataset, flagged)
 
 
-def m5_disjoint_membership(schema: SchemaIndex, instances: InstanceIndex,
-                           offender_cap: int = DEFAULT_OFFENDER_CAP) -> MetricValue:
+def m5_disjoint_membership(schema: SchemaIndex, instances: InstanceIndex) -> MetricValue:
     """Instances asserted into two classes declared (or derived) disjoint.
 
     Each instance counts once no matter how many disjoint pairs it violates.
     """
-    num = 0
     offenders = []
     if schema.disjoint_pairs:
         for inst in sorted(instances.instances, key=lambda i: i.text):
             asserted = sorted(instances.classes_of[inst], key=lambda c: c.text)
-            violated = False
-            for i in range(len(asserted)):
-                for j in range(i + 1, len(asserted)):
-                    if frozenset((asserted[i], asserted[j])) in schema.disjoint_pairs:
-                        violated = True
-                        break
-                if violated:
-                    break
-            if violated:
-                num += 1
-                if len(offenders) < offender_cap:
-                    offenders.append(inst.text)
-    return _ratio_value(MetricId.DISJOINT_MEMBERSHIP, num,
+            if any(frozenset((a, b)) in schema.disjoint_pairs
+                   for i, a in enumerate(asserted) for b in asserted[i + 1:]):
+                offenders.append(inst.text)
+    return _ratio_value(MetricId.DISJOINT_MEMBERSHIP, len(offenders),
                         len(instances.instances), offenders)
 
 
@@ -388,8 +368,7 @@ def _term_type_key(term):
     return ("literal", term.datatype.text if term.datatype else None)
 
 
-def m6_inconsistent_values(dataset: Dataset,
-                           offender_cap: int = DEFAULT_OFFENDER_CAP) -> MetricValue:
+def m6_inconsistent_values(dataset: Dataset) -> MetricValue:
     """Same subject and predicate, objects of conflicting term types.
 
     Objects conflict when their term types differ (IRI vs literal, or
@@ -410,15 +389,13 @@ def m6_inconsistent_values(dataset: Dataset,
         # with two or more type keys present, every object in the group
         # conflicts with at least one other, so all of them participate
         num += len(indices) - 1
-        for i in indices:
-            if len(offenders) < offender_cap:
-                offenders.append(i)
+        offenders.extend(indices)
     return _ratio_value(MetricId.INCONSISTENT_VALUES, num,
                         len(dataset.triples), offenders)
 
 
-def _group_conflicts(mid: MetricId, total: int, rows: Iterable[tuple[int, tuple, object]],
-                     offender_cap: int) -> MetricValue:
+def _group_conflicts(mid: MetricId, total: int,
+                     rows: Iterable[tuple[int, tuple, object]]) -> MetricValue:
     """Count conflicts over ``(idx, key, member)`` rows.
 
     A group of k distinct members under one key contributes k-1; every
@@ -435,24 +412,19 @@ def _group_conflicts(mid: MetricId, total: int, rows: Iterable[tuple[int, tuple,
         k = len(members)
         if k > 1:
             num += k - 1
-            for i in group_triples[key]:
-                if len(offenders) < offender_cap:
-                    offenders.append(i)
+            offenders.extend(group_triples[key])
     return _ratio_value(mid, num, total, offenders)
 
 
-def m7_functional_conflicts(dataset: Dataset, schema: SchemaIndex,
-                            offender_cap: int = DEFAULT_OFFENDER_CAP) -> MetricValue:
+def m7_functional_conflicts(dataset: Dataset, schema: SchemaIndex) -> MetricValue:
     """Functional properties holding several distinct values for one subject."""
     rows = ((idx, (t.subject, t.predicate), t.object)
             for idx, t in enumerate(dataset.triples)
             if t.predicate in schema.functional)
-    return _group_conflicts(MetricId.FUNCTIONAL_CONFLICTS, len(dataset.triples),
-                            rows, offender_cap)
+    return _group_conflicts(MetricId.FUNCTIONAL_CONFLICTS, len(dataset.triples), rows)
 
 
-def m8_inverse_functional_conflicts(dataset: Dataset, schema: SchemaIndex,
-                                    offender_cap: int = DEFAULT_OFFENDER_CAP) -> MetricValue:
+def m8_inverse_functional_conflicts(dataset: Dataset, schema: SchemaIndex) -> MetricValue:
     """Inverse-functional properties sharing one value across subjects.
 
     Empty-string literal objects form a single shared group per property (the
@@ -462,12 +434,10 @@ def m8_inverse_functional_conflicts(dataset: Dataset, schema: SchemaIndex,
                    and t.object.lexical == "" else t.object), t.subject)
             for idx, t in enumerate(dataset.triples)
             if t.predicate in schema.inverse_functional)
-    return _group_conflicts(MetricId.INVERSE_FUNCTIONAL_CONFLICTS, len(dataset.triples),
-                            rows, offender_cap)
+    return _group_conflicts(MetricId.INVERSE_FUNCTIONAL_CONFLICTS, len(dataset.triples), rows)
 
 
-def m9_improper_datatype(dataset: Dataset, schema: SchemaIndex,
-                         offender_cap: int = DEFAULT_OFFENDER_CAP) -> MetricValue:
+def m9_improper_datatype(dataset: Dataset, schema: SchemaIndex) -> MetricValue:
     """Literal datatype tags that differ from the declared datatype range.
 
     Unlike the out-of-range metric this compares the annotation, not the
@@ -481,27 +451,17 @@ def m9_improper_datatype(dataset: Dataset, schema: SchemaIndex,
                                if r.text.startswith(XSD_NS))
             if ranges:
                 dt_ranges[prop] = ranges
-    num = 0
-    offenders = []
+    flagged = []
     for idx, t in enumerate(dataset.triples):
         ranges = dt_ranges.get(t.predicate)
-        if not ranges or not isinstance(t.object, Literal):
-            continue
-        tag = t.object.datatype
-        if tag is None:
-            flagged = XSD_STRING not in ranges
-        else:
-            flagged = tag not in ranges
-        if flagged:
-            num += 1
-            if len(offenders) < offender_cap:
-                offenders.append(idx)
-    return _ratio_value(MetricId.IMPROPER_DATATYPE, num,
-                        len(dataset.triples), offenders)
+        if ranges and isinstance(t.object, Literal):
+            tag = t.object.datatype
+            if (XSD_STRING if tag is None else tag) not in ranges:
+                flagged.append(idx)
+    return _triple_ratio(MetricId.IMPROPER_DATATYPE, dataset, flagged)
 
 
-def m10_similar_classes(schema: SchemaIndex, instances: InstanceIndex,
-                        offender_cap: int = DEFAULT_OFFENDER_CAP) -> MetricValue:
+def m10_similar_classes(schema: SchemaIndex, instances: InstanceIndex) -> MetricValue:
     """Distinct, non-subclass-related classes over identical instance sets.
 
     Both members of a similar pair count; classes without instances never do.
@@ -511,23 +471,16 @@ def m10_similar_classes(schema: SchemaIndex, instances: InstanceIndex,
         members = instances.members_of.get(cls)
         if members:
             by_members.setdefault(members, []).append(cls)
-    num = 0
     offenders = []
-    for members, cohort in by_members.items():
-        if len(cohort) < 2:
-            continue
+    for cohort in by_members.values():
         for cls in cohort:
-            similar = any(
-                other != cls
-                and not schema.is_transitive_subclass(cls, other)
-                and not schema.is_transitive_subclass(other, cls)
-                for other in cohort
-            )
-            if similar:
-                num += 1
-                if len(offenders) < offender_cap:
-                    offenders.append(cls.text)
-    return _ratio_value(MetricId.SIMILAR_CLASSES, num, len(schema.classes), offenders)
+            if any(other != cls
+                   and not schema.is_transitive_subclass(cls, other)
+                   and not schema.is_transitive_subclass(other, cls)
+                   for other in cohort):
+                offenders.append(cls.text)
+    return _ratio_value(MetricId.SIMILAR_CLASSES, len(offenders),
+                        len(schema.classes), offenders)
 
 
 # ---------------------------------------------------------------------------
@@ -535,31 +488,29 @@ def m10_similar_classes(schema: SchemaIndex, instances: InstanceIndex,
 
 
 def assess(dataset: Dataset, dictionary: Dictionary | None = None,
-           selection: Iterable[MetricId] | None = None,
-           offender_cap: int = DEFAULT_OFFENDER_CAP,
-           builtin_namespaces: tuple[str, ...] = BUILTIN_NAMESPACES) -> MetricReport:
+           selection: Iterable[MetricId] | None = None) -> MetricReport:
     """Index the dataset once and evaluate the selected metrics (default: all).
 
     Metric-level degeneracies become report flags, never errors; two
     assessments of the same bytes produce identical reports.
     """
     selected = tuple(selection) if selection is not None else ALL_METRICS
-    schema = build_schema_index(dataset, builtin_namespaces)
-    instances = build_instance_index(dataset, builtin_namespaces)
+    schema = build_schema_index(dataset)
+    instances = build_instance_index(dataset)
     if dictionary is None:
         dictionary = Dictionary(id="(none)", words=frozenset())
 
     evaluators = {
-        MetricId.MISSING_VALUES: lambda: m1_missing_property_values(schema, instances, offender_cap),
-        MetricId.OUT_OF_RANGE: lambda: m2_out_of_range_values(dataset, schema, instances, offender_cap),
-        MetricId.MISSPELLED_VALUES: lambda: m3_misspelled_values(dataset, dictionary, offender_cap),
-        MetricId.UNDEFINED_TERMS: lambda: m4_undefined_terms(dataset, schema, offender_cap),
-        MetricId.DISJOINT_MEMBERSHIP: lambda: m5_disjoint_membership(schema, instances, offender_cap),
-        MetricId.INCONSISTENT_VALUES: lambda: m6_inconsistent_values(dataset, offender_cap),
-        MetricId.FUNCTIONAL_CONFLICTS: lambda: m7_functional_conflicts(dataset, schema, offender_cap),
-        MetricId.INVERSE_FUNCTIONAL_CONFLICTS: lambda: m8_inverse_functional_conflicts(dataset, schema, offender_cap),
-        MetricId.IMPROPER_DATATYPE: lambda: m9_improper_datatype(dataset, schema, offender_cap),
-        MetricId.SIMILAR_CLASSES: lambda: m10_similar_classes(schema, instances, offender_cap),
+        MetricId.MISSING_VALUES: lambda: m1_missing_property_values(schema, instances),
+        MetricId.OUT_OF_RANGE: lambda: m2_out_of_range_values(dataset, schema, instances),
+        MetricId.MISSPELLED_VALUES: lambda: m3_misspelled_values(dataset, dictionary),
+        MetricId.UNDEFINED_TERMS: lambda: m4_undefined_terms(dataset, schema),
+        MetricId.DISJOINT_MEMBERSHIP: lambda: m5_disjoint_membership(schema, instances),
+        MetricId.INCONSISTENT_VALUES: lambda: m6_inconsistent_values(dataset),
+        MetricId.FUNCTIONAL_CONFLICTS: lambda: m7_functional_conflicts(dataset, schema),
+        MetricId.INVERSE_FUNCTIONAL_CONFLICTS: lambda: m8_inverse_functional_conflicts(dataset, schema),
+        MetricId.IMPROPER_DATATYPE: lambda: m9_improper_datatype(dataset, schema),
+        MetricId.SIMILAR_CLASSES: lambda: m10_similar_classes(schema, instances),
     }
 
     flags = []

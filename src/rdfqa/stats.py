@@ -215,13 +215,6 @@ def correlation_matrix(reports: Sequence[MetricReport],
 # Rendering
 
 
-def render_summary(rows: Sequence[SummaryRow]) -> str:
-    lines = ["metric  mean   stdev"]
-    for row in rows:
-        lines.append(f"{row.metric.value:<6}  {row.mean:.2f}   {row.stdev:.2f}")
-    return "\n".join(lines) + "\n"
-
-
 def render_delta_table(report: DeltaReport) -> str:
     lines = [f"dataset: {report.dataset_id}", "",
              "metric  before  after   delta"]

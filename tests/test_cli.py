@@ -95,6 +95,10 @@ def test_assess_unknown_metric_is_usage_error(capsys):
     assert run_cli(["assess", FAMILY, "--metrics", "M99"]) == 2
 
 
+def test_assess_unknown_metric_exits_2_before_reading_the_dataset(tmp_path):
+    assert run_cli(["assess", str(tmp_path / "nope.nt"), "--metrics", "M11"]) == 2
+
+
 def test_assess_missing_file_exits_1(tmp_path):
     assert run_cli(["assess", str(tmp_path / "nope.nt")]) == 1
 
@@ -297,3 +301,17 @@ def test_contaminate_bad_plan_exits_1(tmp_path, capsys):
     out = tmp_path / "o.nt"
     assert run_cli(["contaminate", ZOO, "--plan", str(plan), "-o", str(out)]) == 1
     assert not out.exists()
+
+
+def test_run_experiment_script_on_bundled_fixtures(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    data = root / "src" / "rdfqa" / "data"
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_experiment.py"),
+         str(data), str(data / "plans"), str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
+    for stem in ("family", "zoo_clean"):
+        for suffix in (".clean.json", ".dirty.nt", ".dirty.manifest.json", ".dirty.json"):
+            assert (tmp_path / (stem + suffix)).stat().st_size > 0
+    assert "== pooled correlation over" in proc.stdout

@@ -25,7 +25,15 @@ from rdfqa.contaminate import (
     plan_from_dict,
     plan_to_dict,
 )
-from rdfqa.core.model import Iri, Triple, make_dataset
+from rdfqa.core.model import (
+    OWL_DATATYPE_PROPERTY,
+    RDF_TYPE,
+    RDFS_RANGE,
+    Iri,
+    Literal,
+    Triple,
+    make_dataset,
+)
 from rdfqa.core.parsing import parse_dataset, triple_to_ntriples
 from rdfqa.fixtures import fixture_path
 
@@ -48,6 +56,24 @@ def test_h2_count_arithmetic(zoo, words):
     assert len(dirty.triples) == 95
     assert sum(1 for e in manifest.edits if e.action is EditAction.REMOVE_TRIPLE) == 5
     assert manifest.achieved[HeuristicId.H2] == 5
+
+
+_FAKE_ORDER = ("integer", "decimal", "double", "boolean", "date", "dateTime", "gYear", "string")
+
+
+@pytest.mark.parametrize("first, second", zip(_FAKE_ORDER, _FAKE_ORDER[1:]))
+def test_h3_targets_the_first_checkable_datatype_among_the_ranges(words, first, second):
+    # the order of CHECKABLE_DATATYPES decides which declared range H3 fakes;
+    # one case per adjacent pair pins the whole order (xsd:string is never faked)
+    xsd = "http://www.w3.org/2001/XMLSchema#"
+    p = Iri("http://ex/p")
+    triples = [Triple(p, RDF_TYPE, OWL_DATATYPE_PROPERTY)]
+    triples += [Triple(p, RDFS_RANGE, Iri(xsd + r)) for r in (second, first)]
+    triples.append(Triple(Iri("http://ex/s"), p, Literal("7")))
+    plan = ContaminationPlan(intensities={HeuristicId.H3: 1}, seed=1)
+    _, manifest = contaminate(make_dataset("ranges", triples), plan, words)
+    (edit,) = manifest.edits
+    assert edit.after.object.datatype == Iri(xsd + first)
 
 
 def test_h9_adds_instance_into_disjoint_pair(zoo, words):

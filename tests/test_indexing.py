@@ -130,11 +130,3 @@ def test_membership_maps_are_mutual_inverses(family):
 def test_predicate_groups_cover_every_triple(family):
     idx = build_instance_index(family)
     assert sum(len(v) for v in idx.triples_by_predicate.values()) == len(family.triples)
-
-
-def test_type_object_triples_cover_iri_typed_rdf_type(family):
-    idx = build_instance_index(family)
-    typed = [i for i, t in enumerate(family.triples)
-             if t.predicate == RDF_TYPE and isinstance(t.object, Iri)]
-    covered = sorted(i for v in idx.type_object_triples.values() for i in v)
-    assert covered == typed

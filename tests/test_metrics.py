@@ -423,9 +423,28 @@ def test_offender_cap():
     triples = [Triple(iri(f"s{i}"), iri("undeclared"), iri("o")) for i in range(60)]
     ds = make_dataset("cap", triples)
     schema, _ = indices(ds)
-    mv = m4_undefined_terms(ds, schema, offender_cap=50)
+    mv = m4_undefined_terms(ds, schema)
     assert mv.numerator == 60
     assert len(mv.offenders) == 50
+
+    # M6 keeps whole conflicting groups in first-seen order: each subject's
+    # IRI object sits at k, its literal object at 60 + k
+    triples = ([Triple(iri(f"s{k}"), iri("p"), iri("o")) for k in range(60)]
+               + [Triple(iri(f"s{k}"), iri("p"), Literal("x")) for k in range(60)])
+    mv = m6_inconsistent_values(make_dataset("cap6", triples))
+    assert mv.numerator == 60
+    assert mv.offenders == tuple(i for k in range(25) for i in (k, 60 + k))
+
+    # M5 keeps instance IRIs in IRI order (i0, i1, i10, ...)
+    triples = [Triple(iri("A"), RDF_TYPE, OWL_CLASS), Triple(iri("B"), RDF_TYPE, OWL_CLASS),
+               Triple(iri("A"), OWL_DISJOINT_WITH, iri("B"))]
+    for k in range(60):
+        triples += [Triple(iri(f"i{k}"), RDF_TYPE, iri("A")),
+                    Triple(iri(f"i{k}"), RDF_TYPE, iri("B"))]
+    ds = make_dataset("cap5", triples)
+    mv = m5_disjoint_membership(*indices(ds))
+    assert mv.numerator == 60
+    assert mv.offenders == tuple(sorted(EX + f"i{k}" for k in range(60))[:50])
 
 
 def test_load_dictionary_skips_comments(tmp_path):

@@ -21,6 +21,7 @@ from rdfqa.core.indexing import PropertyKind
 from rdfqa.core.model import RDF_TYPE, XSD_NS, is_builtin, is_declaration_triple, make_dataset
 from rdfqa.metrics import (
     CHECKABLE_DATATYPES,
+    OFFENDER_CAP,
     Dictionary,
     checkable_text,
     has_unknown_token,
@@ -192,6 +193,24 @@ def test_offender_soundness():
             for offender in mv.offenders:
                 assert _recheck(ds, schema, instances, mid, offender), (mid, offender, ds.id)
 
+
+def test_triple_offenders_are_the_first_flagged_in_document_order():
+    # larger datasets than the default, so that some reach the offender cap
+    per_triple = (MetricId.OUT_OF_RANGE, MetricId.MISSPELLED_VALUES,
+                  MetricId.UNDEFINED_TERMS, MetricId.IMPROPER_DATATYPE)
+    capped = 0
+    for ds in datasets(111, runs=60, max_triples=150):
+        schema = build_schema_index(ds)
+        instances = build_instance_index(ds)
+        report = assess(ds, WORDS)
+        for mid in per_triple:
+            flagged = [i for i in range(len(ds.triples))
+                       if _recheck(ds, schema, instances, mid, i)]
+            mv = report.metrics[mid]
+            assert mv.numerator == len(flagged), (mid, ds.id)
+            assert list(mv.offenders) == flagged[:OFFENDER_CAP], (mid, ds.id)
+            capped += len(flagged) > OFFENDER_CAP
+    assert capped
 
 def test_contamination_replay_on_random_datasets():
     rng = Random(108)
