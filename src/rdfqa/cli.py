@@ -8,6 +8,7 @@ files behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -15,7 +16,6 @@ from pathlib import Path
 
 from .contaminate import (
     ALL_HEURISTICS,
-    ContaminationPlan,
     HEURISTIC_TARGETS,
     HeuristicId,
     contaminate,
@@ -95,7 +95,7 @@ def _parse_metric_selection(raw: str) -> tuple[MetricId, ...]:
 
 def cmd_assess(args: argparse.Namespace) -> int:
     selection = None
-    if args.metrics:
+    if args.metrics is not None:
         try:
             selection = _parse_metric_selection(args.metrics)
         except ValueError as exc:
@@ -121,13 +121,8 @@ def cmd_contaminate(args: argparse.Namespace) -> int:
         return _fail(f"{args.dataset}: {exc}", EXIT_INPUT)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         return _fail(str(exc), EXIT_INPUT)
-    if args.seed is not None:
-        plan = ContaminationPlan(intensities=plan.intensities,
-                                 seed=args.seed,
-                                 dataset_id=plan.dataset_id or dataset.id)
-    elif not plan.dataset_id:
-        plan = ContaminationPlan(intensities=plan.intensities, seed=plan.seed,
-                                 dataset_id=dataset.id)
+    plan = dataclasses.replace(plan, seed=plan.seed if args.seed is None else args.seed,
+                               dataset_id=plan.dataset_id or dataset.id)
     contaminated, manifest = contaminate(dataset, plan, dictionary)
     out_bytes = serialize_dataset(contaminated)
     manifest_json = manifest_to_json(manifest)

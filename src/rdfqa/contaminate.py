@@ -12,7 +12,9 @@ with holes plus a position map, so value-based edits are O(1) and both paths
 apply an edit the same way. The log also keeps the schema index and the
 class memberships that heuristics read, and rebuilds each one only after an
 edit that can change it: a declaration triple for the schema index, an
-``rdf:type`` triple for the memberships.
+``rdf:type`` triple for the memberships. Every heuristic picks its candidates
+with one sample step and makes every edit through one apply rule, which skips
+an edit whose resulting triple is already present.
 
 Injected terms live under the reserved ``contam:`` IRI scheme so they are
 recognizable and can never collide with source vocabulary.
@@ -32,7 +34,8 @@ from __future__ import annotations
 import enum
 import json
 import string
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping
@@ -131,6 +134,11 @@ class ContaminationPlan:
     seed: int
     dataset_id: str = ""
 
+    def __post_init__(self):
+        for h, n in self.intensities.items():
+            if n < 0:
+                raise ValueError(f"negative intensity for {h}")
+
     def intensity(self, h: HeuristicId) -> int:
         return int(self.intensities.get(h, 0))
 
@@ -160,6 +168,24 @@ def _fake_target(schema: SchemaIndex, predicate: Iri) -> Iri | None:
     """The first declared range of ``predicate`` in ``_FAKEABLE`` order, if any."""
     ranges = schema.range_of.get(predicate, ())
     return next((r for r in _FAKEABLE if r in ranges), None)
+
+
+#: the k-th fresh lexical form inside each fake target's range (``None``: no
+#: fakeable range); xsd:boolean is absent, it has no unbounded distinct values
+_IN_RANGE_LEXICAL = {
+    None: lambda k: f"contamvalue{k}",
+    XSD_INTEGER: lambda k: str(900000 + k),
+    XSD_DECIMAL: lambda k: f"{900000 + k}.5",
+    XSD_DOUBLE: lambda k: f"{900000 + k}.5",
+    XSD_DATE: lambda k: f"{1200 + k % 700:04d}-01-15",
+    XSD_DATETIME: lambda k: f"{1200 + k % 700:04d}-01-15T10:30:00",
+    XSD_GYEAR: lambda k: f"{1200 + k % 700:04d}",
+}
+
+
+def _with_lexical(t: Triple, lexical: str) -> Triple:
+    """``t`` with its literal's lexical form replaced; datatype and language kept."""
+    return Triple(t.subject, t.predicate, replace(t.object, lexical=lexical))
 
 
 _ADD_ACTIONS = frozenset({EditAction.ADD_TRIPLE, EditAction.ADD_AXIOM})
@@ -258,18 +284,18 @@ class _Contaminator:
         self.fresh_counter = 0
         self.value_counter = 0
 
-    # -- edit primitives
+    # -- the one sample step and the one apply rule
 
-    def add(self, h: HeuristicId, t: Triple, axiom: bool = False):
-        action = EditAction.ADD_AXIOM if axiom else EditAction.ADD_TRIPLE
-        self.log.apply(Edit(h, action, after=t))
+    def _sample(self, candidates: list, n: int) -> list:
+        return self.rng.sample(candidates, min(n, len(candidates)))
 
-    def remove(self, h: HeuristicId, t: Triple, axiom: bool = False):
-        action = EditAction.REMOVE_AXIOM if axiom else EditAction.REMOVE_TRIPLE
-        self.log.apply(Edit(h, action, before=t))
-
-    def rewrite(self, h: HeuristicId, old: Triple, new: Triple):
-        self.log.apply(Edit(h, EditAction.REWRITE_TRIPLE, before=old, after=new))
+    def apply(self, h: HeuristicId, action: EditAction,
+              before: Triple | None = None, after: Triple | None = None) -> int:
+        """Apply one edit; 0 when ``after`` is already present, else 1."""
+        if after is not None and after in self.log:
+            return 0
+        self.log.apply(Edit(h, action, before, after))
+        return 1
 
     def fresh_iri(self, tag: str) -> Iri:
         while True:
@@ -289,37 +315,26 @@ class _Contaminator:
 
     def h1_fresh_properties(self, n: int):
         for _ in range(n):
-            prop = self.fresh_iri("h1-property")
-            self.add(HeuristicId.H1, Triple(prop, RDF_TYPE, RDF_PROPERTY), axiom=True)
+            self.apply(HeuristicId.H1, EditAction.ADD_AXIOM,
+                       after=Triple(self.fresh_iri("h1-property"), RDF_TYPE, RDF_PROPERTY))
         self.record(HeuristicId.H1, n, n)
 
     def h2_remove_triples(self, n: int):
         candidates = [t for t in self.log.current() if not is_declaration_triple(t)]
-        chosen = self.rng.sample(candidates, min(n, len(candidates)))
-        for t in chosen:
-            self.remove(HeuristicId.H2, t)
-        self.record(HeuristicId.H2, n, len(chosen), "not enough removable triples")
+        done = sum(self.apply(HeuristicId.H2, EditAction.REMOVE_TRIPLE, before=t)
+                   for t in self._sample(candidates, n))
+        self.record(HeuristicId.H2, n, done, "not enough removable triples")
 
     def h3_out_of_range(self, n: int):
         schema = self.log.schema()
-        candidates = []
-        for t in self.log.current():
-            if schema.properties.get(t.predicate) is not PropertyKind.DATATYPE:
-                continue
-            if not isinstance(t.object, Literal):
-                continue
-            target = _fake_target(schema, t.predicate)
-            if target is not None:
-                candidates.append((t, target))
-        chosen = self.rng.sample(candidates, min(n, len(candidates)))
-        done = 0
-        for t, target in chosen:
-            lex = self._fresh_plain_value()
-            new = Triple(t.subject, t.predicate, Literal(lex, datatype=target))
-            if new in self.log:
-                continue
-            self.rewrite(HeuristicId.H3, t, new)
-            done += 1
+        candidates = [(t, target) for t in self.log.current()
+                      if schema.properties.get(t.predicate) is PropertyKind.DATATYPE
+                      and isinstance(t.object, Literal)
+                      and (target := _fake_target(schema, t.predicate)) is not None]
+        done = sum(self.apply(HeuristicId.H3, EditAction.REWRITE_TRIPLE, t,
+                              Triple(t.subject, t.predicate,
+                                     Literal(self._fresh_plain_value(), datatype=target)))
+                   for t, target in self._sample(candidates, n))
         self.record(HeuristicId.H3, n, done, "no rewritable datatype-property triples")
 
     def _fresh_plain_value(self) -> str:
@@ -329,38 +344,23 @@ class _Contaminator:
         return f"contamvalue{self.value_counter}"
 
     def _spellable_candidates(self, schema):
-        out = []
-        for t in self.log.current():
-            lex = checkable_text(t.object)
-            if lex is None:
-                continue
-            if has_unknown_token(lex, self.dictionary):
-                continue
-            if _no_checkable_alpha(lex):
-                continue
-            if _fake_target(schema, t.predicate) is not None:
-                continue
-            out.append(t)
-        return out
+        return [t for t in self.log.current()
+                if (lex := checkable_text(t.object)) is not None
+                and not has_unknown_token(lex, self.dictionary)
+                and not _no_checkable_alpha(lex)
+                and _fake_target(schema, t.predicate) is None]
 
     def h4_mutate_literals(self, n: int):
-        schema = self.log.schema()
-        candidates = self._spellable_candidates(schema)
+        candidates = self._spellable_candidates(self.log.schema())
         self.rng.shuffle(candidates)
         done = 0
         for t in candidates:
             if done == n:
                 break
-            new_lex = self._mutate_lexical(t.object.lexical)
-            if new_lex is None:
-                continue
-            new = Triple(t.subject, t.predicate,
-                         Literal(new_lex, datatype=t.object.datatype,
-                                 language=t.object.language))
-            if new in self.log:
-                continue
-            self.rewrite(HeuristicId.H4, t, new)
-            done += 1
+            lexical = self._mutate_lexical(t.object.lexical)
+            if lexical is not None:
+                done += self.apply(HeuristicId.H4, EditAction.REWRITE_TRIPLE, t,
+                                   _with_lexical(t, lexical))
         self.record(HeuristicId.H4, n, done, "no cleanly-spelled literals to corrupt")
 
     def _mutate_lexical(self, lexical: str) -> str | None:
@@ -380,19 +380,10 @@ class _Contaminator:
         return None
 
     def h5_replace_literals(self, n: int):
-        schema = self.log.schema()
-        candidates = self._spellable_candidates(schema)
-        chosen = self.rng.sample(candidates, min(n, len(candidates)))
-        done = 0
-        for t in chosen:
-            token = self._absent_token()
-            new = Triple(t.subject, t.predicate,
-                         Literal(token, datatype=t.object.datatype,
-                                 language=t.object.language))
-            if new in self.log:
-                continue
-            self.rewrite(HeuristicId.H5, t, new)
-            done += 1
+        candidates = self._spellable_candidates(self.log.schema())
+        done = sum(self.apply(HeuristicId.H5, EditAction.REWRITE_TRIPLE, t,
+                              _with_lexical(t, self._absent_token()))
+                   for t in self._sample(candidates, n))
         self.record(HeuristicId.H5, n, done, "no cleanly-spelled literals to replace")
 
     def _absent_token(self) -> str:
@@ -411,25 +402,20 @@ class _Contaminator:
 
     def h6_rename_terms(self, n: int):
         schema = self.log.schema()
-        type_cands = [t for t in self.log.current()
+        candidates = [t for t in self.log.current()
                       if t.predicate == RDF_TYPE and isinstance(t.object, Iri)
                       and t.object in schema.classes]
-        chosen = self.rng.sample(type_cands, min(n, len(type_cands)))
-        done = 0
-        for t in chosen:
-            new = Triple(t.subject, RDF_TYPE, self.fresh_iri("h6-class"))
-            self.rewrite(HeuristicId.H6, t, new)
-            done += 1
+        done = sum(self.apply(HeuristicId.H6, EditAction.REWRITE_TRIPLE, t,
+                              Triple(t.subject, RDF_TYPE, self.fresh_iri("h6-class")))
+                   for t in self._sample(candidates, n))
         if done < n:
             # fall back to renaming predicates of declared-property usage
             # triples; this also lowers the missing-values usage sum
-            usage_cands = [t for t in self.log.current()
-                           if t.predicate != RDF_TYPE and t.predicate in schema.properties]
-            extra = self.rng.sample(usage_cands, min(n - done, len(usage_cands)))
-            for t in extra:
-                new = Triple(t.subject, self.fresh_iri("h6-property"), t.object)
-                self.rewrite(HeuristicId.H6, t, new)
-                done += 1
+            candidates = [t for t in self.log.current()
+                          if t.predicate != RDF_TYPE and t.predicate in schema.properties]
+            done += sum(self.apply(HeuristicId.H6, EditAction.REWRITE_TRIPLE, t,
+                                   Triple(t.subject, self.fresh_iri("h6-property"), t.object))
+                        for t in self._sample(candidates, n - done))
         self.record(HeuristicId.H6, n, done, "no renameable usage triples")
 
     def h7_remove_declarations(self, n: int):
@@ -444,7 +430,7 @@ class _Contaminator:
             {t.predicate for t in current if t.predicate in schema.properties},
             key=lambda p: p.text)
         pool = [("class", c) for c in used_classes] + [("property", p) for p in used_props]
-        chosen = self.rng.sample(pool, min(n, len(pool)))
+        chosen = self._sample(pool, n)
         # every triple that declares a term is a declaration triple, so one
         # scan finds them all; a triple an earlier term removed is skipped
         declarations = self.log.declarations()
@@ -466,7 +452,7 @@ class _Contaminator:
                         or (t.subject == term and t.predicate in (RDFS_DOMAIN, RDFS_RANGE))
                     )
                 if declares:
-                    self.remove(HeuristicId.H7, t, axiom=True)
+                    self.apply(HeuristicId.H7, EditAction.REMOVE_AXIOM, before=t)
         self.record(HeuristicId.H7, n, len(chosen), "no used declared terms")
 
     def h8_make_disjoint(self, n: int):
@@ -484,25 +470,22 @@ class _Contaminator:
                 members_b = members_of.get(b)
                 if members_b and members_a & members_b:
                     candidates.append((a, b))
-        chosen = self.rng.sample(candidates, min(n, len(candidates)))
-        for a, b in chosen:
-            self.add(HeuristicId.H8, Triple(a, OWL_DISJOINT_WITH, b), axiom=True)
-        self.record(HeuristicId.H8, n, len(chosen), "no class pairs share instances")
+        done = sum(self.apply(HeuristicId.H8, EditAction.ADD_AXIOM,
+                              after=Triple(a, OWL_DISJOINT_WITH, b))
+                   for a, b in self._sample(candidates, n))
+        self.record(HeuristicId.H8, n, done, "no class pairs share instances")
 
     def h9_disjoint_instances(self, n: int):
         schema = self.log.schema()
         pairs = sorted((tuple(sorted(p, key=lambda c: c.text))
                         for p in schema.disjoint_pairs),
                        key=lambda pair: (pair[0].text, pair[1].text))
-        done = 0
-        for _ in range(n):
-            if not pairs:
-                break
+        done = n if pairs else 0
+        for _ in range(done):
             a, b = self.rng.choice(pairs)
             inst = self.fresh_iri("h9-instance")
-            self.add(HeuristicId.H9, Triple(inst, RDF_TYPE, a))
-            self.add(HeuristicId.H9, Triple(inst, RDF_TYPE, b))
-            done += 1
+            self.apply(HeuristicId.H9, EditAction.ADD_TRIPLE, after=Triple(inst, RDF_TYPE, a))
+            self.apply(HeuristicId.H9, EditAction.ADD_TRIPLE, after=Triple(inst, RDF_TYPE, b))
         self.record(HeuristicId.H9, n, done, "no disjoint class pairs available")
 
     def h10_type_conflicts(self, n: int):
@@ -512,33 +495,27 @@ class _Contaminator:
                       and isinstance(t.object, Literal)
                       and t.predicate in schema.properties
                       and t.predicate not in schema.functional]
-        chosen = self.rng.sample(candidates, min(n, len(candidates)))
-        for t in chosen:
-            companion = Triple(t.subject, t.predicate, self.fresh_iri("h10-object"))
-            self.add(HeuristicId.H10, companion)
-        self.record(HeuristicId.H10, n, len(chosen), "no literal-valued usage triples")
+        done = sum(self.apply(HeuristicId.H10, EditAction.ADD_TRIPLE,
+                              after=Triple(t.subject, t.predicate, self.fresh_iri("h10-object")))
+                   for t in self._sample(candidates, n))
+        self.record(HeuristicId.H10, n, done, "no literal-valued usage triples")
 
     def h11_functional_duplicates(self, n: int):
         schema = self.log.schema()
         candidates = [t for t in self.log.current() if t.predicate in schema.functional]
-        chosen = self.rng.sample(candidates, min(n, len(candidates)))
-        done = 0
-        for t in chosen:
-            new_object = self._fresh_object_like(t, schema, "h11-object")
-            if new_object is None:
-                continue
-            self.add(HeuristicId.H11, Triple(t.subject, t.predicate, new_object))
-            done += 1
+        done = sum(self.apply(HeuristicId.H11, EditAction.ADD_TRIPLE,
+                              after=Triple(t.subject, t.predicate, new_object))
+                   for t in self._sample(candidates, n)
+                   if (new_object := self._fresh_object_like(t, schema, "h11-object")) is not None)
         self.record(HeuristicId.H11, n, done, "no functional-property triples to copy")
 
     def h12_inverse_functional_duplicates(self, n: int):
         schema = self.log.schema()
         candidates = [t for t in self.log.current() if t.predicate in schema.inverse_functional]
-        chosen = self.rng.sample(candidates, min(n, len(candidates)))
-        for t in chosen:
-            subject = self.fresh_iri("h12-subject")
-            self.add(HeuristicId.H12, Triple(subject, t.predicate, t.object))
-        self.record(HeuristicId.H12, n, len(chosen),
+        done = sum(self.apply(HeuristicId.H12, EditAction.ADD_TRIPLE,
+                              after=Triple(self.fresh_iri("h12-subject"), t.predicate, t.object))
+                   for t in self._sample(candidates, n))
+        self.record(HeuristicId.H12, n, done,
                     "no inverse-functional-property triples to copy")
 
     def _fresh_object_like(self, t: Triple, schema, tag: str):
@@ -547,38 +524,24 @@ class _Contaminator:
         range/datatype metrics)."""
         if not isinstance(t.object, Literal):
             return self.fresh_iri(tag)
-        target = _fake_target(schema, t.predicate)
+        lexical = _IN_RANGE_LEXICAL.get(_fake_target(schema, t.predicate))
         for _ in range(50):
             self.value_counter += 1
-            k = self.value_counter
-            if target is None:
-                lex = f"contamvalue{k}"
-            elif target == XSD_INTEGER:
-                lex = str(900000 + k)
-            elif target in (XSD_DECIMAL, XSD_DOUBLE):
-                lex = f"{900000 + k}.5"
-            elif target == XSD_DATE:
-                lex = f"{1200 + k % 700:04d}-01-15"
-            elif target == XSD_DATETIME:
-                lex = f"{1200 + k % 700:04d}-01-15T10:30:00"
-            elif target == XSD_GYEAR:
-                lex = f"{1200 + k % 700:04d}"
-            else:
+            if lexical is None:
                 return None  # xsd:boolean: no unbounded distinct values
-            candidate = Literal(lex, datatype=t.object.datatype, language=t.object.language)
+            candidate = Literal(lexical(self.value_counter),
+                                datatype=t.object.datatype, language=t.object.language)
             if candidate != t.object and Triple(t.subject, t.predicate, candidate) not in self.log:
                 return candidate
         return None
 
     def h13_retag_literals(self, n: int):
         schema = self.log.schema()
-        group_sizes: dict[tuple, int] = {}
-        for t in self.log.current():
-            if t.predicate != RDF_TYPE:
-                key = (t.subject, t.predicate)
-                group_sizes[key] = group_sizes.get(key, 0) + 1
+        current = self.log.current()
+        group_sizes = Counter((t.subject, t.predicate) for t in current
+                              if t.predicate != RDF_TYPE)
         candidates = []
-        for t in self.log.current():
+        for t in current:
             if schema.properties.get(t.predicate) is not PropertyKind.DATATYPE:
                 continue
             if not isinstance(t.object, Literal):
@@ -591,20 +554,16 @@ class _Contaminator:
             clean = (XSD_STRING in xsd_ranges) if tag is None else (tag in xsd_ranges)
             if not clean:
                 continue
-            if group_sizes.get((t.subject, t.predicate), 0) != 1:
+            if group_sizes[t.subject, t.predicate] != 1:
                 continue
             if not _no_checkable_alpha(t.object.lexical):
                 continue
-            candidates.append((t, xsd_ranges))
-        chosen = self.rng.sample(candidates, min(n, len(candidates)))
-        done = 0
-        for t, xsd_ranges in chosen:
             new_tag = XSD_STRING if XSD_STRING not in xsd_ranges else XSD_INTEGER
-            new = Triple(t.subject, t.predicate, Literal(t.object.lexical, datatype=new_tag))
-            if new in self.log:
-                continue
-            self.rewrite(HeuristicId.H13, t, new)
-            done += 1
+            candidates.append((t, new_tag))
+        done = sum(self.apply(HeuristicId.H13, EditAction.REWRITE_TRIPLE, t,
+                              Triple(t.subject, t.predicate,
+                                     Literal(t.object.lexical, datatype=new_tag)))
+                   for t, new_tag in self._sample(candidates, n))
         self.record(HeuristicId.H13, n, done, "no retaggable datatype-property literals")
 
     def h14_clone_classes(self, n: int):
@@ -612,12 +571,14 @@ class _Contaminator:
         members_of = self.log.members_of()
         candidates = sorted((c for c in schema.classes if members_of.get(c)),
                             key=lambda c: c.text)
-        chosen = self.rng.sample(candidates, min(n, len(candidates)))
+        chosen = self._sample(candidates, n)
         for cls in chosen:
             clone = self.fresh_iri("h14-class")
-            self.add(HeuristicId.H14, Triple(clone, RDF_TYPE, OWL_CLASS), axiom=True)
+            self.apply(HeuristicId.H14, EditAction.ADD_AXIOM,
+                       after=Triple(clone, RDF_TYPE, OWL_CLASS))
             for member in sorted(members_of[cls], key=lambda m: m.text):
-                self.add(HeuristicId.H14, Triple(member, RDF_TYPE, clone))
+                self.apply(HeuristicId.H14, EditAction.ADD_TRIPLE,
+                           after=Triple(member, RDF_TYPE, clone))
         self.record(HeuristicId.H14, n, len(chosen), "no classes with instances")
 
     def run(self) -> tuple[Dataset, ContaminationManifest]:
@@ -658,9 +619,6 @@ def contaminate(dataset: Dataset, plan: ContaminationPlan,
     The dictionary is consulted by H4/H5 so injected misspellings are
     guaranteed absent from it; the bundled word list is used by default.
     """
-    for h, n in plan.intensities.items():
-        if n < 0:
-            raise ValueError(f"negative intensity for {h}")
     if dictionary is None:
         dictionary = default_dictionary()
     return _Contaminator(dataset, plan, dictionary).run()
@@ -679,24 +637,20 @@ def replay_manifest(original: Dataset, manifest: ContaminationManifest) -> Datas
 
 
 def plan_from_dict(data: Mapping, dataset_id: str = "") -> ContaminationPlan:
-    intensities = {}
-    for key, value in data.get("intensities", {}).items():
-        h = HeuristicId(key.upper())
-        n = int(value)
-        if n < 0:
-            raise ValueError(f"negative intensity for {h}")
-        intensities[h] = n
     return ContaminationPlan(
-        intensities=intensities,
+        intensities={HeuristicId(k.upper()): int(v)
+                     for k, v in data.get("intensities", {}).items()},
         seed=int(data.get("seed", 0)),
         dataset_id=data.get("dataset", dataset_id),
     )
 
 
+def _by_heuristic(counts: Mapping[HeuristicId, int]) -> dict[str, int]:
+    return {h.value: int(counts[h]) for h in ALL_HEURISTICS if h in counts}
+
+
 def plan_to_dict(plan: ContaminationPlan) -> dict:
-    out: dict = {"seed": plan.seed, "intensities": {
-        h.value: int(plan.intensities[h]) for h in ALL_HEURISTICS if h in plan.intensities
-    }}
+    out: dict = {"seed": plan.seed, "intensities": _by_heuristic(plan.intensities)}
     if plan.dataset_id:
         out["dataset"] = plan.dataset_id
     return out
@@ -715,10 +669,8 @@ def manifest_to_dict(manifest: ContaminationManifest) -> dict:
     return {
         "dataset": manifest.plan.dataset_id,
         "seed": manifest.plan.seed,
-        "requested": {h.value: int(n) for h, n in sorted(
-            manifest.plan.intensities.items(), key=lambda kv: ALL_HEURISTICS.index(kv[0]))},
-        "achieved": {h.value: int(n) for h, n in sorted(
-            manifest.achieved.items(), key=lambda kv: ALL_HEURISTICS.index(kv[0]))},
+        "requested": _by_heuristic(manifest.plan.intensities),
+        "achieved": _by_heuristic(manifest.achieved),
         "warnings": list(manifest.warnings),
         "edits": [
             {
@@ -733,11 +685,7 @@ def manifest_to_dict(manifest: ContaminationManifest) -> dict:
 
 
 def manifest_from_dict(data: Mapping) -> ContaminationManifest:
-    plan = ContaminationPlan(
-        intensities={HeuristicId(k): int(v) for k, v in data.get("requested", {}).items()},
-        seed=int(data.get("seed", 0)),
-        dataset_id=data.get("dataset", ""),
-    )
+    plan = plan_from_dict({**data, "intensities": data.get("requested", {})})
     edits = []
     for entry in data.get("edits", ()):
         edits.append(Edit(

@@ -51,7 +51,6 @@ class SchemaIndex:
 
     classes: frozenset[Iri]
     properties: Mapping[Iri, PropertyKind]
-    domain_of: Mapping[Iri, frozenset[Iri]]
     range_of: Mapping[Iri, frozenset[Iri]]
     functional: frozenset[Iri]
     inverse_functional: frozenset[Iri]
@@ -105,7 +104,6 @@ def build_schema_index(dataset: Dataset) -> SchemaIndex:
     """
     classes: set[Iri] = set()
     prop_types: dict[Iri, set[Iri]] = {}
-    domain_of: dict[Iri, set[Iri]] = {}
     range_of: dict[Iri, set[Iri]] = {}
     declared_disjoint: set[frozenset[Iri]] = set()
     subclass_of: dict[Iri, set[Iri]] = {}
@@ -137,11 +135,8 @@ def build_schema_index(dataset: Dataset) -> SchemaIndex:
                     declared_disjoint.add(frozenset((t.subject, t.object)))
         elif p == RDFS_DOMAIN:
             if isinstance(t.subject, Iri):
-                domain_of.setdefault(t.subject, set())
                 prop_order.setdefault(t.subject)
-                if isinstance(t.object, Iri):
-                    domain_of[t.subject].add(t.object)
-                    note_class(t.object)
+                note_class(t.object)
         elif p == RDFS_RANGE:
             if isinstance(t.subject, Iri):
                 range_of.setdefault(t.subject, set())
@@ -194,7 +189,6 @@ def build_schema_index(dataset: Dataset) -> SchemaIndex:
     return SchemaIndex(
         classes=frozenset(classes),
         properties=properties,
-        domain_of={p: frozenset(v) for p, v in domain_of.items()},
         range_of={p: frozenset(v) for p, v in range_of.items()},
         functional=functional,
         inverse_functional=inverse_functional,

@@ -126,13 +126,19 @@ class _TermCache:
         self.bnodes: dict[str, BlankNode] = {}
 
     def iri(self, raw: str, line: int) -> Iri:
-        """The IRI written as ``<raw>``, decoded and checked once per distinct ``raw``."""
-        node = self.iris.get(raw)
+        """The IRI written as ``<raw>``: its escapes decoded, then interned."""
+        if "\\" in raw:
+            raw = _unescape(raw, line, allow_echar=False)
+        node = self.iris.get(raw)  # most IRIs repeat, so look up before calling intern
+        return node if node is not None else self.intern(raw, line)
+
+    def intern(self, text: str, line: int) -> Iri:
+        """The IRI whose text, already decoded, is ``text``; checked once per text."""
+        node = self.iris.get(text)
         if node is None:
-            text = _unescape(raw, line, allow_echar=False) if "\\" in raw else raw
             if not _SCHEME_RE.match(text):
                 raise ParseError(line, 1, f"IRI is not absolute: <{text}>")
-            node = self.iris[raw] = Iri(text)
+            node = self.iris[text] = Iri(text)
         return node
 
     def bnode(self, label: str) -> BlankNode:
@@ -399,15 +405,19 @@ class _TurtleParser:
     def error(self, tok: _Token, msg: str):
         raise ParseError(tok.line, tok.col, msg)
 
-    def resolve_iri(self, raw: str, tok: _Token) -> Iri:
-        if "\\" in raw:
-            raw = _unescape(raw, tok.line, allow_echar=False, col=tok.col + 1)
+    def iriref_text(self, tok: _Token) -> str:
+        """The text of an IRIREF token with its escapes decoded, once."""
+        raw = tok.value[1:-1]
+        return _unescape(raw, tok.line, allow_echar=False, col=tok.col + 1) if "\\" in raw else raw
+
+    def resolve_iri(self, tok: _Token) -> Iri:
+        raw = self.iriref_text(tok)
         if not _SCHEME_RE.match(raw):
             if self.base is None:
                 self.error(tok, f"relative IRI <{raw}> without a base")
             raw = urljoin(self.base, raw)
         try:
-            return self.cache.iri(raw, tok.line)
+            return self.cache.intern(raw, tok.line)
         except ParseError:
             self.error(tok, f"cannot resolve <{raw}> to an absolute IRI")
 
@@ -418,7 +428,7 @@ class _TurtleParser:
             self.error(tok, f"undefined prefix {prefix!r}")
         if "\\" in local:
             local = re.sub(r"\\(.)", r"\1", local)
-        return self.cache.iri(ns + local, tok.line)
+        return self.cache.intern(ns + local, tok.line)
 
     def fresh_bnode(self) -> BlankNode:
         while True:
@@ -447,13 +457,13 @@ class _TurtleParser:
             iri_tok = self.next()
             if iri_tok.kind != "iriref":
                 self.error(iri_tok, "expected IRI in prefix directive")
-            ns = self.resolve_iri(iri_tok.value[1:-1], iri_tok)
+            ns = self.resolve_iri(iri_tok)
             self.prefixes[name_tok.value[:-1]] = ns.text
         else:
             iri_tok = self.next()
             if iri_tok.kind != "iriref":
                 self.error(iri_tok, "expected IRI in base directive")
-            raw = iri_tok.value[1:-1]
+            raw = self.iriref_text(iri_tok)
             self.base = urljoin(self.base, raw) if self.base else raw
             if not _SCHEME_RE.match(self.base):
                 self.error(iri_tok, "base IRI must be absolute")
@@ -477,7 +487,7 @@ class _TurtleParser:
     def subject(self):
         tok = self.next()
         if tok.kind == "iriref":
-            return self.resolve_iri(tok.value[1:-1], tok)
+            return self.resolve_iri(tok)
         if tok.kind == "pname":
             return self.expand_pname(tok.value, tok)
         if tok.kind == "blank":
@@ -489,7 +499,7 @@ class _TurtleParser:
         if tok.kind == "kw_a":
             return RDF_TYPE
         if tok.kind == "iriref":
-            return self.resolve_iri(tok.value[1:-1], tok)
+            return self.resolve_iri(tok)
         if tok.kind == "pname":
             return self.expand_pname(tok.value, tok)
         self.error(tok, f"expected predicate, found {tok.value!r}")
@@ -521,7 +531,7 @@ class _TurtleParser:
             return self.collection()
         tok = self.next()
         if tok.kind == "iriref":
-            return self.resolve_iri(tok.value[1:-1], tok)
+            return self.resolve_iri(tok)
         if tok.kind == "pname":
             return self.expand_pname(tok.value, tok)
         if tok.kind == "blank":
@@ -552,7 +562,7 @@ class _TurtleParser:
             self.next()
             dtok = self.next()
             if dtok.kind == "iriref":
-                dt = self.resolve_iri(dtok.value[1:-1], dtok)
+                dt = self.resolve_iri(dtok)
             elif dtok.kind == "pname":
                 dt = self.expand_pname(dtok.value, dtok)
             else:

@@ -99,6 +99,15 @@ def test_assess_unknown_metric_exits_2_before_reading_the_dataset(tmp_path):
     assert run_cli(["assess", str(tmp_path / "nope.nt"), "--metrics", "M11"]) == 2
 
 
+@pytest.mark.parametrize("selection", ["", ","])
+def test_assess_empty_metric_selection_exits_2_before_reading_the_dataset(
+        tmp_path, capsys, selection):
+    assert run_cli(["assess", str(tmp_path / "nope.nt"), "--metrics", selection]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty metric selection" in captured.err
+
+
 def test_assess_missing_file_exits_1(tmp_path):
     assert run_cli(["assess", str(tmp_path / "nope.nt")]) == 1
 

@@ -198,6 +198,73 @@ SCALE_30K_DIGESTS = {
 }
 
 
+# sha256 of the serialized output and of the manifest JSON for each
+# heuristic alone, seed 0, recorded before the heuristics shared one sample
+# step and one apply rule: at 5 on the 30k-triple scale document (13 of the
+# 14 achieve 5; the 10k document has no usage triples) and at 1000 on
+# family.nt, which drives the shortfall paths and H6's fallback
+SCALE_30K_SINGLE_DIGESTS = {
+    "H1": ("dafb71f36c412fe3996bf9d1f6eb080481e14d5fe30954555bd43b58ce36d164",
+           "af5b8fe92bfd69b0f592fe136dcf8f4279df2189c23c7811c749b79f96c063f7"),
+    "H2": ("c97735e1016f110575ab7c319dd11684bd4d5b5e9556404b2b91e169f49b7ab6",
+           "087908056685d955046606119445f8b2cfbd5e87d5093e076ff1d9e3387d6e91"),
+    "H3": ("e3740d1c5b830e847893cccf286a10b5a0c80f31654fd29cb8b12100fc5b09a6",
+           "23e3559dcea6b214272909c82dafabc04667a5aa0b0ee083e531a2b3f76f2349"),
+    "H4": ("a9c8435d399a1228699fe99381b1df7572bf5046aa612031d5155e4716fc1db2",
+           "ba2d5aca11d03697fd40b9b6c2a41881d051ddab651c072a0624055b33c59081"),
+    "H5": ("7ae928d16c5abce49207c8166b7965ffe45a963c5d06cbb0d7a6905218fed109",
+           "d8d00d2315267859b8a224cd3e19ee84b74eba1475be2f97b7f35963309959cb"),
+    "H6": ("07ac0ed77f0f99022e4d633c47d5e4c20f144ffd9bd31c6d4dfaf19d3f4a6d30",
+           "d653925fc270326de3c332d8a80c76a259c44e3d53c99e0e04a1e3102d649c39"),
+    "H7": ("fe068a8317e389ca7aef6b0ac551a4d0e4419fc4465f1dc15d20914b7374b10f",
+           "e1ce60cc4e2089a4e2372487ec05f3d14a8109085bde756700036065a955fd13"),
+    "H8": ("40f7c1a3b1fbd63dbb891869966ae3e151fce2d79a8f3619f4d7ff92e4f358a8",
+           "60da964010e7a81df034b0ffeadcc786311e76ea3d92b1cc471885d5c6d2c23c"),
+    "H9": ("ef41da2393d0d6d79526adae2c18ff9a041305f9733f16588b0d44279e1af8d0",
+           "9755d81997fd234a343bbf5eec02110db4991129588c300b516cf2f6758238e0"),
+    "H10": ("caa7b336cf8a3bf0697f56264952071550f11ed7ca6d5d5245b6bb6520fe9329",
+           "5c445665d40062379d3c98816e8cffa3b0198046cebe498bc3fa7a736d76f8b5"),
+    "H11": ("85933f67ed903af6ba1fc8c54bbfdb1c067e26e9bdeaee2fb17b033cd265f3fc",
+           "a2c97fe30144554512baf8a43d26f1984166b6f364104e1bc898c81669a376e2"),
+    "H12": ("8e07224978ee93b4b391dfcf676128f9a5ce0da143f2379a1287133fe684f779",
+           "891d96a3a19e9302b421260688b3b710fb22ec03dfb2aff22d88a63afddea9a8"),
+    "H13": ("5726edf1573fa8012ae110b16d0778022e699b79e415bdddbe783306cfbe6459",
+           "09e025b97348cd6ad6dfbd0bd535fc360ef2ac58c14f21ab519826aac7224882"),
+    "H14": ("db0ade6d535c643dd37ffa44d6794f9f14f73cd413aebe84969d0c8b2daaf8a2",
+           "ae215e96eda59edcd2f0ffd996459c61243ccfc3993f854a2240c9a6f985c15a"),
+}
+FAMILY_1000_SINGLE_DIGESTS = {
+    "H1": ("23fb6df279b130b74ce5afe72ebbdfe4f467fe954d1b82767a4f67a95ff524a3",
+           "e39547496a5e8b2a40d0e567ed9785d1ab90adcec4a0e610eb6255889909c4bc"),
+    "H2": ("6ff2b9900d4f358466675623140f2cdb01c6cd5da8ba6c505f7712577ef977fc",
+           "32f14a5d0ff61c85500be3c5f02b7934952a6413fe0cea2c8e419926ff2d0d56"),
+    "H3": ("b676c85870b6053256a83936c438fec08d241626c2fd5aef4022c61dd5cf17cc",
+           "2f685efad1ac26077fb06865265a0392785086eab86d836e99674f928eb44ea9"),
+    "H4": ("f285519028d63bdd5d10d4a8e5b3594f62bc45e6d894ec8e7710763809e1df39",
+           "98cce09249c2fc05bbe9064d8bf3b8ab10ecf73e6e270700e0974fd3da76bfbb"),
+    "H5": ("4c768e4dfd5a620bbfdfe859ba6fadf2c3d313d71848390ae2f2818a7b5fbc6a",
+           "a7ad84b0fe216d9d6ca3ad4af5cac81275a11933faf1fe355bdb27e2bbfa9665"),
+    "H6": ("940f6c225b861edbfae332af006b463cf1b3633d1cf5dda5ccd3411be2183cc9",
+           "aa0f6e6cb00709235d188622543b8fdb6697329c5f66cf1736d820182dc6bfee"),
+    "H7": ("23cff1b61b4a0a7f912531547d285462a622a2128ee27d13ac180efb94f54b5b",
+           "0f258c863be58e6a934868a6415b7f55d502d4efc4ffa290dda037fede968042"),
+    "H8": ("e357053977118af117b1a462b11b53d3908ea152e3f907cef2b9f5dc5ffd2cf1",
+           "6569144aecac70f12fcd7f2d7ce24202758ead1a77e4569544c959653393859b"),
+    "H9": ("04eee6df9371ca1226904feb130bb3df135bd488995249ba6c4e7ae227c1683b",
+           "2efa1d58bc159716a3cb8845c6cef23db5e429c20383b082e8bf3fc6bddc14e9"),
+    "H10": ("dc5aa6adb004f6422995cc163324a14f05f1e648674c448c586d09cd61ac0ce8",
+           "42626ef600f718633335da4382bfc5bd479111456e56e62ea0a76a440754da9d"),
+    "H11": ("fdf1414d901cbf0c2a547b86daa16efdbe4627bcd6658982c93fd8a6f90586e2",
+           "a4b0baaeeb1512a89e3663f17f394ec48dc51007cdd308d876dc0c99ec39b296"),
+    "H12": ("05569c45b156f0869f2a0de9b5ec1315488e4c24888cdf3d0e75e0959b365670",
+           "c68e0bc5a89e713f254f52218d114c90266d847d83bd15c15f0e2eb02d5c077e"),
+    "H13": ("890499a4d7ccc35b099a583041073bb0af65bad6c7a540b5f69448d07d4434fe",
+           "1c6b16a9678d9f1d6c369423c2b309fdb87590e737a78faaea66467f7117e2cf"),
+    "H14": ("0b866632449f3cece5c719975bf6d9712378c30b69d091ff008c3e8927c62c06",
+           "a17bbcbc69846064734e871ddd853773c88661169357171ae4a911d779ec8396"),
+}
+
+
 @pytest.mark.parametrize("seed", sorted(SCALE_30K_DIGESTS))
 def test_all_heuristics_on_scale_document_match_recorded_digests(words, seed):
     scale = parse_dataset(build_scale_document(30_000), "ntriples", "scale")
@@ -207,6 +274,25 @@ def test_all_heuristics_on_scale_document_match_recorded_digests(words, seed):
                hashlib.sha256(manifest_to_json(manifest).encode("utf-8")).hexdigest())
     assert digests == SCALE_30K_DIGESTS[seed]
     assert replay_manifest(scale, manifest).triples == dirty.triples
+
+
+@pytest.fixture(scope="module")
+def scale_30k():
+    return parse_dataset(build_scale_document(30_000), "ntriples", "scale")
+
+
+def _digests(dataset, plan, words):
+    dirty, manifest = contaminate(dataset, plan, words)
+    return (hashlib.sha256(serialize_dataset(dirty)).hexdigest(),
+            hashlib.sha256(manifest_to_json(manifest).encode("utf-8")).hexdigest())
+
+
+@pytest.mark.parametrize("h", list(HeuristicId))
+def test_each_heuristic_alone_matches_recorded_digests(scale_30k, family, words, h):
+    plan = ContaminationPlan({h: 5}, 0, scale_30k.id)
+    assert _digests(scale_30k, plan, words) == SCALE_30K_SINGLE_DIGESTS[h.value]
+    plan = ContaminationPlan({h: 1000}, 0, family.id)
+    assert _digests(family, plan, words) == FAMILY_1000_SINGLE_DIGESTS[h.value]
 
 
 def test_bundled_dirty_fixture_regenerates(zoo, words):
@@ -248,6 +334,11 @@ def test_plan_json_roundtrip():
 def test_plan_rejects_negative_intensity():
     with pytest.raises(ValueError):
         plan_from_dict({"seed": 1, "intensities": {"H3": -1}})
+
+
+def test_no_plan_with_a_negative_intensity_reaches_the_contaminator(zoo, words):
+    with pytest.raises(ValueError, match="^negative intensity for H3$"):
+        contaminate(zoo, ContaminationPlan({HeuristicId.H3: -1}, 0), words)
 
 
 def test_neon_sample_plans_load():

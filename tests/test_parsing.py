@@ -201,3 +201,19 @@ def test_escapes_at_the_edges_of_the_scalar_values_parse():
     ds = parse_dataset(f'<{EX}s> <{EX}p> "\\uD7FF\\uE000\\U0010FFFF" .\n', "ntriples")
     assert ds.triples[0].object == Literal("\uD7FF\uE000\U0010FFFF")
     assert parse_dataset(serialize_dataset(ds), "ntriples").triples == ds.triples
+
+
+@pytest.mark.parametrize("text, subject", [
+    # \u005C escapes a backslash, so \u005Cu0061 decodes to the six characters
+    # \u0061 and not, by a second decoding, to "a"
+    ("<http://e/\\u005Cu0061> <http://e/p> <http://e/o> .\n", "http://e/\\u0061"),
+    ("@prefix e: <http://e/\\u005Cu0062/> .\ne:x <http://e/p> <http://e/o> .\n",
+     "http://e/\\u0062/x"),
+    ("@base <http://e/> .\n<\\u005Cu0061> <http://e/p> <http://e/o> .\n", "http://e/\\u0061"),
+    ("@base <http://e/\\u0061/> .\n<x> <http://e/p> <http://e/o> .\n", "http://e/a/x"),
+])
+def test_turtle_decodes_each_iri_once(text, subject):
+    ds = parse_dataset(text, "turtle")
+    assert ds.triples[0].subject == Iri(subject)
+    if text.startswith("<"):
+        assert parse_dataset(text, "ntriples").triples == ds.triples

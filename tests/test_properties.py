@@ -18,7 +18,8 @@ from rdfqa import (
 )
 from rdfqa.contaminate import EditLog, manifest_to_json
 from rdfqa.core.indexing import PropertyKind
-from rdfqa.core.model import RDF_TYPE, XSD_NS, is_builtin, is_declaration_triple, make_dataset
+from rdfqa.core.model import (RDF_TYPE, RDFS_DOMAIN, XSD_NS, is_builtin, is_declaration_triple,
+                              make_dataset)
 from rdfqa.metrics import (
     CHECKABLE_DATATYPES,
     OFFENDER_CAP,
@@ -75,7 +76,9 @@ def test_index_consistency():
             assert not is_builtin(c)
         assert schema.functional <= set(schema.properties)
         assert schema.inverse_functional <= set(schema.properties)
-        for p in set(schema.domain_of) | set(schema.range_of):
+        domain_subjects = {t.subject for t in ds.triples
+                           if t.predicate == RDFS_DOMAIN and isinstance(t.subject, Iri)}
+        for p in domain_subjects | set(schema.range_of):
             assert p in schema.properties
 
 
