@@ -57,7 +57,6 @@ from .core.model import (
     XSD_DOUBLE,
     XSD_GYEAR,
     XSD_INTEGER,
-    XSD_NS,
     XSD_STRING,
     DECLARATION_TYPES,
     Dataset,
@@ -542,13 +541,8 @@ class _Contaminator:
                               if t.predicate != RDF_TYPE)
         candidates = []
         for t in current:
-            if schema.properties.get(t.predicate) is not PropertyKind.DATATYPE:
-                continue
-            if not isinstance(t.object, Literal):
-                continue
-            xsd_ranges = {r for r in schema.range_of.get(t.predicate, ())
-                          if r.text.startswith(XSD_NS)}
-            if not xsd_ranges:
+            xsd_ranges = schema.xsd_ranges.get(t.predicate)
+            if not xsd_ranges or not isinstance(t.object, Literal):
                 continue
             tag = t.object.datatype
             clean = (XSD_STRING in xsd_ranges) if tag is None else (tag in xsd_ranges)
@@ -636,12 +630,12 @@ def replay_manifest(original: Dataset, manifest: ContaminationManifest) -> Datas
 # Plan / manifest files
 
 
-def plan_from_dict(data: Mapping, dataset_id: str = "") -> ContaminationPlan:
+def plan_from_dict(data: Mapping) -> ContaminationPlan:
     return ContaminationPlan(
         intensities={HeuristicId(k.upper()): int(v)
                      for k, v in data.get("intensities", {}).items()},
         seed=int(data.get("seed", 0)),
-        dataset_id=data.get("dataset", dataset_id),
+        dataset_id=data.get("dataset", ""),
     )
 
 

@@ -4,13 +4,14 @@ The schema index holds what the document *declares* (classes, properties and
 their kinds, domain/range axioms, functional/inverse-functional markers,
 disjointness closed under symmetry and subclass descent). The instance index
 holds what the document *uses* (instance/class memberships and per-predicate
-triple groups). Keeping declaration and usage apart is what lets the
+triple counts). Keeping declaration and usage apart is what lets the
 undefined-terms metric compare the two.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -52,6 +53,8 @@ class SchemaIndex:
     classes: frozenset[Iri]
     properties: Mapping[Iri, PropertyKind]
     range_of: Mapping[Iri, frozenset[Iri]]
+    #: the XSD-namespace ranges of each datatype-kind property that has some
+    xsd_ranges: Mapping[Iri, frozenset[Iri]]
     functional: frozenset[Iri]
     inverse_functional: frozenset[Iri]
     disjoint_pairs: frozenset[frozenset[Iri]]
@@ -78,8 +81,8 @@ class InstanceIndex:
     instances: frozenset[Iri]
     classes_of: Mapping[Iri, frozenset[Iri]]
     members_of: Mapping[Iri, frozenset[Iri]]
-    #: triple indices per predicate, covering every triple in document order
-    triples_by_predicate: Mapping[Iri, tuple[int, ...]]
+    #: number of triples per predicate, covering every triple
+    predicate_counts: Mapping[Iri, int]
 
 
 def _transitive_parents(subclass_of: dict[Iri, set[Iri]]) -> dict[Iri, frozenset[Iri]]:
@@ -147,20 +150,24 @@ def build_schema_index(dataset: Dataset) -> SchemaIndex:
                         note_class(t.object)
 
     properties: dict[Iri, PropertyKind] = {}
+    xsd_ranges: dict[Iri, frozenset[Iri]] = {}
     for prop in prop_order:
         types = prop_types.get(prop, frozenset())
         ranges = range_of.get(prop, set())
+        xsd = frozenset(r for r in ranges if r.text.startswith(XSD_NS))
         if OWL_DATATYPE_PROPERTY in types:
             kind = PropertyKind.DATATYPE
         elif OWL_OBJECT_PROPERTY in types:
             kind = PropertyKind.OBJECT
-        elif any(r.text.startswith(XSD_NS) for r in ranges):
+        elif xsd:
             kind = PropertyKind.DATATYPE
         elif any(r in classes for r in ranges):
             kind = PropertyKind.OBJECT
         else:
             kind = PropertyKind.UNKNOWN
         properties[prop] = kind
+        if kind is PropertyKind.DATATYPE and xsd:
+            xsd_ranges[prop] = xsd
 
     functional = frozenset(p for p, types in prop_types.items()
                            if OWL_FUNCTIONAL_PROPERTY in types)
@@ -190,6 +197,7 @@ def build_schema_index(dataset: Dataset) -> SchemaIndex:
         classes=frozenset(classes),
         properties=properties,
         range_of={p: frozenset(v) for p, v in range_of.items()},
+        xsd_ranges=xsd_ranges,
         functional=functional,
         inverse_functional=inverse_functional,
         disjoint_pairs=frozenset(disjoint_pairs),
@@ -198,17 +206,14 @@ def build_schema_index(dataset: Dataset) -> SchemaIndex:
 
 
 def build_instance_index(dataset: Dataset) -> InstanceIndex:
-    """Collect instance memberships and per-predicate triple groups.
+    """Collect instance memberships and per-predicate triple counts.
 
     Membership requires an IRI subject and a non-builtin IRI class; blank
     nodes are never instances.
     """
     classes_of: dict[Iri, set[Iri]] = {}
     members_of: dict[Iri, set[Iri]] = {}
-    triples_by_predicate: dict[Iri, list[int]] = {}
-
-    for idx, t in enumerate(dataset.triples):
-        triples_by_predicate.setdefault(t.predicate, []).append(idx)
+    for t in dataset.triples:
         if (t.predicate == RDF_TYPE and isinstance(t.object, Iri)
                 and isinstance(t.subject, Iri) and not is_builtin(t.object)):
             classes_of.setdefault(t.subject, set()).add(t.object)
@@ -218,5 +223,5 @@ def build_instance_index(dataset: Dataset) -> InstanceIndex:
         instances=frozenset(classes_of),
         classes_of={i: frozenset(v) for i, v in classes_of.items()},
         members_of={c: frozenset(v) for c, v in members_of.items()},
-        triples_by_predicate={p: tuple(v) for p, v in triples_by_predicate.items()},
+        predicate_counts=Counter(t.predicate for t in dataset.triples),
     )

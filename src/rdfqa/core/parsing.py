@@ -11,6 +11,7 @@ bytes and ``parse(serialize(d)) == d``.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
 from urllib.parse import urljoin
@@ -49,21 +50,64 @@ class ParseError(Exception):
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 
-# IRIREF body: '>' terminates; control characters, space and IRI-forbidden
-# punctuation are rejected; backslash is admitted so \u escapes can be decoded.
-_IRI_BODY = r'[^\x00-\x20<>"{}|^]*'
+# The lexical grammar that both syntaxes share (RDF 1.1 N-Triples and Turtle).
+# Characters an IRIREF may not hold besides controls and space; the writer
+# escapes each of them. Backslash is admitted so \u escapes can be decoded.
+_IRI_EXCLUDED = '<>"{}|^`'
+_IRI_BODY = rf"[^\x00-\x20{re.escape(_IRI_EXCLUDED)}]*"
 # Label may contain inner dots but cannot end with one.
 _BNODE_LABEL = r"_:[A-Za-z0-9_](?:[A-Za-z0-9_\-]|\.(?=[A-Za-z0-9_.\-]))*"
 _LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+# Body of a "..." string: a raw CR or LF ends the line, so neither may occur.
+_STRING_BODY = r'(?:[^"\\\n\r]|\\.)*'
+_IRI_BODY_RE = re.compile(_IRI_BODY)
 
-_NT_LINE_RE = re.compile(
-    rf"^[ \t]*"
-    rf"(?:<({_IRI_BODY})>|({_BNODE_LABEL}))[ \t]+"
-    rf"<({_IRI_BODY})>[ \t]+"
-    rf'(?:<({_IRI_BODY})>|({_BNODE_LABEL})|"((?:[^"\\]|\\.)*)"'
-    rf"(?:\^\^<({_IRI_BODY})>|@({_LANGTAG}))?)"
-    rf"[ \t]*\.[ \t]*(?:#.*)?$"
-)
+#: what is wrong when no term matches at a character that may start one
+_LEXICAL_ERRORS = {
+    "<": "unterminated IRI",
+    '"': "unterminated string literal",
+    "_": "malformed blank node label",
+    "@": "malformed language tag",
+}
+
+
+def _lexical_error(text: str, pos: int, starts: str) -> tuple[int, str]:
+    """Why no term matches at ``text[pos]``, where a term whose first
+    character is in ``starts`` may stand: the offset of the fault and a
+    message. A ``^`` in ``starts`` admits ``^^`` and a datatype IRI."""
+    if "^" in starts and text.startswith("^^", pos):
+        pos, starts = pos + 2, "<"
+        if not text.startswith("<", pos):
+            return pos, "expected datatype IRI after ^^"
+    if pos >= len(text):
+        return pos, "unexpected end of line"
+    c = text[pos]
+    if c not in starts or c not in _LEXICAL_ERRORS:
+        return pos, f"unexpected character {c!r}"
+    if c == "<" and ">" in text[pos:].split("\n", 1)[0]:
+        return _IRI_BODY_RE.match(text, pos + 1).end(), "invalid character in IRI"
+    return pos, _LEXICAL_ERRORS[c]
+
+
+# An N-Triples line as the pieces that _NT_LINE_RE joins and _diagnose_nt_line
+# walks. Each piece carries the lead characters of the terms it admits, for
+# _lexical_error, or the message for a line on which it fails. The literal
+# suffix piece matches nothing after an IRI or blank node object.
+_IRIREF = rf"<({_IRI_BODY})>"
+_NT_PIECES = [(re.compile(piece), starts, message) for piece, starts, message in [
+    (r"[ \t]*", "", None),
+    (rf"(?:{_IRIREF}|({_BNODE_LABEL}))", "<_", None),
+    (r"[ \t]+", "", "expected whitespace"),
+    (_IRIREF, "<", None),
+    (r"[ \t]+", "", "expected whitespace"),
+    (rf'(?:{_IRIREF}|({_BNODE_LABEL})|"({_STRING_BODY})")', '<_"', None),
+    (rf'(?:(?<!")|\^\^{_IRIREF}|@({_LANGTAG})|(?!@|\^\^))', "@^", None),
+    (r"[ \t]*", "", None),
+    (r"\.", "", "expected '.' at end of triple"),
+    (r"[ \t]*", "", None),
+    (r"(?:#.*)?$", "", "trailing content after '.'"),
+]]
+_NT_LINE_RE = re.compile("".join(piece.pattern for piece, _, _ in _NT_PIECES))
 
 _BLANK_OR_COMMENT_RE = re.compile(r"^[ \t]*(?:#.*)?$")
 
@@ -144,8 +188,7 @@ class _TermCache:
     def bnode(self, label: str) -> BlankNode:
         node = self.bnodes.get(label)
         if node is None:
-            node = BlankNode(label)
-            self.bnodes[label] = node
+            node = self.bnodes[label] = BlankNode(label)
         return node
 
 
@@ -161,7 +204,6 @@ def parse_ntriples(text: str, dataset_id: str = "") -> Dataset:
         m = _NT_LINE_RE.match(line)
         if m is None:
             _diagnose_nt_line(line, lineno)
-            raise ParseError(lineno, 1, "malformed triple")
         s_iri, s_bnode, p_iri, o_iri, o_bnode, o_lex, o_dt, o_lang = m.groups()
         try:
             subject = cache.iri(s_iri, lineno) if s_iri is not None else cache.bnode(s_bnode[2:])
@@ -193,87 +235,27 @@ def _diagnose_nt_terms(m: re.Match, lineno: int):
 
 
 def _diagnose_nt_line(line: str, lineno: int):
-    """Walk a rejected line to report a useful column for the syntax error."""
+    """Raise the error of a rejected line at the first piece that fails."""
     pos = 0
-    n = len(line)
-
-    def skip_ws(required: bool):
-        nonlocal pos
-        start = pos
-        while pos < n and line[pos] in " \t":
-            pos += 1
-        if required and pos == start:
-            raise ParseError(lineno, pos + 1, "expected whitespace")
-
-    def term(kinds: str):
-        nonlocal pos
-        if pos >= n:
-            raise ParseError(lineno, pos + 1, "unexpected end of line")
-        c = line[pos]
-        if c == "<":
-            end = line.find(">", pos)
-            if end < 0:
-                raise ParseError(lineno, pos + 1, "unterminated IRI")
-            body = line[pos + 1:end]
-            bad = re.search(r'[\x00-\x20"{}|^]', body)
-            if bad:
-                raise ParseError(lineno, pos + 2 + bad.start(), "invalid character in IRI")
-            pos = end + 1
-            return
-        if c == "_" and "b" in kinds:
-            m = re.match(_BNODE_LABEL, line[pos:])
-            if not m:
-                raise ParseError(lineno, pos + 1, "malformed blank node label")
-            pos += m.end()
-            return
-        if c == '"' and "l" in kinds:
-            m = re.match(r'"(?:[^"\\]|\\.)*"', line[pos:])
-            if not m:
-                raise ParseError(lineno, pos + 1, "unterminated string literal")
-            pos += m.end()
-            if pos < n and line[pos] == "@":
-                m2 = re.match("@" + _LANGTAG, line[pos:])
-                if not m2:
-                    raise ParseError(lineno, pos + 1, "malformed language tag")
-                pos += m2.end()
-            elif line[pos:pos + 2] == "^^":
-                pos += 2
-                if pos >= n or line[pos] != "<":
-                    raise ParseError(lineno, pos + 1, "expected datatype IRI after ^^")
-                term("i")
-            return
-        raise ParseError(lineno, pos + 1, f"unexpected character {c!r}")
-
-    skip_ws(False)
-    term("ib")
-    skip_ws(True)
-    term("i")
-    skip_ws(True)
-    term("ibl")
-    skip_ws(False)
-    if pos >= n or line[pos] != ".":
-        raise ParseError(lineno, pos + 1, "expected '.' at end of triple")
-    pos += 1
-    skip_ws(False)
-    if pos < n and line[pos] != "#":
-        raise ParseError(lineno, pos + 1, "trailing content after '.'")
+    for piece, starts, message in _NT_PIECES:
+        m = piece.match(line, pos)
+        if m is None:
+            if message is None:
+                pos, message = _lexical_error(line, pos, starts)
+            raise ParseError(lineno, pos + 1, message)
+        pos = m.end()
 
 
 # ---------------------------------------------------------------------------
 # Canonical N-Triples serialization
 
 
-def _control_escapes() -> dict[int, str]:
-    return {i: "\\u%04X" % i for i in range(0x20)}
-
-
-_LITERAL_ESCAPES = _control_escapes()
-_LITERAL_ESCAPES.update({
+_LITERAL_ESCAPES = {i: "\\u%04X" % i for i in range(0x20)} | {
     ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n",
     ord("\r"): "\\r", ord("\t"): "\\t",
-})
-_IRI_ESCAPES = _control_escapes()
-_IRI_ESCAPES.update({ord(c): "\\u%04X" % ord(c) for c in '<>"{}|^`\\ '})
+}
+# every character an IRIREF body excludes, and the backslash that starts an escape
+_IRI_ESCAPES = {i: "\\u%04X" % i for i in [*range(0x21), *map(ord, _IRI_EXCLUDED + "\\")]}
 
 
 def term_to_ntriples(term: Term) -> str:
@@ -309,19 +291,19 @@ def serialize_dataset(dataset: Dataset) -> bytes:
 _PN_LOCAL = r"(?:[A-Za-z0-9_:%\-]|\.(?=[A-Za-z0-9_:%\-.\\])|\\[_~.\-!$&'()*+,;=/?\#@%])*"
 
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
       (?P<ws>[ \t\r\n]+)
     | (?P<comment>\#[^\n]*)
-    | (?P<iriref><[^<>"{}|^`\x00-\x20]*>)
+    | (?P<iriref><{_IRI_BODY}>)
     | (?P<string>'''(?:[^'\\]|\\.|'(?!'')|''(?!'))*'''
         |\"\"\"(?:[^"\\]|\\.|"(?!"")|""(?!"))*\"\"\"
         |'(?:[^'\\\n\r]|\\.)*'
-        |"(?:[^"\\\n\r]|\\.)*")
+        |"{_STRING_BODY}")
     | (?P<prefix_kw>@prefix(?![A-Za-z0-9_\-])|@base(?![A-Za-z0-9_\-])
         |[Pp][Rr][Ee][Ff][Ii][Xx](?![A-Za-z0-9_:\-])
         |[Bb][Aa][Ss][Ee](?![A-Za-z0-9_:\-]))
-    | (?P<langtag>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
-    | (?P<blank>_:[A-Za-z0-9_](?:[A-Za-z0-9_\-]|\.(?=[A-Za-z0-9_.\-]))*)
+    | (?P<langtag>@{_LANGTAG})
+    | (?P<blank>{_BNODE_LABEL})
     | (?P<double>[+-]?(?:[0-9]+\.[0-9]*|\.?[0-9]+)[eE][+-]?[0-9]+)
     | (?P<decimal>[+-]?[0-9]*\.[0-9]+)
     | (?P<integer>[+-]?[0-9]+)
@@ -329,20 +311,20 @@ _TOKEN_RE = re.compile(
     | (?P<punct>[.;,\[\]()])
     | (?P<boolean>(?:true|false)(?![A-Za-z0-9_:\-]))
     | (?P<kw_a>a(?![A-Za-z0-9_:\-]))
-    | (?P<pname>(?:[A-Za-z_][A-Za-z0-9_\-.]*)?:PN_LOCAL)
-    """.replace("PN_LOCAL", _PN_LOCAL),
+    | (?P<pname>(?:[A-Za-z_][A-Za-z0-9_\-.]*)?:{_PN_LOCAL})
+    """,
     re.VERBOSE,
 )
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
+#: the datatype of each numeric or boolean shorthand token kind
+_SHORTHAND_DATATYPES = {
+    "integer": XSD_INTEGER, "decimal": XSD_DECIMAL, "double": XSD_DOUBLE,
+    "boolean": XSD_BOOLEAN,
+}
 
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
+
+_Token = namedtuple("_Token", "kind value line col")
 
 
 def _tokenize_turtle(text: str) -> list[_Token]:
@@ -354,8 +336,8 @@ def _tokenize_turtle(text: str) -> list[_Token]:
     while pos < n:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ParseError(line, pos - line_start + 1,
-                             f"unexpected character {text[pos]!r}")
+            fault, message = _lexical_error(text, pos, '<"_@')
+            raise ParseError(line, fault - line_start + 1, message)
         kind = m.lastgroup
         value = m.group()
         col = pos - line_start + 1
@@ -397,10 +379,15 @@ class _TurtleParser:
         self.pos += 1
         return tok
 
+    def at(self, chars: str) -> bool:
+        """Whether the next token is one of the punctuation characters ``chars``."""
+        tok = self.tokens[self.pos]
+        return tok.kind == "punct" and tok.value in chars
+
     def expect_punct(self, ch: str):
-        tok = self.next()
-        if tok.kind != "punct" or tok.value != ch:
-            raise ParseError(tok.line, tok.col, f"expected {ch!r}, found {tok.value!r}")
+        if not self.at(ch):
+            self.error(self.peek(), f"expected {ch!r}, found {self.peek().value!r}")
+        self.next()
 
     def error(self, tok: _Token, msg: str):
         raise ParseError(tok.line, tok.col, msg)
@@ -421,8 +408,13 @@ class _TurtleParser:
         except ParseError:
             self.error(tok, f"cannot resolve <{raw}> to an absolute IRI")
 
-    def expand_pname(self, raw: str, tok: _Token) -> Iri:
-        prefix, _, local = raw.partition(":")
+    def iri(self, tok: _Token) -> Iri | None:
+        """The IRI an IRIREF or prefixed-name token names; None for other tokens."""
+        if tok.kind == "iriref":
+            return self.resolve_iri(tok)
+        if tok.kind != "pname":
+            return None
+        prefix, _, local = tok.value.partition(":")
         ns = self.prefixes.get(prefix)
         if ns is None:
             self.error(tok, f"undefined prefix {prefix!r}")
@@ -454,15 +446,12 @@ class _TurtleParser:
             name_tok = self.next()
             if name_tok.kind != "pname" or not name_tok.value.endswith(":"):
                 self.error(name_tok, "expected prefix name ending in ':'")
-            iri_tok = self.next()
-            if iri_tok.kind != "iriref":
-                self.error(iri_tok, "expected IRI in prefix directive")
-            ns = self.resolve_iri(iri_tok)
-            self.prefixes[name_tok.value[:-1]] = ns.text
+        iri_tok = self.next()
+        if iri_tok.kind != "iriref":
+            self.error(iri_tok, f"expected IRI in {keyword} directive")
+        if keyword == "prefix":
+            self.prefixes[name_tok.value[:-1]] = self.resolve_iri(iri_tok).text
         else:
-            iri_tok = self.next()
-            if iri_tok.kind != "iriref":
-                self.error(iri_tok, "expected IRI in base directive")
             raw = self.iriref_text(iri_tok)
             self.base = urljoin(self.base, raw) if self.base else raw
             if not _SCHEME_RE.match(self.base):
@@ -471,12 +460,11 @@ class _TurtleParser:
             self.expect_punct(".")
 
     def statement(self):
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value == "[":
+        if self.at("["):
             subject = self.bnode_property_list()
-            if not (self.peek().kind == "punct" and self.peek().value == "."):
+            if not self.at("."):
                 self.predicate_object_list(subject)
-        elif tok.kind == "punct" and tok.value == "(":
+        elif self.at("("):
             subject = self.collection()
             self.predicate_object_list(subject)
         else:
@@ -486,23 +474,21 @@ class _TurtleParser:
 
     def subject(self):
         tok = self.next()
-        if tok.kind == "iriref":
-            return self.resolve_iri(tok)
-        if tok.kind == "pname":
-            return self.expand_pname(tok.value, tok)
         if tok.kind == "blank":
             return self.cache.bnode(tok.value[2:])
-        self.error(tok, f"expected subject, found {tok.value!r}")
+        node = self.iri(tok)
+        if node is None:
+            self.error(tok, f"expected subject, found {tok.value!r}")
+        return node
 
     def verb(self) -> Iri:
         tok = self.next()
         if tok.kind == "kw_a":
             return RDF_TYPE
-        if tok.kind == "iriref":
-            return self.resolve_iri(tok)
-        if tok.kind == "pname":
-            return self.expand_pname(tok.value, tok)
-        self.error(tok, f"expected predicate, found {tok.value!r}")
+        node = self.iri(tok)
+        if node is None:
+            self.error(tok, f"expected predicate, found {tok.value!r}")
+        return node
 
     def predicate_object_list(self, subject):
         while True:
@@ -510,43 +496,34 @@ class _TurtleParser:
             while True:
                 obj = self.object_term()
                 self.triples.append(Triple(subject, predicate, obj))
-                if self.peek().kind == "punct" and self.peek().value == ",":
+                if self.at(","):
                     self.next()
                     continue
                 break
-            if self.peek().kind == "punct" and self.peek().value == ";":
-                while self.peek().kind == "punct" and self.peek().value == ";":
+            if self.at(";"):
+                while self.at(";"):
                     self.next()
-                tok = self.peek()
-                if (tok.kind == "punct" and tok.value in ".])") or tok.kind == "eof":
+                if self.at(".])") or self.peek().kind == "eof":
                     return
                 continue
             return
 
     def object_term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value == "[":
+        if self.at("["):
             return self.bnode_property_list()
-        if tok.kind == "punct" and tok.value == "(":
+        if self.at("("):
             return self.collection()
         tok = self.next()
-        if tok.kind == "iriref":
-            return self.resolve_iri(tok)
-        if tok.kind == "pname":
-            return self.expand_pname(tok.value, tok)
         if tok.kind == "blank":
             return self.cache.bnode(tok.value[2:])
         if tok.kind == "string":
             return self.finish_literal(tok)
-        if tok.kind == "integer":
-            return Literal(tok.value, datatype=XSD_INTEGER)
-        if tok.kind == "decimal":
-            return Literal(tok.value, datatype=XSD_DECIMAL)
-        if tok.kind == "double":
-            return Literal(tok.value, datatype=XSD_DOUBLE)
-        if tok.kind == "boolean":
-            return Literal(tok.value, datatype=XSD_BOOLEAN)
-        self.error(tok, f"expected object, found {tok.value!r}")
+        if tok.kind in _SHORTHAND_DATATYPES:
+            return Literal(tok.value, datatype=_SHORTHAND_DATATYPES[tok.kind])
+        node = self.iri(tok)
+        if node is None:
+            self.error(tok, f"expected object, found {tok.value!r}")
+        return node
 
     def finish_literal(self, tok: _Token) -> Literal:
         raw = tok.value
@@ -561,11 +538,8 @@ class _TurtleParser:
         if nxt.kind == "dtype":
             self.next()
             dtok = self.next()
-            if dtok.kind == "iriref":
-                dt = self.resolve_iri(dtok)
-            elif dtok.kind == "pname":
-                dt = self.expand_pname(dtok.value, dtok)
-            else:
+            dt = self.iri(dtok)
+            if dt is None:
                 self.error(dtok, "expected datatype IRI")
             return Literal(lex, datatype=dt)
         return Literal(lex)
@@ -573,7 +547,7 @@ class _TurtleParser:
     def bnode_property_list(self) -> BlankNode:
         self.expect_punct("[")
         node = self.fresh_bnode()
-        if not (self.peek().kind == "punct" and self.peek().value == "]"):
+        if not self.at("]"):
             self.predicate_object_list(node)
         self.expect_punct("]")
         return node
@@ -581,7 +555,7 @@ class _TurtleParser:
     def collection(self) -> Term:
         self.expect_punct("(")
         items = []
-        while not (self.peek().kind == "punct" and self.peek().value == ")"):
+        while not self.at(")"):
             if self.peek().kind == "eof":
                 self.error(self.peek(), "unterminated collection")
             items.append(self.object_term())
@@ -609,10 +583,13 @@ def parse_turtle(text: str, dataset_id: str = "") -> Dataset:
 def parse_dataset(data: bytes | str, fmt: str = FORMAT_NTRIPLES,
                   dataset_id: str = "") -> Dataset:
     """Parse ``data`` in the given format ("ntriples" or "turtle")."""
-    if isinstance(data, bytes):
-        text = data.decode("utf-8")
-    else:
-        text = data
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte decodes, and its last line gives the column
+        before = data[:exc.start].decode("utf-8-sig")
+        raise ParseError(before.count("\n") + 1, len(before) - before.rfind("\n"),
+                         f"invalid UTF-8 byte 0x{data[exc.start]:02X}") from None
     if text.startswith("﻿"):
         text = text[1:]
     if fmt == FORMAT_NTRIPLES:
@@ -626,14 +603,10 @@ def guess_format(path: Path) -> str:
     return FORMAT_TURTLE if path.suffix.lower() in (".ttl", ".turtle") else FORMAT_NTRIPLES
 
 
-def load_dataset(path: str | Path, fmt: str | None = None,
-                 dataset_id: str | None = None) -> Dataset:
+def load_dataset(path: str | Path) -> Dataset:
+    """Parse the file at ``path`` in the format its suffix names; its id is the file stem."""
     path = Path(path)
-    if fmt is None:
-        fmt = guess_format(path)
-    if dataset_id is None:
-        dataset_id = path.stem
-    return parse_dataset(path.read_bytes(), fmt, dataset_id)
+    return parse_dataset(path.read_bytes(), guess_format(path), path.stem)
 
 
 def merge_datasets(primary: Dataset, extra: Dataset) -> Dataset:

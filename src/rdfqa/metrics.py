@@ -35,7 +35,6 @@ from .core.model import (
     XSD_DOUBLE,
     XSD_GYEAR,
     XSD_INTEGER,
-    XSD_NS,
     XSD_STRING,
     BlankNode,
     Dataset,
@@ -273,11 +272,9 @@ def m1_missing_property_values(schema: SchemaIndex, instances: InstanceIndex) ->
 
     Offenders are declared properties that are never used as a predicate.
     """
-    usage = sum(len(instances.triples_by_predicate.get(p, ()))
-                for p in schema.properties)
+    usage = sum(instances.predicate_counts.get(p, 0) for p in schema.properties)
     den = len(schema.classes) * len(schema.properties)
-    offenders = [p.text for p in schema.properties
-                 if not instances.triples_by_predicate.get(p)]
+    offenders = [p.text for p in schema.properties if not instances.predicate_counts.get(p)]
     value = 1.0 - usage / den if den else 0.0
     clamped = value < 0.0
     return MetricValue(MetricId.MISSING_VALUES, 0.0 if clamped else value,
@@ -294,15 +291,10 @@ def m2_out_of_range_values(dataset: Dataset, schema: SchemaIndex,
     properties: the literal's lexical form must be valid for some checkable
     datatype range; unknown datatypes are never flagged.
     """
-    class_ranges: dict[Iri, frozenset[Iri]] = {}
-    dt_ranges: dict[Iri, tuple[Iri, ...]] = {}
-    for prop, kind in schema.properties.items():
-        ranges = schema.range_of.get(prop, frozenset())
-        if kind is PropertyKind.OBJECT:
-            class_ranges[prop] = frozenset(r for r in ranges if r in schema.classes)
-        elif kind is PropertyKind.DATATYPE:
-            dt_ranges[prop] = tuple(r for r in sorted(ranges, key=lambda i: i.text)
-                                    if r in CHECKABLE_DATATYPES)
+    class_ranges = {p: frozenset(r for r in schema.range_of.get(p, ()) if r in schema.classes)
+                    for p, kind in schema.properties.items() if kind is PropertyKind.OBJECT}
+    dt_ranges = {prop: tuple(r for r in ranges if r in CHECKABLE_DATATYPES)
+                 for prop, ranges in schema.xsd_ranges.items()}
 
     flagged = []
     for idx, t in enumerate(dataset.triples):
@@ -444,16 +436,9 @@ def m9_improper_datatype(dataset: Dataset, schema: SchemaIndex) -> MetricValue:
     lexical value. Untyped (plain or language-tagged) literals are flagged
     only when the declared range is not xsd:string.
     """
-    dt_ranges: dict[Iri, frozenset[Iri]] = {}
-    for prop, kind in schema.properties.items():
-        if kind is PropertyKind.DATATYPE:
-            ranges = frozenset(r for r in schema.range_of.get(prop, frozenset())
-                               if r.text.startswith(XSD_NS))
-            if ranges:
-                dt_ranges[prop] = ranges
     flagged = []
     for idx, t in enumerate(dataset.triples):
-        ranges = dt_ranges.get(t.predicate)
+        ranges = schema.xsd_ranges.get(t.predicate)
         if ranges and isinstance(t.object, Literal):
             tag = t.object.datatype
             if (XSD_STRING if tag is None else tag) not in ranges:

@@ -91,6 +91,23 @@ def test_escape_outside_unicode_exits_1_without_traceback(tmp_path, command, esc
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.nt", "plan.json"]
 
 
+@pytest.mark.parametrize("command", ["assess", "contaminate"])
+def test_invalid_utf8_exits_1_without_traceback(tmp_path, command):
+    bad = tmp_path / "bad.nt"
+    bad.write_bytes(b'<http://e/s> <http://e/p> "\xff" .\n')
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"seed": 0, "intensities": {}}')
+    out = tmp_path / "out"
+    extra = ["--plan", str(plan)] if command == "contaminate" else []
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdfqa", command, str(bad), *extra, "-o", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "line 1, column 28: invalid UTF-8 byte 0xFF" in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.nt", "plan.json"]
+
+
 def test_assess_unknown_metric_is_usage_error(capsys):
     assert run_cli(["assess", FAMILY, "--metrics", "M99"]) == 2
 

@@ -129,4 +129,4 @@ def test_membership_maps_are_mutual_inverses(family):
 
 def test_predicate_groups_cover_every_triple(family):
     idx = build_instance_index(family)
-    assert sum(len(v) for v in idx.triples_by_predicate.values()) == len(family.triples)
+    assert sum(idx.predicate_counts.values()) == len(family.triples)

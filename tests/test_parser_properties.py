@@ -1,10 +1,12 @@
 """Property tests for the parsers, generated with Hypothesis.
 
-Settings are derandomized and bounded, so every run checks the same examples.
+Every test runs under the derandomized, bounded profile that conftest.py
+loads, so every run checks the same examples.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
+from rdfqa import Dataset, ParseError, parse_dataset, serialize_dataset
 from rdfqa.core.parsing import parse_ntriples, parse_turtle
 
 _SCALARS = st.integers(0x20, 0x10FFFF).filter(lambda c: not 0xD800 <= c <= 0xDFFF)
@@ -16,6 +18,21 @@ _ESCAPED_BACKSLASH = st.one_of(
     st.just("\\u005C"),
     _SCALARS.map(lambda c: f"\\u005Cu{c:04X}" if c <= 0xFFFF else f"\\u005CU{c:08X}"))
 _PLAIN = st.text("abcxyz019-_./~", min_size=1, max_size=3)
+# raw characters that the W3C grammar excludes from an IRIREF (`, <, {, space,
+# CR) or from a "..." string (CR), and a bare backslash
+_RAW = st.sampled_from(["`", "<", "{", "\r", "\\", " "])
+
+_FORMATS = st.sampled_from(["ntriples", "turtle"])
+# pieces of both syntaxes, of broken ones and of invalid UTF-8, joined at random
+_FRAGMENTS = st.sampled_from([
+    "<http://e/s>", "<http://e/p>", "<http://e/o", "<", ">", "<rel>", '"', '"x"', '"""',
+    "'", "_:b", "_:", "@en", "@", "^^", "^", " ", "\t", "\n", "\r", ".", ";", ",", "#",
+    "[", "]", "(", ")", "a", "e:", "@prefix e: <http://e/> .", "@base <http://e/> .",
+    "\\", "\\u00", "\\U0001F600", "`", "{", "1", "1.5e3", "true", "é", " ", "﻿",
+]).map(lambda s: s.encode("utf-8"))
+_DOCUMENTS = st.one_of(
+    st.binary(max_size=60),
+    st.lists(st.one_of(_FRAGMENTS, st.binary(max_size=2)), max_size=25).map(b"".join))
 
 
 def _body(*extra):
@@ -23,15 +40,61 @@ def _body(*extra):
                     min_size=1, max_size=6).map("".join)
 
 
+def _line(subject, obj):
+    return f"{subject} <http://e/p> {obj} .\n"
+
+
 _IRI = _body().map(lambda body: f"<http://e/{body}>")
 _LITERAL = st.tuples(_body(st.sampled_from(["\\n", "\\t", '\\"', "\\\\", " "])),
                      st.sampled_from(["", "@en", "^^<http://e/d>"]),
                      ).map(lambda parts: f'"{parts[0]}"{parts[1]}')
+_RAW_IRI = _body(_RAW).map(lambda body: f"<http://e/{body}>")
+_RAW_LITERAL = st.tuples(_body(_RAW), st.sampled_from(["", "@en", "^^<http://e/d>"])
+                         ).map(lambda parts: f'"{parts[0]}"{parts[1]}')
+_RAW_LINES = st.builds(_line, _RAW_IRI, st.one_of(_RAW_IRI, _RAW_LITERAL))
 
 
-@settings(derandomize=True, max_examples=300, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
 @given(subject=_IRI, obj=st.one_of(_IRI, _LITERAL))
 def test_ntriples_line_parses_to_the_same_triple_in_both_parsers(subject, obj):
-    line = f"{subject} <http://e/p> {obj} .\n"
+    line = _line(subject, obj)
     assert parse_turtle(line).triples == parse_ntriples(line).triples
+
+
+@given(data=_DOCUMENTS, fmt=_FORMATS)
+def test_any_bytes_give_a_dataset_or_a_located_parse_error(data, fmt):
+    try:
+        result = parse_dataset(data, fmt)
+    except ParseError as err:
+        assert err.line >= 1 and err.column >= 1
+    else:
+        assert isinstance(result, Dataset)
+
+
+@given(data=st.one_of(_DOCUMENTS, _RAW_LINES.map(str.encode),
+                      st.builds(_line, _IRI, st.one_of(_IRI, _LITERAL)).map(str.encode)),
+       fmt=_FORMATS)
+def test_every_document_that_parses_round_trips(data, fmt):
+    try:
+        dataset = parse_dataset(data, fmt)
+    except ParseError:
+        return
+    assert parse_dataset(serialize_dataset(dataset)).triples == dataset.triples
+
+
+@given(line=_RAW_LINES)
+def test_raw_excluded_characters_are_read_alike_by_both_parsers(line):
+    results = []
+    for parse in (parse_ntriples, parse_turtle):
+        try:
+            results.append(parse(line).triples)
+        except ParseError:
+            results.append(None)
+    assert results[0] == results[1]
+
+
+@given(line=st.one_of(_RAW_LINES, _DOCUMENTS.map(lambda b: b.decode("utf-8", "replace"))))
+def test_no_ntriples_line_is_a_bare_malformed_triple(line):
+    try:
+        parse_ntriples(line)
+    except ParseError as err:
+        assert err.message != "malformed triple"

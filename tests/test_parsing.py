@@ -217,3 +217,37 @@ def test_turtle_decodes_each_iri_once(text, subject):
     assert ds.triples[0].subject == Iri(subject)
     if text.startswith("<"):
         assert parse_dataset(text, "ntriples").triples == ds.triples
+
+
+@pytest.mark.parametrize("fmt", ["ntriples", "turtle"])
+@pytest.mark.parametrize("data, line, column", [
+    (b'<http://e/s> <http://e/p> "\xff" .\n', 1, 28),
+    # the column counts the characters of the line, not its bytes
+    ('<http://e/s> <http://e/p> "\u00e9" .\n<http://e/s> <http://e/p> "\u00e9'.encode()
+     + b'\xff" .\n', 2, 29),
+])
+def test_invalid_utf8_is_a_parse_error_at_the_byte(fmt, data, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_dataset(data, fmt)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert err.value.message == "invalid UTF-8 byte 0xFF"
+
+
+@pytest.mark.parametrize("text, column, message", [
+    ("<http://e/a`b> <http://e/p> <http://e/o> .", 12, "invalid character in IRI"),
+    ("<http://e/a<b> <http://e/p> <http://e/o> .", 12, "invalid character in IRI"),
+    ('<http://e/s> <http://e/p> "a\rb" .', 27, "unterminated string literal"),
+    ("<http://e/s> <http://e/p> <http://e/o .", 27, "unterminated IRI"),
+    ('<http://e/s> <http://e/p> "x"@1 .', 30, "malformed language tag"),
+])
+@pytest.mark.parametrize("fmt", ["ntriples", "turtle"])
+def test_both_syntaxes_reject_a_bad_term_at_the_same_place(fmt, text, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_dataset(text + "\n", fmt)
+    assert (err.value.line, err.value.column, err.value.message) == (1, column, message)
+
+
+def test_crlf_line_endings_still_parse():
+    text = "<http://e/s> <http://e/p> \"a\" .\r\n<http://e/s> <http://e/p> <http://e/o> .\r\n"
+    assert parse_dataset(text, "ntriples").triples == parse_dataset(text, "turtle").triples
+    assert len(parse_dataset(text, "ntriples").triples) == 2

@@ -66,7 +66,7 @@ def test_metric_values_stay_in_unit_interval():
 def test_index_consistency():
     for ds in datasets(104, runs=60):
         idx = build_instance_index(ds)
-        assert sum(len(v) for v in idx.triples_by_predicate.values()) == len(ds.triples)
+        assert sum(idx.predicate_counts.values()) == len(ds.triples)
         for inst, classes in idx.classes_of.items():
             for c in classes:
                 assert inst in idx.members_of[c]
