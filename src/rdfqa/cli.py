@@ -158,7 +158,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         before = load_report(args.before)
         after = load_report(args.after)
         manifest = load_manifest(args.manifest) if args.manifest else None
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError) as exc:
         return _fail(f"cannot read reports: {exc}", EXIT_INPUT)
     try:
         delta_report = compute_delta(before, after)
@@ -191,7 +191,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         return _fail("correlate needs at least 3 report files", EXIT_USAGE)
     try:
         reports = [load_report(p) for p in args.reports]
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError) as exc:
         return _fail(f"cannot read reports: {exc}", EXIT_INPUT)
     matrix = correlation_matrix(reports, alpha=args.alpha)
     if args.format == "json":

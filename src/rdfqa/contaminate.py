@@ -9,12 +9,12 @@ preconditions cannot be met, the shortfall is a warning, never an error.
 
 The contaminator and replay share one edit engine, ``EditLog``: a slot list
 with holes plus a position map, so value-based edits are O(1) and both paths
-apply an edit the same way. The log also keeps the schema index and the
-class memberships that heuristics read, and rebuilds each one only after an
-edit that can change it: a declaration triple for the schema index, an
-``rdf:type`` triple for the memberships. Every heuristic picks its candidates
-with one sample step and makes every edit through one apply rule, which skips
-an edit whose resulting triple is already present.
+apply an edit the same way. The log keeps one view from each predicate to
+its slots, so a heuristic reads only the triples of its own predicates, in
+document order; and one cached index, the schema, rebuilt only after an edit
+to a declaration triple. Every heuristic picks its candidates with one
+sample step and makes every edit through one apply rule, which skips an edit
+whose resulting triple is already present.
 
 Injected terms live under the reserved ``contam:`` IRI scheme so they are
 recognizable and can never collide with source vocabulary.
@@ -40,7 +40,7 @@ from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping
 
-from .core.indexing import PropertyKind, SchemaIndex, build_instance_index, build_schema_index
+from .core.indexing import SchemaIndex, build_instance_index, build_schema_index
 from .core.model import (
     CLASS_TYPES,
     OWL_CLASS,
@@ -58,6 +58,7 @@ from .core.model import (
     XSD_GYEAR,
     XSD_INTEGER,
     XSD_STRING,
+    AXIOM_PREDICATES,
     DECLARATION_TYPES,
     Dataset,
     Iri,
@@ -65,9 +66,10 @@ from .core.model import (
     Triple,
     is_declaration_triple,
 )
-from .core.parsing import parse_ntriples, triple_to_ntriples
+from .core.parsing import ParseError, parse_ntriples, triple_to_ntriples
 from .metrics import (CHECKABLE_DATATYPES, Dictionary, MetricId, alpha_tokens,
                       checkable_text, default_dictionary, has_unknown_token)
+from .reporting import malformed
 
 
 class HeuristicId(str, enum.Enum):
@@ -196,23 +198,31 @@ class EditLog:
 
     Triples sit in a slot list with ``None`` holes, and a position map finds
     a triple's slot, so every edit is O(1) and a rewrite keeps its triple's
-    place in document order. ``schema()`` and ``members_of()`` are built from
-    the current triples on first use and cached until an edit touches a
-    triple they read.
+    place in document order. One view maps each predicate to the ids of its
+    filled slots; ``of()`` reads it, so a heuristic visits only the triples
+    of its own predicates. The one cached index is ``schema()``, built on
+    first use and dropped after an edit to a declaration triple.
     """
 
     def __init__(self, triples: Iterable[Triple]):
         self.slots: list[Triple | None] = list(triples)
         self.pos: dict[Triple, int] = {t: i for i, t in enumerate(self.slots)}
+        self.by_predicate: dict[Iri, dict[int, None]] = {}
+        for i, t in enumerate(self.slots):
+            self.by_predicate.setdefault(t.predicate, {})[i] = None
         self.edits: list[Edit] = []
         self._schema: SchemaIndex | None = None
-        self._members_of: Mapping[Iri, frozenset[Iri]] | None = None
 
     def __contains__(self, t: Triple) -> bool:
         return t in self.pos
 
     def current(self) -> list[Triple]:
         return [t for t in self.slots if t is not None]
+
+    def of(self, predicates: Iterable[Iri]) -> list[Triple]:
+        """The current triples of ``predicates``, in document order."""
+        ids = sorted(i for p in set(predicates) for i in self.by_predicate.get(p, ()))
+        return [self.slots[i] for i in ids]
 
     def dataset(self, dataset_id: str) -> Dataset:
         return Dataset(id=dataset_id, triples=tuple(self.current()))
@@ -222,31 +232,32 @@ class EditLog:
         if edit.action in _ADD_ACTIONS:
             if after is None or after in self.pos:
                 _reject(edit, after, "is already present")
-            self.pos[after] = len(self.slots)
-            self.slots.append(after)
+            before, i = None, len(self.slots)
+            self.slots.append(None)
         elif edit.action in _REMOVE_ACTIONS:
             if before is None or before not in self.pos:
                 _reject(edit, before, "is absent")
-            self.slots[self.pos.pop(before)] = None
+            after = None
         else:
             if before is None or after is None or before not in self.pos:
                 _reject(edit, before, "is absent")
             if after != before and after in self.pos:
                 _reject(edit, after, "is already present")
+        # a before frees its slot and an after fills it
+        if before is not None:
             i = self.pos.pop(before)
+            self.slots[i] = None
+            del self.by_predicate[before.predicate][i]
+        if after is not None:
             self.slots[i] = after
             self.pos[after] = i
+            self.by_predicate.setdefault(after.predicate, {})[i] = None
         self.edits.append(edit)
-        for t in (before, after):
-            if t is None:
-                continue
-            if is_declaration_triple(t):
-                self._schema = None
-            if t.predicate == RDF_TYPE:
-                self._members_of = None
+        if any(t is not None and is_declaration_triple(t) for t in (before, after)):
+            self._schema = None
 
     def declarations(self) -> list[Triple]:
-        return [t for t in self.slots if t is not None and is_declaration_triple(t)]
+        return [t for t in self.of((RDF_TYPE, *AXIOM_PREDICATES)) if is_declaration_triple(t)]
 
     def schema(self) -> SchemaIndex:
         # build_schema_index reads only declaration triples
@@ -256,10 +267,8 @@ class EditLog:
 
     def members_of(self) -> Mapping[Iri, frozenset[Iri]]:
         # class memberships come from rdf:type triples alone
-        if self._members_of is None:
-            typed = tuple(t for t in self.slots if t is not None and t.predicate == RDF_TYPE)
-            self._members_of = build_instance_index(Dataset(id="", triples=typed)).members_of
-        return self._members_of
+        typed = tuple(self.of((RDF_TYPE,)))
+        return build_instance_index(Dataset(id="", triples=typed)).members_of
 
 
 def _reject(edit: Edit, t: Triple | None, why: str):
@@ -326,9 +335,9 @@ class _Contaminator:
 
     def h3_out_of_range(self, n: int):
         schema = self.log.schema()
-        candidates = [(t, target) for t in self.log.current()
-                      if schema.properties.get(t.predicate) is PropertyKind.DATATYPE
-                      and isinstance(t.object, Literal)
+        # every fakeable range is an XSD range, held by datatype-kind properties only
+        candidates = [(t, target) for t in self.log.of(schema.xsd_ranges)
+                      if isinstance(t.object, Literal)
                       and (target := _fake_target(schema, t.predicate)) is not None]
         done = sum(self.apply(HeuristicId.H3, EditAction.REWRITE_TRIPLE, t,
                               Triple(t.subject, t.predicate,
@@ -401,17 +410,15 @@ class _Contaminator:
 
     def h6_rename_terms(self, n: int):
         schema = self.log.schema()
-        candidates = [t for t in self.log.current()
-                      if t.predicate == RDF_TYPE and isinstance(t.object, Iri)
-                      and t.object in schema.classes]
+        candidates = [t for t in self.log.of((RDF_TYPE,))
+                      if isinstance(t.object, Iri) and t.object in schema.classes]
         done = sum(self.apply(HeuristicId.H6, EditAction.REWRITE_TRIPLE, t,
                               Triple(t.subject, RDF_TYPE, self.fresh_iri("h6-class")))
                    for t in self._sample(candidates, n))
         if done < n:
             # fall back to renaming predicates of declared-property usage
             # triples; this also lowers the missing-values usage sum
-            candidates = [t for t in self.log.current()
-                          if t.predicate != RDF_TYPE and t.predicate in schema.properties]
+            candidates = self.log.of(p for p in schema.properties if p != RDF_TYPE)
             done += sum(self.apply(HeuristicId.H6, EditAction.REWRITE_TRIPLE, t,
                                    Triple(t.subject, self.fresh_iri("h6-property"), t.object))
                         for t in self._sample(candidates, n - done))
@@ -419,15 +426,12 @@ class _Contaminator:
 
     def h7_remove_declarations(self, n: int):
         schema = self.log.schema()
-        current = self.log.current()
         used_classes = sorted(
-            {t.object for t in current
-             if t.predicate == RDF_TYPE and isinstance(t.object, Iri)
-             and t.object in schema.classes},
+            {t.object for t in self.log.of((RDF_TYPE,))
+             if isinstance(t.object, Iri) and t.object in schema.classes},
             key=lambda c: c.text)
-        used_props = sorted(
-            {t.predicate for t in current if t.predicate in schema.properties},
-            key=lambda p: p.text)
+        used_props = sorted((p for p in schema.properties if self.log.by_predicate.get(p)),
+                            key=lambda p: p.text)
         pool = [("class", c) for c in used_classes] + [("property", p) for p in used_props]
         chosen = self._sample(pool, n)
         # every triple that declares a term is a declaration triple, so one
@@ -489,11 +493,9 @@ class _Contaminator:
 
     def h10_type_conflicts(self, n: int):
         schema = self.log.schema()
-        candidates = [t for t in self.log.current()
-                      if t.predicate != RDF_TYPE
-                      and isinstance(t.object, Literal)
-                      and t.predicate in schema.properties
-                      and t.predicate not in schema.functional]
+        candidates = [t for t in self.log.of(p for p in schema.properties
+                                             if p != RDF_TYPE and p not in schema.functional)
+                      if isinstance(t.object, Literal)]
         done = sum(self.apply(HeuristicId.H10, EditAction.ADD_TRIPLE,
                               after=Triple(t.subject, t.predicate, self.fresh_iri("h10-object")))
                    for t in self._sample(candidates, n))
@@ -501,7 +503,7 @@ class _Contaminator:
 
     def h11_functional_duplicates(self, n: int):
         schema = self.log.schema()
-        candidates = [t for t in self.log.current() if t.predicate in schema.functional]
+        candidates = self.log.of(schema.functional)
         done = sum(self.apply(HeuristicId.H11, EditAction.ADD_TRIPLE,
                               after=Triple(t.subject, t.predicate, new_object))
                    for t in self._sample(candidates, n)
@@ -509,8 +511,7 @@ class _Contaminator:
         self.record(HeuristicId.H11, n, done, "no functional-property triples to copy")
 
     def h12_inverse_functional_duplicates(self, n: int):
-        schema = self.log.schema()
-        candidates = [t for t in self.log.current() if t.predicate in schema.inverse_functional]
+        candidates = self.log.of(self.log.schema().inverse_functional)
         done = sum(self.apply(HeuristicId.H12, EditAction.ADD_TRIPLE,
                               after=Triple(self.fresh_iri("h12-subject"), t.predicate, t.object))
                    for t in self._sample(candidates, n))
@@ -536,13 +537,12 @@ class _Contaminator:
 
     def h13_retag_literals(self, n: int):
         schema = self.log.schema()
-        current = self.log.current()
-        group_sizes = Counter((t.subject, t.predicate) for t in current
-                              if t.predicate != RDF_TYPE)
+        typed_values = self.log.of(p for p in schema.xsd_ranges if p != RDF_TYPE)
+        group_sizes = Counter((t.subject, t.predicate) for t in typed_values)
         candidates = []
-        for t in current:
-            xsd_ranges = schema.xsd_ranges.get(t.predicate)
-            if not xsd_ranges or not isinstance(t.object, Literal):
+        for t in typed_values:
+            xsd_ranges = schema.xsd_ranges[t.predicate]
+            if not isinstance(t.object, Literal):
                 continue
             tag = t.object.datatype
             clean = (XSD_STRING in xsd_ranges) if tag is None else (tag in xsd_ranges)
@@ -631,12 +631,13 @@ def replay_manifest(original: Dataset, manifest: ContaminationManifest) -> Datas
 
 
 def plan_from_dict(data: Mapping) -> ContaminationPlan:
-    return ContaminationPlan(
-        intensities={HeuristicId(k.upper()): int(v)
-                     for k, v in data.get("intensities", {}).items()},
-        seed=int(data.get("seed", 0)),
-        dataset_id=data.get("dataset", ""),
-    )
+    with malformed("plan"):
+        return ContaminationPlan(
+            intensities={HeuristicId(k.upper()): int(v)
+                         for k, v in data.get("intensities", {}).items()},
+            seed=int(data.get("seed", 0)),
+            dataset_id=data.get("dataset", ""),
+        )
 
 
 def _by_heuristic(counts: Mapping[HeuristicId, int]) -> dict[str, int]:
@@ -656,7 +657,11 @@ def load_plan(path: str | Path) -> ContaminationPlan:
 
 
 def _triple_from_line(line: str) -> Triple:
-    return parse_ntriples(line).triples[0]
+    try:
+        (triple,) = parse_ntriples(line).triples
+    except (ParseError, ValueError) as exc:
+        raise ValueError(f"not one N-Triples triple: {line!r} ({exc})") from None
+    return triple
 
 
 def manifest_to_dict(manifest: ContaminationManifest) -> dict:
@@ -679,21 +684,22 @@ def manifest_to_dict(manifest: ContaminationManifest) -> dict:
 
 
 def manifest_from_dict(data: Mapping) -> ContaminationManifest:
-    plan = plan_from_dict({**data, "intensities": data.get("requested", {})})
-    edits = []
-    for entry in data.get("edits", ()):
-        edits.append(Edit(
-            heuristic=HeuristicId(entry["heuristic"]),
-            action=EditAction(entry["action"]),
-            before=_triple_from_line(entry["before"]) if entry.get("before") else None,
-            after=_triple_from_line(entry["after"]) if entry.get("after") else None,
-        ))
-    return ContaminationManifest(
-        plan=plan,
-        edits=tuple(edits),
-        achieved={HeuristicId(k): int(v) for k, v in data.get("achieved", {}).items()},
-        warnings=tuple(data.get("warnings", ())),
-    )
+    with malformed("manifest"):
+        plan = plan_from_dict({**data, "intensities": data.get("requested", {})})
+        edits = []
+        for entry in data.get("edits", ()):
+            edits.append(Edit(
+                heuristic=HeuristicId(entry["heuristic"]),
+                action=EditAction(entry["action"]),
+                before=_triple_from_line(entry["before"]) if entry.get("before") else None,
+                after=_triple_from_line(entry["after"]) if entry.get("after") else None,
+            ))
+        return ContaminationManifest(
+            plan=plan,
+            edits=tuple(edits),
+            achieved={HeuristicId(k): int(v) for k, v in data.get("achieved", {}).items()},
+            warnings=tuple(data.get("warnings", ())),
+        )
 
 
 def manifest_to_json(manifest: ContaminationManifest) -> str:

@@ -66,6 +66,7 @@ _IRI_BODY_RE = re.compile(_IRI_BODY)
 _LEXICAL_ERRORS = {
     "<": "unterminated IRI",
     '"': "unterminated string literal",
+    "'": "unterminated string literal",
     "_": "malformed blank node label",
     "@": "malformed language tag",
 }
@@ -297,8 +298,8 @@ _TOKEN_RE = re.compile(
     | (?P<iriref><{_IRI_BODY}>)
     | (?P<string>'''(?:[^'\\]|\\.|'(?!'')|''(?!'))*'''
         |\"\"\"(?:[^"\\]|\\.|"(?!"")|""(?!"))*\"\"\"
-        |'(?:[^'\\\n\r]|\\.)*'
-        |"{_STRING_BODY}")
+        |'(?!'')(?:[^'\\\n\r]|\\.)*'
+        |"(?!""){_STRING_BODY}")
     | (?P<prefix_kw>@prefix(?![A-Za-z0-9_\-])|@base(?![A-Za-z0-9_\-])
         |[Pp][Rr][Ee][Ff][Ii][Xx](?![A-Za-z0-9_:\-])
         |[Bb][Aa][Ss][Ee](?![A-Za-z0-9_:\-]))
@@ -311,7 +312,7 @@ _TOKEN_RE = re.compile(
     | (?P<punct>[.;,\[\]()])
     | (?P<boolean>(?:true|false)(?![A-Za-z0-9_:\-]))
     | (?P<kw_a>a(?![A-Za-z0-9_:\-]))
-    | (?P<pname>(?:[A-Za-z_][A-Za-z0-9_\-.]*)?:{_PN_LOCAL})
+    | (?P<pname>(?:[A-Za-z][A-Za-z0-9_\-.]*)?:{_PN_LOCAL})
     """,
     re.VERBOSE,
 )
@@ -336,7 +337,7 @@ def _tokenize_turtle(text: str) -> list[_Token]:
     while pos < n:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            fault, message = _lexical_error(text, pos, '<"_@')
+            fault, message = _lexical_error(text, pos, '<"\'_@')
             raise ParseError(line, fault - line_start + 1, message)
         kind = m.lastgroup
         value = m.group()

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import io
 import json
+from contextlib import contextmanager
 from typing import Mapping
 
 from .metrics import MetricId, MetricReport, MetricValue, ReportCounts, metric_id
@@ -38,32 +39,43 @@ def report_to_dict(report: MetricReport) -> dict:
     }
 
 
+@contextmanager
+def malformed(what: str):
+    """Raise the errors that reading a wrongly shaped JSON ``what`` causes,
+    a missing key or a value of the wrong type, as ValueError."""
+    try:
+        yield
+    except (AttributeError, KeyError, OverflowError, TypeError) as exc:
+        raise ValueError(f"malformed {what}: {type(exc).__name__}: {exc}") from None
+
+
 def report_from_dict(data: Mapping) -> MetricReport:
-    counts = data.get("counts", {})
-    metrics = {}
-    for key, entry in data["metrics"].items():
-        mid = metric_id(key)
-        metrics[mid] = MetricValue(
-            id=mid,
-            value=float(entry["value"]),
-            numerator=int(entry["numerator"]),
-            denominator=int(entry["denominator"]),
-            clamped=bool(entry.get("clamped", False)),
-            offenders=tuple(entry.get("offenders", ())),
+    with malformed("report"):
+        counts = data.get("counts", {})
+        metrics = {}
+        for key, entry in data["metrics"].items():
+            mid = metric_id(key)
+            metrics[mid] = MetricValue(
+                id=mid,
+                value=float(entry["value"]),
+                numerator=int(entry["numerator"]),
+                denominator=int(entry["denominator"]),
+                clamped=bool(entry.get("clamped", False)),
+                offenders=tuple(entry.get("offenders", ())),
+            )
+        return MetricReport(
+            dataset_id=data.get("dataset", ""),
+            counts=ReportCounts(
+                triples=int(counts.get("triples", 0)),
+                instances=int(counts.get("instances", 0)),
+                classes=int(counts.get("classes", 0)),
+                properties=int(counts.get("properties", 0)),
+            ),
+            metrics=metrics,
+            dictionary_id=data.get("dictionary"),
+            tool_version=data.get("version", ""),
+            flags=tuple(data.get("flags", ())),
         )
-    return MetricReport(
-        dataset_id=data.get("dataset", ""),
-        counts=ReportCounts(
-            triples=int(counts.get("triples", 0)),
-            instances=int(counts.get("instances", 0)),
-            classes=int(counts.get("classes", 0)),
-            properties=int(counts.get("properties", 0)),
-        ),
-        metrics=metrics,
-        dictionary_id=data.get("dictionary"),
-        tool_version=data.get("version", ""),
-        flags=tuple(data.get("flags", ())),
-    )
 
 
 def report_to_json(report: MetricReport) -> str:

@@ -329,6 +329,36 @@ def test_contaminate_bad_plan_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, bad", [
+    ("contaminate", '{"seed": null, "intensities": {}}'),
+    ("contaminate", "[1]"),
+    ("contaminate", '{"intensities": [1]}'),
+    ("compare", '{"metrics": []}'),
+    ("compare", "[]"),
+    ("compare", '{"metrics": {"M1": 5}}'),
+    ("compare --manifest", "[1]"),
+    ("correlate", '{"metrics": []}'),
+])
+def test_malformed_plan_manifest_or_report_exits_1_without_traceback(tmp_path, command, bad):
+    good = tmp_path / "good.json"
+    assert run_cli(["assess", ZOO, "--format", "json", "-o", str(good)]) == 0
+    path = tmp_path / "bad.json"
+    path.write_text(bad)
+    args = {
+        "contaminate": ["contaminate", ZOO, "--plan", str(path)],
+        "compare": ["compare", str(good), str(path)],
+        "compare --manifest": ["compare", str(good), str(good), "--manifest", str(path)],
+        "correlate": ["correlate", str(path), str(path), str(path)],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdfqa", *args, "-o", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("rdfqa: error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "good.json"]
+
+
 def test_run_experiment_script_on_bundled_fixtures(tmp_path):
     root = Path(__file__).resolve().parent.parent
     data = root / "src" / "rdfqa" / "data"

@@ -4,9 +4,14 @@ Every test runs under the derandomized, bounded profile that conftest.py
 loads, so every run checks the same examples.
 """
 
+import json
+import tempfile
+from pathlib import Path
+
 from hypothesis import given, strategies as st
 
 from rdfqa import Dataset, ParseError, parse_dataset, serialize_dataset
+from rdfqa.cli import main
 from rdfqa.core.parsing import parse_ntriples, parse_turtle
 
 _SCALARS = st.integers(0x20, 0x10FFFF).filter(lambda c: not 0xD800 <= c <= 0xDFFF)
@@ -98,3 +103,28 @@ def test_no_ntriples_line_is_a_bare_malformed_triple(line):
         parse_ntriples(line)
     except ParseError as err:
         assert err.message != "malformed triple"
+
+
+_PLAN = json.dumps({"seed": 0, "intensities": {f"H{i}": 1 for i in range(1, 15)}})
+
+
+@given(data=st.one_of(_DOCUMENTS, _RAW_LINES.map(str.encode),
+                      st.builds(_line, _IRI, st.one_of(_IRI, _LITERAL)).map(str.encode)),
+       command=st.sampled_from(["assess", "contaminate"]),
+       suffix=st.sampled_from([".nt", ".ttl"]))
+def test_cli_exits_0_or_1_on_any_dataset_bytes_and_writes_nothing_on_1(data, command, suffix):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / f"data{suffix}").write_bytes(data)
+        (tmp / "plan.json").write_text(_PLAN)
+        extra = ["--plan", str(tmp / "plan.json")] if command == "contaminate" else []
+        code = main([command, str(tmp / f"data{suffix}"), *extra, "-o", str(tmp / "out")])
+        written = sorted(p.name for p in tmp.iterdir())
+    inputs = sorted([f"data{suffix}", "plan.json"])
+    assert code in (0, 1)
+    if code == 1:
+        assert written == inputs
+    elif command == "contaminate":
+        assert written == sorted([*inputs, "out", "out.manifest.json"])
+    else:
+        assert written == sorted([*inputs, "out"])

@@ -239,11 +239,24 @@ def test_invalid_utf8_is_a_parse_error_at_the_byte(fmt, data, line, column):
     ('<http://e/s> <http://e/p> "a\rb" .', 27, "unterminated string literal"),
     ("<http://e/s> <http://e/p> <http://e/o .", 27, "unterminated IRI"),
     ('<http://e/s> <http://e/p> "x"@1 .', 30, "malformed language tag"),
+    # a prefixed name starts with a letter, so neither of these is one
+    ("_:-b <http://e/p> <http://e/o> .", 1, "malformed blank node label"),
+    ("_x:a <http://e/p> <http://e/o> .", 1, "malformed blank node label"),
 ])
 @pytest.mark.parametrize("fmt", ["ntriples", "turtle"])
 def test_both_syntaxes_reject_a_bad_term_at_the_same_place(fmt, text, column, message):
     with pytest.raises(ParseError) as err:
         parse_dataset(text + "\n", fmt)
+    assert (err.value.line, err.value.column, err.value.message) == (1, column, message)
+
+
+@pytest.mark.parametrize("text, column, message", [
+    ('a:s a:p """abc .', 9, "unterminated string literal"),
+    ("a:s a:p 'abc .", 9, "unterminated string literal"),
+])
+def test_turtle_reports_a_bad_term_at_its_first_character(text, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_dataset(text + "\n", "turtle")
     assert (err.value.line, err.value.column, err.value.message) == (1, column, message)
 
 

@@ -16,10 +16,10 @@ from rdfqa import (
     replay_manifest,
     serialize_dataset,
 )
-from rdfqa.contaminate import EditLog, manifest_to_json
+from rdfqa.contaminate import Edit, EditAction, EditLog, manifest_to_json
 from rdfqa.core.indexing import PropertyKind
-from rdfqa.core.model import (RDF_TYPE, RDFS_DOMAIN, XSD_NS, is_builtin, is_declaration_triple,
-                              make_dataset)
+from rdfqa.core.model import (AXIOM_PREDICATES, RDF_TYPE, RDFS_DOMAIN, XSD_NS, Triple,
+                              is_builtin, is_declaration_triple, make_dataset)
 from rdfqa.metrics import (
     CHECKABLE_DATATYPES,
     OFFENDER_CAP,
@@ -231,8 +231,8 @@ def test_contamination_replay_on_random_datasets():
             assert 0.0 <= mv.value <= 1.0
 
 
-# -- the edit engine caches the schema index and the class memberships and
-#    drops them only after an edit to a triple they read
+# -- the edit engine caches the schema index and drops it only after an edit
+#    to a declaration triple; its by-predicate view tracks every edit
 
 
 def test_indices_read_only_their_own_triples():
@@ -260,9 +260,63 @@ def test_index_cache_never_changes_a_choice(monkeypatch):
         return out
 
     cached = run_all()
-    # the reference has no cache: every read rebuilds from all current triples
+    # the reference has no cache and no view: every read filters all current triples
     monkeypatch.setattr(EditLog, "schema",
                         lambda log: build_schema_index(make_dataset("", log.current())))
     monkeypatch.setattr(EditLog, "members_of", lambda log: build_instance_index(
         make_dataset("", log.current())).members_of)
+
+    def of(log, predicates):
+        predicates = set(predicates)
+        return [t for t in log.current() if t.predicate in predicates]
+
+    monkeypatch.setattr(EditLog, "of", of)
     assert run_all() == cached
+
+
+def _heuristic_predicate_sets(schema):
+    """Each predicate set that a heuristic passes to ``EditLog.of``."""
+    declared = [p for p in schema.properties if p != RDF_TYPE]
+    return [
+        (RDF_TYPE, *AXIOM_PREDICATES),
+        (RDF_TYPE,),
+        schema.xsd_ranges,
+        declared,
+        [p for p in declared if p not in schema.functional],
+        schema.functional,
+        schema.inverse_functional,
+        [p for p in schema.xsd_ranges if p != RDF_TYPE],
+    ]
+
+
+def test_by_predicate_view_follows_every_edit():
+    rng = Random(111)
+    for ds in datasets(111, runs=60):
+        log = EditLog(ds.triples)
+        fresh = list(make_random_dataset(rng, max_triples=20).triples)
+        predicates = sorted({t.predicate for t in ds.triples + tuple(fresh)}, key=str)
+        predicates.append(Iri("contam:h6-property-0"))
+        for _ in range(rng.randrange(1, 30)):
+            current = log.current()
+            action = rng.choice(list(EditAction))
+            if action in (EditAction.ADD_TRIPLE, EditAction.ADD_AXIOM):
+                before, after = None, rng.choice(fresh)
+            elif not current:
+                continue
+            elif action in (EditAction.REMOVE_TRIPLE, EditAction.REMOVE_AXIOM):
+                before, after = rng.choice(current), None
+            else:
+                # a rewrite that keeps or changes the predicate, the object or both
+                before = rng.choice(current)
+                after = Triple(before.subject, rng.choice([before.predicate, *predicates]),
+                               rng.choice([before.object, rng.choice(fresh).object]))
+            if after is not None and after != before and after in log:
+                continue
+            log.apply(Edit(HeuristicId.H1, action, before, after))
+            current = log.current()
+            assert log.declarations() == [t for t in current if is_declaration_triple(t)]
+            for chosen in _heuristic_predicate_sets(log.schema()):
+                chosen = set(chosen)
+                assert log.of(chosen) == [t for t in current if t.predicate in chosen]
+            used = {t.predicate for t in current}
+            assert {p for p, slots in log.by_predicate.items() if slots} == used
