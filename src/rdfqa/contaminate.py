@@ -68,8 +68,9 @@ from .core.model import (
 )
 from .core.parsing import ParseError, parse_ntriples, triple_to_ntriples
 from .metrics import (CHECKABLE_DATATYPES, Dictionary, MetricId, alpha_tokens,
-                      checkable_text, default_dictionary, has_unknown_token)
-from .reporting import malformed
+                      checkable_text, default_dictionary, has_unknown_token,
+                      improper_datatype)
+from .reporting import malformed, typed
 
 
 class HeuristicId(str, enum.Enum):
@@ -542,11 +543,7 @@ class _Contaminator:
         candidates = []
         for t in typed_values:
             xsd_ranges = schema.xsd_ranges[t.predicate]
-            if not isinstance(t.object, Literal):
-                continue
-            tag = t.object.datatype
-            clean = (XSD_STRING in xsd_ranges) if tag is None else (tag in xsd_ranges)
-            if not clean:
+            if not isinstance(t.object, Literal) or improper_datatype(t, schema.xsd_ranges):
                 continue
             if group_sizes[t.subject, t.predicate] != 1:
                 continue
@@ -633,10 +630,10 @@ def replay_manifest(original: Dataset, manifest: ContaminationManifest) -> Datas
 def plan_from_dict(data: Mapping) -> ContaminationPlan:
     with malformed("plan"):
         return ContaminationPlan(
-            intensities={HeuristicId(k.upper()): int(v)
+            intensities={HeuristicId(k.upper()): typed(v, int)
                          for k, v in data.get("intensities", {}).items()},
-            seed=int(data.get("seed", 0)),
-            dataset_id=data.get("dataset", ""),
+            seed=typed(data.get("seed", 0), int),
+            dataset_id=typed(data.get("dataset", ""), str),
         )
 
 
@@ -697,7 +694,7 @@ def manifest_from_dict(data: Mapping) -> ContaminationManifest:
         return ContaminationManifest(
             plan=plan,
             edits=tuple(edits),
-            achieved={HeuristicId(k): int(v) for k, v in data.get("achieved", {}).items()},
+            achieved={HeuristicId(k): typed(v, int) for k, v in data.get("achieved", {}).items()},
             warnings=tuple(data.get("warnings", ())),
         )
 

@@ -5,13 +5,14 @@ their kinds, domain/range axioms, functional/inverse-functional markers,
 disjointness closed under symmetry and subclass descent). The instance index
 holds what the document *uses* (instance/class memberships and per-predicate
 triple counts). Keeping declaration and usage apart is what lets the
-undefined-terms metric compare the two.
+undefined-terms metric compare the two. Both builders read only their own
+predicates through ``Dataset.of``, and ``predicate_counts`` is read off the
+same by-predicate view rather than counted in a scan of its own.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -117,7 +118,10 @@ def build_schema_index(dataset: Dataset) -> SchemaIndex:
         if isinstance(term, Iri) and not is_builtin(term):
             classes.add(term)
 
-    for t in dataset.triples:
+    triples = dataset.triples
+    for i in dataset.of((RDF_TYPE, RDFS_SUBCLASSOF, OWL_DISJOINT_WITH, OWL_COMPLEMENT_OF,
+                         RDFS_DOMAIN, RDFS_RANGE)):
+        t = triples[i]
         p = t.predicate
         if p == RDF_TYPE:
             if not isinstance(t.subject, Iri) or not isinstance(t.object, Iri):
@@ -213,9 +217,10 @@ def build_instance_index(dataset: Dataset) -> InstanceIndex:
     """
     classes_of: dict[Iri, set[Iri]] = {}
     members_of: dict[Iri, set[Iri]] = {}
-    for t in dataset.triples:
-        if (t.predicate == RDF_TYPE and isinstance(t.object, Iri)
-                and isinstance(t.subject, Iri) and not is_builtin(t.object)):
+    triples = dataset.triples
+    for i in dataset.of((RDF_TYPE,)):
+        t = triples[i]
+        if isinstance(t.object, Iri) and isinstance(t.subject, Iri) and not is_builtin(t.object):
             classes_of.setdefault(t.subject, set()).add(t.object)
             members_of.setdefault(t.object, set()).add(t.subject)
 
@@ -223,5 +228,5 @@ def build_instance_index(dataset: Dataset) -> InstanceIndex:
         instances=frozenset(classes_of),
         classes_of={i: frozenset(v) for i, v in classes_of.items()},
         members_of={c: frozenset(v) for c, v in members_of.items()},
-        predicate_counts=Counter(t.predicate for t in dataset.triples),
+        predicate_counts={p: len(ix) for p, ix in dataset.by_predicate.items()},
     )

@@ -8,7 +8,8 @@ byte-stable serialization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from functools import cached_property
+from typing import Iterable, Sequence, Union
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -66,31 +67,33 @@ class Triple:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A parsed RDF document: a duplicate-free, ordered sequence of triples."""
+    """A parsed RDF document: a duplicate-free, ordered sequence of triples.
+
+    ``by_predicate``, read by ``of()``, is a cache built on first use, not a
+    field: ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` ignore it.
+    """
 
     id: str
     triples: tuple[Triple, ...]
     duplicate_count: int = 0
 
-    def __len__(self):
-        return len(self.triples)
+    @cached_property
+    def by_predicate(self) -> dict[Iri, list[int]]:
+        """Each used predicate's triple indices, in first-use order; read-only."""
+        by_predicate: dict[Iri, list[int]] = {}
+        for i, t in enumerate(self.triples):
+            by_predicate.setdefault(t.predicate, []).append(i)
+        return by_predicate
 
-    def __iter__(self):
-        return iter(self.triples)
+    def of(self, predicates: Iterable[Iri]) -> list[int]:
+        """The indices of the triples of ``predicates``, in document order."""
+        return sorted(i for p in set(predicates) for i in self.by_predicate.get(p, ()))
 
 
-def make_dataset(dataset_id: str, triples: Iterable[Triple]) -> Dataset:
-    """Build a Dataset, dropping exact duplicates and counting them."""
-    seen = set()
-    kept = []
-    dup = 0
-    for t in triples:
-        if t in seen:
-            dup += 1
-        else:
-            seen.add(t)
-            kept.append(t)
-    return Dataset(id=dataset_id, triples=tuple(kept), duplicate_count=dup)
+def make_dataset(dataset_id: str, triples: Sequence[Triple]) -> Dataset:
+    """Build a Dataset, keeping the first of exact duplicates and counting the rest."""
+    kept = tuple(dict.fromkeys(triples))
+    return Dataset(id=dataset_id, triples=kept, duplicate_count=len(triples) - len(kept))
 
 
 def is_builtin(iri: Iri) -> bool:

@@ -3,12 +3,20 @@
 Each metric is a pure function over the immutable dataset/index structures
 and reports an undesirable-outcome ratio in [0, 1]: a numerator of offending
 items, a denominator of total outcomes, and the first ``OFFENDER_CAP``
-offenders (triple indices or IRIs). The per-triple metrics M2, M3, M4 and M9
-keep flagged triples in document order; M6, M7 and M8 keep whole conflicting
-groups in first-seen order; M1, M5 and M10 keep IRIs (see each metric). A
-zero denominator never raises; it yields value 0 and a
-DegenerateDenominator flag on the report. IRIs under ``BUILTIN_NAMESPACES``
-are never classes, instances or undefined terms.
+offenders (triple indices or IRIs). A zero denominator never raises; it
+yields value 0 and a DegenerateDenominator flag on the report. IRIs under
+``BUILTIN_NAMESPACES`` are never classes, instances or undefined terms.
+
+The seven triple metrics read the dataset through one view,
+``Dataset.of(predicates)``, and share two scan shapes over the indices it
+returns: ``_flagged`` keeps flagged triples in document order (M2, M3, M4,
+M9), and ``_conflict_groups`` keeps whole conflicting groups in first-seen
+order (M6, M7, M8). Each reads only its own predicates: M2 the properties
+with class or checkable datatype ranges, M4 ``rdf:type`` and the used
+predicates that are neither builtin nor declared, M6 all but ``rdf:type``,
+M7 the functional and M8 the inverse-functional properties, M9 the
+properties with XSD ranges. M3's rule reads only the object, so it visits
+every triple. M1, M5 and M10 read the indices and keep IRIs.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import enum
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core.indexing import (
     InstanceIndex,
@@ -36,10 +44,10 @@ from .core.model import (
     XSD_GYEAR,
     XSD_INTEGER,
     XSD_STRING,
-    BlankNode,
     Dataset,
     Iri,
     Literal,
+    Triple,
     is_builtin,
 )
 from . import __version__
@@ -126,9 +134,6 @@ class Dictionary:
 
     def __contains__(self, token: str) -> bool:
         return token.lower() in self.words
-
-    def __len__(self):
-        return len(self.words)
 
 
 def load_dictionary(path: str | Path, dictionary_id: str | None = None) -> Dictionary:
@@ -254,17 +259,37 @@ CHECKABLE_DATATYPES: tuple[Iri, ...] = (
 def _ratio_value(mid: MetricId, num: int, den: int,
                  offenders: Sequence[int | str]) -> MetricValue:
     value = num / den if den > 0 else 0.0
-    clamped = False
-    if value > 1.0:
-        value = 1.0
-        clamped = True
-    return MetricValue(id=mid, value=value, numerator=num, denominator=den,
-                       clamped=clamped, offenders=tuple(offenders[:OFFENDER_CAP]))
+    return MetricValue(id=mid, value=min(value, 1.0), numerator=num, denominator=den,
+                       clamped=value > 1.0, offenders=tuple(offenders[:OFFENDER_CAP]))
 
 
-def _triple_ratio(mid: MetricId, dataset: Dataset, flagged: list[int]) -> MetricValue:
-    """Flagged triple indices, in document order, over all triples."""
-    return _ratio_value(mid, len(flagged), len(dataset.triples), flagged)
+def _flagged(mid: MetricId, dataset: Dataset, indices: Iterable[int],
+             flags: Callable[[Triple], bool]) -> MetricValue:
+    """The visited triples that ``flags``, in document order, over all triples."""
+    triples = dataset.triples
+    flagged = [i for i in indices if flags(triples[i])]
+    return _ratio_value(mid, len(flagged), len(triples), flagged)
+
+
+def _conflict_groups(mid: MetricId, dataset: Dataset, indices: Iterable[int],
+                     key: Callable[[Triple], object],
+                     excess: Callable[[list[Triple]], int]) -> MetricValue:
+    """Group the visited triples by ``key``; each group of two or more adds
+    ``excess(group)`` conflicts, over all triples. Every triple of a
+    conflicting group is an offender, in first-seen group order."""
+    triples = dataset.triples
+    groups: dict[object, list[int]] = {}
+    for i in indices:
+        groups.setdefault(key(triples[i]), []).append(i)
+    num = 0
+    offenders = []
+    for group in groups.values():
+        if len(group) > 1:
+            k = excess([triples[i] for i in group])
+            if k:
+                num += k
+                offenders.extend(group)
+    return _ratio_value(mid, num, len(triples), offenders)
 
 
 def m1_missing_property_values(schema: SchemaIndex, instances: InstanceIndex) -> MetricValue:
@@ -295,45 +320,41 @@ def m2_out_of_range_values(dataset: Dataset, schema: SchemaIndex,
                     for p, kind in schema.properties.items() if kind is PropertyKind.OBJECT}
     dt_ranges = {prop: tuple(r for r in ranges if r in CHECKABLE_DATATYPES)
                  for prop, ranges in schema.xsd_ranges.items()}
+    checked = [p for p, ranges in (*class_ranges.items(), *dt_ranges.items()) if ranges]
 
-    flagged = []
-    for idx, t in enumerate(dataset.triples):
+    def out_of_range(t: Triple) -> bool:
         ranges = class_ranges.get(t.predicate)
         if ranges:
-            if isinstance(t.object, Iri):
-                asserted = instances.classes_of.get(t.object)
-                if asserted and not any(c in ranges or ranges & schema.superclasses(c)
-                                        for c in asserted):
-                    flagged.append(idx)
-        else:
-            dts = dt_ranges.get(t.predicate)
-            if (dts and isinstance(t.object, Literal)
-                    and not any(lexical_valid(t.object.lexical, d) for d in dts)):
-                flagged.append(idx)
-    return _triple_ratio(MetricId.OUT_OF_RANGE, dataset, flagged)
+            asserted = isinstance(t.object, Iri) and instances.classes_of.get(t.object)
+            return bool(asserted) and not any(c in ranges or ranges & schema.superclasses(c)
+                                              for c in asserted)
+        return (isinstance(t.object, Literal)
+                and not any(lexical_valid(t.object.lexical, d) for d in dt_ranges[t.predicate]))
+
+    return _flagged(MetricId.OUT_OF_RANGE, dataset, dataset.of(checked), out_of_range)
 
 
 def m3_misspelled_values(dataset: Dataset, dictionary: Dictionary) -> MetricValue:
-    """Triples whose checkable literal object carries a token not in the dictionary."""
-    flagged = []
-    for idx, t in enumerate(dataset.triples):
-        text = checkable_text(t.object)
-        if text is not None and has_unknown_token(text, dictionary):
-            flagged.append(idx)
-    return _triple_ratio(MetricId.MISSPELLED_VALUES, dataset, flagged)
+    """Triples whose checkable literal object carries a token not in the dictionary.
+
+    The rule reads only the object, so every triple is visited.
+    """
+    return _flagged(MetricId.MISSPELLED_VALUES, dataset, range(len(dataset.triples)),
+                    lambda t: (text := checkable_text(t.object)) is not None
+                    and has_unknown_token(text, dictionary))
 
 
 def m4_undefined_terms(dataset: Dataset, schema: SchemaIndex) -> MetricValue:
-    """Usage of classes (as rdf:type objects) or properties never declared."""
-    flagged = []
-    for idx, t in enumerate(dataset.triples):
-        if t.predicate == RDF_TYPE:
-            if (isinstance(t.object, Iri) and not is_builtin(t.object)
-                    and t.object not in schema.classes):
-                flagged.append(idx)
-        elif not is_builtin(t.predicate) and t.predicate not in schema.properties:
-            flagged.append(idx)
-    return _triple_ratio(MetricId.UNDEFINED_TERMS, dataset, flagged)
+    """Usage of classes (as rdf:type objects) or properties never declared.
+
+    Every triple of an undeclared, non-builtin predicate is flagged.
+    """
+    undeclared = [p for p in dataset.by_predicate
+                  if not is_builtin(p) and p not in schema.properties]
+    return _flagged(MetricId.UNDEFINED_TERMS, dataset, dataset.of((RDF_TYPE, *undeclared)),
+                    lambda t: t.predicate != RDF_TYPE or (
+                        isinstance(t.object, Iri) and not is_builtin(t.object)
+                        and t.object not in schema.classes))
 
 
 def m5_disjoint_membership(schema: SchemaIndex, instances: InstanceIndex) -> MetricValue:
@@ -353,11 +374,8 @@ def m5_disjoint_membership(schema: SchemaIndex, instances: InstanceIndex) -> Met
 
 
 def _term_type_key(term):
-    if isinstance(term, Iri):
-        return ("iri",)
-    if isinstance(term, BlankNode):
-        return ("bnode",)
-    return ("literal", term.datatype.text if term.datatype else None)
+    """IRI, blank node, or literal of one datatype (None when untagged)."""
+    return type(term), term.datatype if isinstance(term, Literal) else None
 
 
 def m6_inconsistent_values(dataset: Dataset) -> MetricValue:
@@ -365,55 +383,24 @@ def m6_inconsistent_values(dataset: Dataset) -> MetricValue:
 
     Objects conflict when their term types differ (IRI vs literal, or
     differing literal datatypes); a conflicting pair contributes exactly 1.
+    Visits every triple except the rdf:type ones. With two or more type keys
+    in a group, every object conflicts with at least one other, so all of
+    them participate.
     """
-    groups: dict[tuple, list[int]] = {}
-    for idx, t in enumerate(dataset.triples):
-        if t.predicate != RDF_TYPE:
-            groups.setdefault((t.subject, t.predicate), []).append(idx)
-    num = 0
-    offenders = []
-    for indices in groups.values():
-        if len(indices) < 2:
-            continue
-        keys = {_term_type_key(dataset.triples[i].object) for i in indices}
-        if len(keys) < 2:
-            continue
-        # with two or more type keys present, every object in the group
-        # conflicts with at least one other, so all of them participate
-        num += len(indices) - 1
-        offenders.extend(indices)
-    return _ratio_value(MetricId.INCONSISTENT_VALUES, num,
-                        len(dataset.triples), offenders)
-
-
-def _group_conflicts(mid: MetricId, total: int,
-                     rows: Iterable[tuple[int, tuple, object]]) -> MetricValue:
-    """Count conflicts over ``(idx, key, member)`` rows.
-
-    A group of k distinct members under one key contributes k-1; every
-    triple of a conflicting group is an offender, in first-seen group order.
-    """
-    groups: dict[tuple, dict] = {}
-    group_triples: dict[tuple, list[int]] = {}
-    for idx, key, member in rows:
-        groups.setdefault(key, {})[member] = None
-        group_triples.setdefault(key, []).append(idx)
-    num = 0
-    offenders = []
-    for key, members in groups.items():
-        k = len(members)
-        if k > 1:
-            num += k - 1
-            offenders.extend(group_triples[key])
-    return _ratio_value(mid, num, total, offenders)
+    return _conflict_groups(
+        MetricId.INCONSISTENT_VALUES, dataset,
+        dataset.of(p for p in dataset.by_predicate if p != RDF_TYPE),
+        key=lambda t: (t.subject, t.predicate),
+        excess=lambda group: (len(group) - 1
+                              if len({_term_type_key(t.object) for t in group}) > 1 else 0))
 
 
 def m7_functional_conflicts(dataset: Dataset, schema: SchemaIndex) -> MetricValue:
     """Functional properties holding several distinct values for one subject."""
-    rows = ((idx, (t.subject, t.predicate), t.object)
-            for idx, t in enumerate(dataset.triples)
-            if t.predicate in schema.functional)
-    return _group_conflicts(MetricId.FUNCTIONAL_CONFLICTS, len(dataset.triples), rows)
+    return _conflict_groups(
+        MetricId.FUNCTIONAL_CONFLICTS, dataset, dataset.of(schema.functional),
+        key=lambda t: (t.subject, t.predicate),
+        excess=lambda group: len({t.object for t in group}) - 1)
 
 
 def m8_inverse_functional_conflicts(dataset: Dataset, schema: SchemaIndex) -> MetricValue:
@@ -422,11 +409,21 @@ def m8_inverse_functional_conflicts(dataset: Dataset, schema: SchemaIndex) -> Me
     Empty-string literal objects form a single shared group per property (the
     void-value pathology), whatever their datatype or language tag.
     """
-    rows = ((idx, (t.predicate, "" if isinstance(t.object, Literal)
-                   and t.object.lexical == "" else t.object), t.subject)
-            for idx, t in enumerate(dataset.triples)
-            if t.predicate in schema.inverse_functional)
-    return _group_conflicts(MetricId.INVERSE_FUNCTIONAL_CONFLICTS, len(dataset.triples), rows)
+    return _conflict_groups(
+        MetricId.INVERSE_FUNCTIONAL_CONFLICTS, dataset, dataset.of(schema.inverse_functional),
+        key=lambda t: (t.predicate, "" if isinstance(t.object, Literal)
+                       and t.object.lexical == "" else t.object),
+        excess=lambda group: len({t.subject for t in group}) - 1)
+
+
+def improper_datatype(t: Triple, xsd_ranges: Mapping[Iri, frozenset[Iri]]) -> bool:
+    """The improper-datatype rule: ``t``'s object is a literal whose datatype
+    tag, xsd:string when untagged, is not among its predicate's ``xsd_ranges``."""
+    ranges = xsd_ranges.get(t.predicate)
+    if not ranges or not isinstance(t.object, Literal):
+        return False
+    tag = t.object.datatype
+    return (XSD_STRING if tag is None else tag) not in ranges
 
 
 def m9_improper_datatype(dataset: Dataset, schema: SchemaIndex) -> MetricValue:
@@ -436,14 +433,8 @@ def m9_improper_datatype(dataset: Dataset, schema: SchemaIndex) -> MetricValue:
     lexical value. Untyped (plain or language-tagged) literals are flagged
     only when the declared range is not xsd:string.
     """
-    flagged = []
-    for idx, t in enumerate(dataset.triples):
-        ranges = schema.xsd_ranges.get(t.predicate)
-        if ranges and isinstance(t.object, Literal):
-            tag = t.object.datatype
-            if (XSD_STRING if tag is None else tag) not in ranges:
-                flagged.append(idx)
-    return _triple_ratio(MetricId.IMPROPER_DATATYPE, dataset, flagged)
+    return _flagged(MetricId.IMPROPER_DATATYPE, dataset, dataset.of(schema.xsd_ranges),
+                    lambda t: improper_datatype(t, schema.xsd_ranges))
 
 
 def m10_similar_classes(schema: SchemaIndex, instances: InstanceIndex) -> MetricValue:

@@ -5,6 +5,7 @@ JSON and CSV carry full-precision values; the table view rounds to 0.01.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 from contextlib import contextmanager
@@ -18,12 +19,7 @@ def report_to_dict(report: MetricReport) -> dict:
         "dataset": report.dataset_id,
         "tool": "rdfqa",
         "version": report.tool_version,
-        "counts": {
-            "triples": report.counts.triples,
-            "instances": report.counts.instances,
-            "classes": report.counts.classes,
-            "properties": report.counts.properties,
-        },
+        "counts": dataclasses.asdict(report.counts),
         "dictionary": report.dictionary_id,
         "flags": list(report.flags),
         "metrics": {
@@ -49,6 +45,14 @@ def malformed(what: str):
         raise ValueError(f"malformed {what}: {type(exc).__name__}: {exc}") from None
 
 
+def typed(value, kind: type):
+    """``value`` if it is exactly a ``kind``: a JSON ``true`` or ``2.9`` is no
+    count, and ``[1]`` no dataset id."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
 def report_from_dict(data: Mapping) -> MetricReport:
     with malformed("report"):
         counts = data.get("counts", {})
@@ -58,19 +62,15 @@ def report_from_dict(data: Mapping) -> MetricReport:
             metrics[mid] = MetricValue(
                 id=mid,
                 value=float(entry["value"]),
-                numerator=int(entry["numerator"]),
-                denominator=int(entry["denominator"]),
+                numerator=typed(entry["numerator"], int),
+                denominator=typed(entry["denominator"], int),
                 clamped=bool(entry.get("clamped", False)),
                 offenders=tuple(entry.get("offenders", ())),
             )
         return MetricReport(
-            dataset_id=data.get("dataset", ""),
-            counts=ReportCounts(
-                triples=int(counts.get("triples", 0)),
-                instances=int(counts.get("instances", 0)),
-                classes=int(counts.get("classes", 0)),
-                properties=int(counts.get("properties", 0)),
-            ),
+            dataset_id=typed(data.get("dataset", ""), str),
+            counts=ReportCounts(**{f.name: typed(counts.get(f.name, 0), int)
+                                   for f in dataclasses.fields(ReportCounts)}),
             metrics=metrics,
             dictionary_id=data.get("dictionary"),
             tool_version=data.get("version", ""),

@@ -338,6 +338,18 @@ def test_contaminate_bad_plan_exits_1(tmp_path, capsys):
     ("compare", '{"metrics": {"M1": 5}}'),
     ("compare --manifest", "[1]"),
     ("correlate", '{"metrics": []}'),
+    # counts and seeds are JSON integers, not floats or booleans; ids are strings
+    ("contaminate", '{"seed": 1, "intensities": {"H1": 2.9}}'),
+    ("contaminate", '{"seed": 1.5, "intensities": {"H1": 2}}'),
+    ("contaminate", '{"seed": 1, "intensities": {"H1": true}}'),
+    ("contaminate", '{"seed": true, "intensities": {"H1": 2}}'),
+    ("contaminate", '{"seed": 1, "dataset": [1]}'),
+    ("compare --manifest", '{"seed": 1, "dataset": [1]}'),
+    ("compare --manifest", '{"seed": 1, "requested": {"H1": 2}, "achieved": {"H1": true}}'),
+    ("compare", '{"dataset": 1, "metrics": {}}'),
+    ("compare", '{"counts": {"triples": 1.5}, "metrics": {}}'),
+    ("compare", '{"metrics": {"M1": {"value": 0.5, "numerator": true, "denominator": 2}}}'),
+    ("correlate", '{"dataset": 1, "metrics": {}}'),
 ])
 def test_malformed_plan_manifest_or_report_exits_1_without_traceback(tmp_path, command, bad):
     good = tmp_path / "good.json"

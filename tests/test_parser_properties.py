@@ -4,15 +4,21 @@ Every test runs under the derandomized, bounded profile that conftest.py
 loads, so every run checks the same examples.
 """
 
+import copy
 import json
 import tempfile
 from pathlib import Path
 
 from hypothesis import given, strategies as st
 
-from rdfqa import Dataset, ParseError, parse_dataset, serialize_dataset
+from rdfqa import (Dataset, ParseError, assess, contaminate, load_dataset, parse_dataset,
+                   serialize_dataset)
 from rdfqa.cli import main
+from rdfqa.contaminate import load_plan, manifest_to_dict, plan_to_dict
 from rdfqa.core.parsing import parse_ntriples, parse_turtle
+from rdfqa.fixtures import fixture_path
+from rdfqa.metrics import Dictionary
+from rdfqa.reporting import report_to_dict
 
 _SCALARS = st.integers(0x20, 0x10FFFF).filter(lambda c: not 0xD800 <= c <= 0xDFFF)
 _UCHAR = st.one_of(_SCALARS.map(lambda c: f"\\u{c:04X}" if c <= 0xFFFF else f"\\U{c:08X}"),
@@ -128,3 +134,80 @@ def test_cli_exits_0_or_1_on_any_dataset_bytes_and_writes_nothing_on_1(data, com
         assert written == sorted([*inputs, "out", "out.manifest.json"])
     else:
         assert written == sorted([*inputs, "out"])
+
+
+# -- the JSON inputs: plans, manifests and reports
+
+_ZOO = str(fixture_path("zoo_clean.nt"))
+_ZOO_PLAN = load_plan(fixture_path("plans/zoo_clean.json"))
+_WORDS = Dictionary(id="none", words=frozenset())
+_VALID = {
+    "plan": plan_to_dict(_ZOO_PLAN),
+    "manifest": manifest_to_dict(contaminate(load_dataset(_ZOO), _ZOO_PLAN, _WORDS)[1]),
+    "report": report_to_dict(assess(load_dataset(_ZOO), _WORDS)),
+}
+# the command line for each JSON input, given a valid report and the input
+_COMMANDS = {
+    "contaminate": ("plan", lambda good, bad: ["contaminate", _ZOO, "--plan", bad]),
+    "compare": ("report", lambda good, bad: ["compare", good, bad]),
+    "compare --manifest": ("manifest",
+                           lambda good, bad: ["compare", good, good, "--manifest", bad]),
+    "correlate": ("report", lambda good, bad: ["correlate", good, bad, bad]),
+}
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=8)
+_REMOVED = object()
+
+
+def _paths(doc, at=()):
+    """The path, as keys and list indices, of every value inside ``doc``."""
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        return
+    for key, value in children:
+        yield (*at, key)
+        yield from _paths(value, (*at, key))
+
+
+def _mutated(doc):
+    """``doc`` with the value at one path replaced by any JSON value, or removed."""
+    def mutate(choice):
+        path, value = choice
+        out = copy.deepcopy(doc)
+        parent = out
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _REMOVED:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        return out
+    return st.tuples(st.sampled_from(list(_paths(doc))),
+                     st.one_of(_JSON, st.just(_REMOVED))).map(mutate)
+
+
+_JSON_CASES = st.sampled_from(sorted(_COMMANDS)).flatmap(lambda command: st.tuples(
+    st.just(command), st.one_of(_JSON, _mutated(_VALID[_COMMANDS[command][0]]))))
+
+
+@given(case=_JSON_CASES)
+def test_cli_exits_0_1_or_2_on_any_json_input_and_writes_nothing_unless_0(case):
+    command, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        good, bad = tmp / "good.json", tmp / "bad.json"
+        good.write_text(json.dumps(_VALID["report"]))
+        bad.write_text(json.dumps(value))
+        code = main([*_COMMANDS[command][1](str(good), str(bad)), "-o", str(tmp / "out")])
+        written = sorted(p.name for p in tmp.iterdir())
+    assert code in (0, 1, 2)
+    if code:
+        assert written == ["bad.json", "good.json"]
+    else:
+        assert "out" in written

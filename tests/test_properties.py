@@ -1,9 +1,11 @@
 """Invariant checks over seeded random datasets."""
 
+import dataclasses
 from random import Random
 
 from rdfqa import (
     ContaminationPlan,
+    Dataset,
     HeuristicId,
     Iri,
     Literal,
@@ -12,6 +14,7 @@ from rdfqa import (
     build_instance_index,
     build_schema_index,
     contaminate,
+    merge_datasets,
     parse_dataset,
     replay_manifest,
     serialize_dataset,
@@ -320,3 +323,50 @@ def test_by_predicate_view_follows_every_edit():
                 assert log.of(chosen) == [t for t in current if t.predicate in chosen]
             used = {t.predicate for t in current}
             assert {p for p, slots in log.by_predicate.items() if slots} == used
+
+
+# -- the dataset's by-predicate view: the indices and metrics read only the
+#    triples of their own predicates through Dataset.of
+
+
+def _brute_of(ds, predicates):
+    predicates = set(predicates)
+    return [i for i, t in enumerate(ds.triples) if t.predicate in predicates]
+
+
+def test_by_predicate_view_answers_every_set_the_indices_and_metrics_pass(monkeypatch):
+    asked = []
+    of = Dataset.of
+
+    def recording_of(ds, predicates):
+        predicates = list(predicates)
+        asked.append(predicates)
+        return of(ds, predicates)
+
+    monkeypatch.setattr(Dataset, "of", recording_of)
+    unused = Iri("http://example.org/gen#unused")
+    for ds in datasets(112):
+        asked.clear()
+        assess(ds, WORDS)
+        # both indices, then M2, M4, M6, M7, M8 and M9
+        assert len(asked) == 8
+        used = [t.predicate for t in ds.triples[:4]]
+        for chosen in [*asked, [], [unused], [unused, *used], used + used[::-1]]:
+            assert of(ds, chosen) == _brute_of(ds, chosen)
+        assert of(ds, (p for p in used * 3)) == _brute_of(ds, used)
+        assert of(ds, ds.by_predicate) == list(range(len(ds.triples)))
+
+
+def test_building_the_view_changes_no_dataset_value():
+    for ds in datasets(113, runs=60):
+        fresh = Dataset(ds.id, ds.triples, ds.duplicate_count)
+        before = (hash(ds), repr(ds))
+        ds.of((RDF_TYPE,))
+        assert "by_predicate" in vars(ds) and "by_predicate" not in vars(fresh)
+        assert ds == fresh and (hash(ds), repr(ds)) == before == (hash(fresh), repr(fresh))
+        copied = dataclasses.replace(ds)
+        assert copied == fresh and "by_predicate" not in vars(copied)
+        # merging a dataset whose view is built gives what merging a fresh copy gives
+        merged = merge_datasets(ds, Dataset("other", ds.triples[::-1]))
+        assert merged == merge_datasets(fresh, Dataset("other", ds.triples[::-1]))
+        assert merged.of((RDF_TYPE,)) == _brute_of(merged, (RDF_TYPE,))
