@@ -35,7 +35,7 @@ import enum
 import json
 import string
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping
@@ -70,7 +70,7 @@ from .core.parsing import ParseError, parse_ntriples, triple_to_ntriples
 from .metrics import (CHECKABLE_DATATYPES, Dictionary, MetricId, alpha_tokens,
                       checkable_text, default_dictionary, has_unknown_token,
                       improper_datatype)
-from .reporting import malformed, typed
+from .reporting import malformed, typed, typed_items
 
 
 class HeuristicId(str, enum.Enum):
@@ -112,6 +112,11 @@ HEURISTIC_TARGETS: dict[HeuristicId, MetricId] = {
     HeuristicId.H13: MetricId.IMPROPER_DATATYPE,
     HeuristicId.H14: MetricId.SIMILAR_CLASSES,
 }
+
+
+#: H1 and H9 make one edit per unit of intensity, but at most this many per
+#: triple of the input, so a huge intensity cannot exhaust time and memory
+EDITS_PER_INPUT_TRIPLE = 10
 
 
 class EditAction(str, enum.Enum):
@@ -187,7 +192,7 @@ _IN_RANGE_LEXICAL = {
 
 def _with_lexical(t: Triple, lexical: str) -> Triple:
     """``t`` with its literal's lexical form replaced; datatype and language kept."""
-    return Triple(t.subject, t.predicate, replace(t.object, lexical=lexical))
+    return Triple(t.subject, t.predicate, Literal(lexical, t.object.datatype, t.object.language))
 
 
 _ADD_ACTIONS = frozenset({EditAction.ADD_TRIPLE, EditAction.ADD_AXIOM})
@@ -285,6 +290,8 @@ class _Contaminator:
         self.dictionary = dictionary
         self.rng = Random(plan.seed)
         self.log = EditLog(dataset.triples)
+        # H1 and H9 need no candidates, so their edits are bounded by the input
+        self.edit_cap = EDITS_PER_INPUT_TRIPLE * len(dataset.triples)
         self.achieved: dict[HeuristicId, int] = {}
         self.warnings: list[str] = []
         self.seen_iris = {term.text for t in dataset.triples
@@ -322,11 +329,15 @@ class _Contaminator:
 
     # -- heuristics, in application order
 
+    def _capped(self, n: int) -> tuple[int, str]:
+        return min(n, self.edit_cap), f"at most {EDITS_PER_INPUT_TRIPLE} per input triple"
+
     def h1_fresh_properties(self, n: int):
-        for _ in range(n):
+        done, why = self._capped(n)
+        for _ in range(done):
             self.apply(HeuristicId.H1, EditAction.ADD_AXIOM,
                        after=Triple(self.fresh_iri("h1-property"), RDF_TYPE, RDF_PROPERTY))
-        self.record(HeuristicId.H1, n, n)
+        self.record(HeuristicId.H1, n, done, why)
 
     def h2_remove_triples(self, n: int):
         candidates = [t for t in self.log.current() if not is_declaration_triple(t)]
@@ -484,13 +495,13 @@ class _Contaminator:
         pairs = sorted((tuple(sorted(p, key=lambda c: c.text))
                         for p in schema.disjoint_pairs),
                        key=lambda pair: (pair[0].text, pair[1].text))
-        done = n if pairs else 0
+        done, why = self._capped(n) if pairs else (0, "no disjoint class pairs available")
         for _ in range(done):
             a, b = self.rng.choice(pairs)
             inst = self.fresh_iri("h9-instance")
             self.apply(HeuristicId.H9, EditAction.ADD_TRIPLE, after=Triple(inst, RDF_TYPE, a))
             self.apply(HeuristicId.H9, EditAction.ADD_TRIPLE, after=Triple(inst, RDF_TYPE, b))
-        self.record(HeuristicId.H9, n, done, "no disjoint class pairs available")
+        self.record(HeuristicId.H9, n, done, why)
 
     def h10_type_conflicts(self, n: int):
         schema = self.log.schema()
@@ -695,7 +706,7 @@ def manifest_from_dict(data: Mapping) -> ContaminationManifest:
             plan=plan,
             edits=tuple(edits),
             achieved={HeuristicId(k): typed(v, int) for k, v in data.get("achieved", {}).items()},
-            warnings=tuple(data.get("warnings", ())),
+            warnings=typed_items(data.get("warnings", []), str),
         )
 
 

@@ -1,5 +1,12 @@
 """Immutable RDF data model: terms, triples and datasets.
 
+Terms are tagged tuples: an IRI is ``(0, text)``, a blank node ``(1, label)``
+and a literal ``(2, lexical, datatype, language)``, and a triple is a named
+tuple of three terms. So dedup, every index dict and every grouping key hash
+and compare in C. The tag keeps the kinds apart: ``Iri("x")`` and
+``BlankNode("x")`` differ. A term also compares equal to its plain tuple
+(``Iri("x") == (0, "x")``); the named attributes are the public view.
+
 A dataset keeps its triples in document order and never contains exact
 duplicates; both properties are load-bearing for deterministic reports and
 byte-stable serialization.
@@ -9,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence, Union
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -21,45 +29,68 @@ XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 BUILTIN_NAMESPACES: tuple[str, ...] = (RDF_NS, RDFS_NS, OWL_NS, XSD_NS)
 
 
-@dataclass(frozen=True, slots=True)
-class Iri:
+class _Term(tuple):
+    """A term: its kind's tag, then its fields."""
+
+    __slots__ = ()
+
+    def __getnewargs__(self):
+        # pickle and copy rebuild a term from its fields, through __new__
+        return self[1:]
+
+
+class Iri(_Term):
     """An absolute IRI."""
 
-    text: str
+    __slots__ = ()
+    text = property(itemgetter(1))
 
-    def __post_init__(self):
-        if not self.text:
+    def __new__(cls, text: str):
+        if not text:
             raise ValueError("IRI must be non-empty")
+        return tuple.__new__(cls, (0, text))
+
+    def __repr__(self):
+        return f"Iri(text={self[1]!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class BlankNode:
-    label: str
+class BlankNode(_Term):
+    __slots__ = ()
+    label = property(itemgetter(1))
+
+    def __new__(cls, label: str):
+        return tuple.__new__(cls, (1, label))
+
+    def __repr__(self):
+        return f"BlankNode(label={self[1]!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(_Term):
     """An RDF literal.
 
     At most one of ``datatype`` and ``language`` may be present; a literal
     with neither is a plain literal.
     """
 
-    lexical: str
-    datatype: Iri | None = None
-    language: str | None = None
+    __slots__ = ()
+    lexical = property(itemgetter(1))
+    datatype = property(itemgetter(2))
+    language = property(itemgetter(3))
 
-    def __post_init__(self):
-        if self.datatype is not None and self.language is not None:
+    def __new__(cls, lexical: str, datatype: Iri | None = None, language: str | None = None):
+        if datatype is not None and language is not None:
             raise ValueError("literal cannot carry both a datatype and a language tag")
+        return tuple.__new__(cls, (2, lexical, datatype, language))
+
+    def __repr__(self):
+        return f"Literal(lexical={self[1]!r}, datatype={self[2]!r}, language={self[3]!r})"
 
 
 Term = Union[Iri, BlankNode, Literal]
 SubjectTerm = Union[Iri, BlankNode]
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(NamedTuple):
     subject: SubjectTerm
     predicate: Iri
     object: Term

@@ -200,10 +200,10 @@ def parse_ntriples(text: str, dataset_id: str = "") -> Dataset:
     for lineno, line in enumerate(text.split("\n"), start=1):
         if line.endswith("\r"):
             line = line[:-1]
-        if _BLANK_OR_COMMENT_RE.match(line):
-            continue
         m = _NT_LINE_RE.match(line)
         if m is None:
+            if _BLANK_OR_COMMENT_RE.match(line):
+                continue
             _diagnose_nt_line(line, lineno)
         s_iri, s_bnode, p_iri, o_iri, o_bnode, o_lex, o_dt, o_lang = m.groups()
         try:

@@ -7,12 +7,14 @@ offenders (triple indices or IRIs). A zero denominator never raises; it
 yields value 0 and a DegenerateDenominator flag on the report. IRIs under
 ``BUILTIN_NAMESPACES`` are never classes, instances or undefined terms.
 
-The seven triple metrics read the dataset through one view,
-``Dataset.of(predicates)``, and share two scan shapes over the indices it
-returns: ``_flagged`` keeps flagged triples in document order (M2, M3, M4,
-M9), and ``_conflict_groups`` keeps whole conflicting groups in first-seen
-order (M6, M7, M8). Each reads only its own predicates: M2 the properties
-with class or checkable datatype ranges, M4 ``rdf:type`` and the used
+The seven triple metrics read the dataset through one by-predicate view
+and share two scan shapes: ``_flagged`` keeps the flagged triples of
+``Dataset.of(predicates)`` in document order (M2, M3, M4, M9), and
+``_conflict_groups`` keeps whole conflicting groups in first-seen order
+(M6, M7, M8). A conflict group never spans two predicates, so it groups
+each predicate's triples on their own, by the subject (M6, M7) or the
+object (M8). Each reads only its own predicates: M2 the properties with
+class or checkable datatype ranges, M4 ``rdf:type`` and the used
 predicates that are neither builtin nor declared, M6 all but ``rdf:type``,
 M7 the functional and M8 the inverse-functional properties, M9 the
 properties with XSD ranges. M3's rule reads only the object, so it visits
@@ -24,6 +26,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -271,24 +274,28 @@ def _flagged(mid: MetricId, dataset: Dataset, indices: Iterable[int],
     return _ratio_value(mid, len(flagged), len(triples), flagged)
 
 
-def _conflict_groups(mid: MetricId, dataset: Dataset, indices: Iterable[int],
+def _conflict_groups(mid: MetricId, dataset: Dataset, predicates: Iterable[Iri],
                      key: Callable[[Triple], object],
                      excess: Callable[[list[Triple]], int]) -> MetricValue:
-    """Group the visited triples by ``key``; each group of two or more adds
-    ``excess(group)`` conflicts, over all triples. Every triple of a
-    conflicting group is an offender, in first-seen group order."""
+    """Group the triples of each of ``predicates`` by ``key``; each group of
+    two or more adds ``excess(group)`` conflicts, over all triples. Every
+    triple of a conflicting group is an offender, in first-seen group order."""
     triples = dataset.triples
-    groups: dict[object, list[int]] = {}
-    for i in indices:
-        groups.setdefault(key(triples[i]), []).append(i)
     num = 0
-    offenders = []
-    for group in groups.values():
-        if len(group) > 1:
-            k = excess([triples[i] for i in group])
-            if k:
-                num += k
-                offenders.extend(group)
+    conflicting = []
+    for p in set(predicates):
+        groups: dict[object, list[int]] = {}
+        for i in dataset.by_predicate.get(p, ()):
+            groups.setdefault(key(triples[i]), []).append(i)
+        for group in groups.values():
+            if len(group) > 1:
+                k = excess([triples[i] for i in group])
+                if k:
+                    num += k
+                    conflicting.append(group)
+    # a group's indices ascend, so its first one is where it was first seen
+    conflicting.sort(key=itemgetter(0))
+    offenders = [i for group in conflicting for i in group]
     return _ratio_value(mid, num, len(triples), offenders)
 
 
@@ -321,13 +328,18 @@ def m2_out_of_range_values(dataset: Dataset, schema: SchemaIndex,
     dt_ranges = {prop: tuple(r for r in ranges if r in CHECKABLE_DATATYPES)
                  for prop, ranges in schema.xsd_ranges.items()}
     checked = [p for p, ranges in (*class_ranges.items(), *dt_ranges.items()) if ranges]
+    # the asserted classes each object property admits: a class range, or a
+    # class that transitively specializes one
+    admitted = {p: ranges | {c for c, sup in schema.ancestors.items()
+                             if not sup.isdisjoint(ranges)}
+                for p, ranges in class_ranges.items() if ranges}
 
     def out_of_range(t: Triple) -> bool:
-        ranges = class_ranges.get(t.predicate)
-        if ranges:
-            asserted = isinstance(t.object, Iri) and instances.classes_of.get(t.object)
-            return bool(asserted) and not any(c in ranges or ranges & schema.superclasses(c)
-                                              for c in asserted)
+        classes = admitted.get(t.predicate)
+        if classes is not None:
+            # only IRIs have asserted classes
+            asserted = instances.classes_of.get(t.object)
+            return asserted is not None and asserted.isdisjoint(classes)
         return (isinstance(t.object, Literal)
                 and not any(lexical_valid(t.object.lexical, d) for d in dt_ranges[t.predicate]))
 
@@ -364,7 +376,9 @@ def m5_disjoint_membership(schema: SchemaIndex, instances: InstanceIndex) -> Met
     """
     offenders = []
     if schema.disjoint_pairs:
-        for inst in sorted(instances.instances, key=lambda i: i.text):
+        # an instance of a single class cannot violate a disjoint pair
+        candidates = [i for i, classes in instances.classes_of.items() if len(classes) > 1]
+        for inst in sorted(candidates, key=lambda i: i.text):
             asserted = sorted(instances.classes_of[inst], key=lambda c: c.text)
             if any(frozenset((a, b)) in schema.disjoint_pairs
                    for i, a in enumerate(asserted) for b in asserted[i + 1:]):
@@ -389,8 +403,8 @@ def m6_inconsistent_values(dataset: Dataset) -> MetricValue:
     """
     return _conflict_groups(
         MetricId.INCONSISTENT_VALUES, dataset,
-        dataset.of(p for p in dataset.by_predicate if p != RDF_TYPE),
-        key=lambda t: (t.subject, t.predicate),
+        (p for p in dataset.by_predicate if p != RDF_TYPE),
+        key=attrgetter("subject"),
         excess=lambda group: (len(group) - 1
                               if len({_term_type_key(t.object) for t in group}) > 1 else 0))
 
@@ -398,8 +412,8 @@ def m6_inconsistent_values(dataset: Dataset) -> MetricValue:
 def m7_functional_conflicts(dataset: Dataset, schema: SchemaIndex) -> MetricValue:
     """Functional properties holding several distinct values for one subject."""
     return _conflict_groups(
-        MetricId.FUNCTIONAL_CONFLICTS, dataset, dataset.of(schema.functional),
-        key=lambda t: (t.subject, t.predicate),
+        MetricId.FUNCTIONAL_CONFLICTS, dataset, schema.functional,
+        key=attrgetter("subject"),
         excess=lambda group: len({t.object for t in group}) - 1)
 
 
@@ -410,9 +424,9 @@ def m8_inverse_functional_conflicts(dataset: Dataset, schema: SchemaIndex) -> Me
     void-value pathology), whatever their datatype or language tag.
     """
     return _conflict_groups(
-        MetricId.INVERSE_FUNCTIONAL_CONFLICTS, dataset, dataset.of(schema.inverse_functional),
-        key=lambda t: (t.predicate, "" if isinstance(t.object, Literal)
-                       and t.object.lexical == "" else t.object),
+        MetricId.INVERSE_FUNCTIONAL_CONFLICTS, dataset, schema.inverse_functional,
+        key=lambda t: ("" if isinstance(t.object, Literal) and t.object.lexical == ""
+                       else t.object),
         excess=lambda group: len({t.subject for t in group}) - 1)
 
 

@@ -45,12 +45,18 @@ def malformed(what: str):
         raise ValueError(f"malformed {what}: {type(exc).__name__}: {exc}") from None
 
 
-def typed(value, kind: type):
-    """``value`` if it is exactly a ``kind``: a JSON ``true`` or ``2.9`` is no
-    count, and ``[1]`` no dataset id."""
-    if type(value) is not kind:
-        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+def typed(value, *kinds: type):
+    """``value`` if it is exactly one of ``kinds``: a JSON ``true`` or ``2.9``
+    is no count, ``"0.5"`` no metric value, and ``[1]`` no dataset id."""
+    if type(value) not in kinds:
+        raise TypeError(f"expected {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
     return value
+
+
+def typed_items(value, *kinds: type) -> tuple:
+    """The items of the JSON list ``value``, each exactly one of ``kinds``:
+    a string is no list of flags."""
+    return tuple(typed(item, *kinds) for item in typed(value, list))
 
 
 def report_from_dict(data: Mapping) -> MetricReport:
@@ -61,11 +67,11 @@ def report_from_dict(data: Mapping) -> MetricReport:
             mid = metric_id(key)
             metrics[mid] = MetricValue(
                 id=mid,
-                value=float(entry["value"]),
+                value=float(typed(entry["value"], int, float)),
                 numerator=typed(entry["numerator"], int),
                 denominator=typed(entry["denominator"], int),
-                clamped=bool(entry.get("clamped", False)),
-                offenders=tuple(entry.get("offenders", ())),
+                clamped=typed(entry.get("clamped", False), bool),
+                offenders=typed_items(entry.get("offenders", []), int, str),
             )
         return MetricReport(
             dataset_id=typed(data.get("dataset", ""), str),
@@ -74,7 +80,7 @@ def report_from_dict(data: Mapping) -> MetricReport:
             metrics=metrics,
             dictionary_id=data.get("dictionary"),
             tool_version=data.get("version", ""),
-            flags=tuple(data.get("flags", ())),
+            flags=typed_items(data.get("flags", []), str),
         )
 
 

@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,8 @@ from rdfqa.core.model import is_declaration_triple
 from rdfqa.core.parsing import serialize_dataset
 from rdfqa.core.model import make_dataset
 from rdfqa.fixtures import fixture_path
+
+from .test_acceptance import build_scale_document
 
 FAMILY = str(fixture_path("family.nt"))
 ZOO = str(fixture_path("zoo_clean.nt"))
@@ -188,6 +192,22 @@ def test_contaminate_seed_override_changes_output(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+@pytest.mark.parametrize("heuristic", ["H1", "H9"])
+def test_unbounded_heuristics_are_capped_at_the_input_size(tmp_path, capsys, heuristic):
+    # one edit per unit of intensity, at most ten per input triple
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"seed": 1, "intensities": {heuristic: 10**12}}))
+    out = tmp_path / "o.nt"
+    start = time.perf_counter()
+    assert run_cli(["contaminate", ZOO, "--plan", str(plan), "-o", str(out)]) == 0
+    assert time.perf_counter() - start < 10
+    warning = (f"rdfqa: warning: {heuristic}: requested {10**12}, achieved 1120 "
+               "(at most 10 per input triple)")
+    assert warning in capsys.readouterr().err.splitlines()
+    manifest = json.loads((tmp_path / "o.manifest.json").read_text())
+    assert manifest["achieved"] == {heuristic: 1120}
+
+
 def test_contaminate_shortfall_warns_but_exits_zero(tmp_path, capsys):
     bare = tmp_path / "bare.nt"
     bare.write_text("<http://ex/a> <http://ex/p> <http://ex/b> .\n")
@@ -212,6 +232,55 @@ def test_cross_process_determinism(tmp_path):
             check=True, env=env, capture_output=True)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def _collector_states_after(argv):
+    """``gc.isenabled()`` after ``main(argv)``, with the collector on and then off before."""
+    states = []
+    was_enabled = gc.isenabled()
+    try:
+        for enable_first in (gc.enable, gc.disable):
+            enable_first()
+            try:
+                main(argv)
+            except SystemExit:
+                pass
+            states.append(gc.isenabled())
+    finally:
+        if was_enabled:
+            gc.enable()
+    return states
+
+
+@pytest.mark.parametrize("argv", [
+    ["assess", FAMILY, "--format", "csv"],                    # exit 0
+    ["assess", "no-such-file.nt"],                            # exit 1
+    ["assess", FAMILY, "--metrics", "M99"],                   # exit 2
+    ["assess", FAMILY, "--format", "yaml"],                   # argparse: SystemExit(2)
+])
+def test_main_restores_the_collector_state(argv, capsys):
+    assert _collector_states_after(argv) == [True, False]
+
+
+def test_cyclic_garbage_does_not_grow_with_the_document(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"seed": 1, "intensities": {h: 2 for h in ("H3", "H10", "H14")}}))
+    garbage = []
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for n in (30_000, 60_000):
+            doc = tmp_path / f"c7_{n}.nt"
+            doc.write_bytes(build_scale_document(n))
+            gc.collect()
+            assert main(["assess", str(doc), "--format", "json", "-o", str(tmp_path / "r")]) == 0
+            assert main(["contaminate", str(doc), "--plan", str(plan),
+                         "-o", str(tmp_path / "d.nt")]) == 0
+            garbage.append(gc.collect())
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert garbage[0] == garbage[1]
 
 
 def _write_report(tmp_path, name, source=FAMILY, metrics=None):
@@ -350,6 +419,22 @@ def test_contaminate_bad_plan_exits_1(tmp_path, capsys):
     ("compare", '{"counts": {"triples": 1.5}, "metrics": {}}'),
     ("compare", '{"metrics": {"M1": {"value": 0.5, "numerator": true, "denominator": 2}}}'),
     ("correlate", '{"dataset": 1, "metrics": {}}'),
+    # a metric value is a JSON number, clamped a boolean, and offenders, flags
+    # and warnings are lists: no string or boolean is coerced into one
+    ("correlate", '{"metrics": {"M1": {"value": "0.5", "numerator": 1, "denominator": 2}}}'),
+    ("correlate", '{"metrics": {"M1": {"value": true, "numerator": 1, "denominator": 2}}}'),
+    ("correlate", '{"metrics": {"M1": {"value": 0.5, "numerator": 1, "denominator": 2, '
+                  '"clamped": "no"}}}'),
+    ("correlate", '{"metrics": {"M1": {"value": 0.5, "numerator": 1, "denominator": 2, '
+                  '"clamped": 0}}}'),
+    ("correlate", '{"metrics": {"M1": {"value": 0.5, "numerator": 1, "denominator": 2, '
+                  '"offenders": "abc"}}}'),
+    ("correlate", '{"metrics": {"M1": {"value": 0.5, "numerator": 1, "denominator": 2, '
+                  '"offenders": [1.5]}}}'),
+    ("correlate", '{"flags": "abc", "metrics": {}}'),
+    ("correlate", '{"flags": [1], "metrics": {}}'),
+    ("compare --manifest", '{"seed": 1, "warnings": "abc"}'),
+    ("compare --manifest", '{"seed": 1, "warnings": [null]}'),
 ])
 def test_malformed_plan_manifest_or_report_exits_1_without_traceback(tmp_path, command, bad):
     good = tmp_path / "good.json"
