@@ -70,7 +70,7 @@ from .core.parsing import ParseError, parse_ntriples, triple_to_ntriples
 from .metrics import (CHECKABLE_DATATYPES, Dictionary, MetricId, alpha_tokens,
                       checkable_text, default_dictionary, has_unknown_token,
                       improper_datatype)
-from .reporting import malformed, typed, typed_items
+from .reporting import malformed, read_json, typed, typed_items
 
 
 class HeuristicId(str, enum.Enum):
@@ -652,16 +652,8 @@ def _by_heuristic(counts: Mapping[HeuristicId, int]) -> dict[str, int]:
     return {h.value: int(counts[h]) for h in ALL_HEURISTICS if h in counts}
 
 
-def plan_to_dict(plan: ContaminationPlan) -> dict:
-    out: dict = {"seed": plan.seed, "intensities": _by_heuristic(plan.intensities)}
-    if plan.dataset_id:
-        out["dataset"] = plan.dataset_id
-    return out
-
-
 def load_plan(path: str | Path) -> ContaminationPlan:
-    with open(path, encoding="utf-8") as fh:
-        return plan_from_dict(json.load(fh))
+    return plan_from_dict(read_json(path, "plan"))
 
 
 def _triple_from_line(line: str) -> Triple:
@@ -715,5 +707,4 @@ def manifest_to_json(manifest: ContaminationManifest) -> str:
 
 
 def load_manifest(path: str | Path) -> ContaminationManifest:
-    with open(path, encoding="utf-8") as fh:
-        return manifest_from_dict(json.load(fh))
+    return manifest_from_dict(read_json(path, "manifest"))

@@ -63,9 +63,6 @@ class SchemaIndex:
     #: itself when the declared hierarchy is cyclic)
     ancestors: Mapping[Iri, frozenset[Iri]]
 
-    def superclasses(self, cls: Iri) -> frozenset[Iri]:
-        return self.ancestors.get(cls, frozenset())
-
     def is_transitive_subclass(self, child: Iri, parent: Iri) -> bool:
         return parent in self.ancestors.get(child, frozenset())
 

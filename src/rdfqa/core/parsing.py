@@ -59,7 +59,9 @@ _IRI_BODY = rf"[^\x00-\x20{re.escape(_IRI_EXCLUDED)}]*"
 _BNODE_LABEL = r"_:[A-Za-z0-9_](?:[A-Za-z0-9_\-]|\.(?=[A-Za-z0-9_.\-]))*"
 _LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 # Body of a "..." string: a raw CR or LF ends the line, so neither may occur.
-_STRING_BODY = r'(?:[^"\\\n\r]|\\.)*'
+# Unrolled (Friedl, Mastering Regular Expressions, ch. 6): a run of plain
+# characters, then escapes each followed by such a run, with no alternation.
+_STRING_BODY = r'[^"\\\n\r]*(?:\\.[^"\\\n\r]*)*'
 _IRI_BODY_RE = re.compile(_IRI_BODY)
 
 #: what is wrong when no term matches at a character that may start one
@@ -110,7 +112,7 @@ _NT_PIECES = [(re.compile(piece), starts, message) for piece, starts, message in
 ]]
 _NT_LINE_RE = re.compile("".join(piece.pattern for piece, _, _ in _NT_PIECES))
 
-_BLANK_OR_COMMENT_RE = re.compile(r"^[ \t]*(?:#.*)?$")
+_BLANK_OR_COMMENT_RE = re.compile(r"[ \t]*(?:#.*)?$")
 
 _STRING_ESCAPES = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
@@ -168,14 +170,19 @@ class _TermCache:
 
     def __init__(self):
         self.iris: dict[str, Iri] = {}
+        #: each IRI body as written, escapes and all, once it has been decoded
+        #: and checked; kept apart from ``iris``, where <http://e/\u005Cu0061>
+        #: and <http://e/\u0061> would meet under the key http://e/\u0061
+        self.written: dict[str, Iri] = {}
         self.bnodes: dict[str, BlankNode] = {}
 
     def iri(self, raw: str, line: int) -> Iri:
         """The IRI written as ``<raw>``: its escapes decoded, then interned."""
-        if "\\" in raw:
-            raw = _unescape(raw, line, allow_echar=False)
-        node = self.iris.get(raw)  # most IRIs repeat, so look up before calling intern
-        return node if node is not None else self.intern(raw, line)
+        node = self.written.get(raw)
+        if node is None:
+            text = _unescape(raw, line, allow_echar=False) if "\\" in raw else raw
+            node = self.written[raw] = self.intern(text, line)
+        return node
 
     def intern(self, text: str, line: int) -> Iri:
         """The IRI whose text, already decoded, is ``text``; checked once per text."""
@@ -194,33 +201,50 @@ class _TermCache:
 
 
 def parse_ntriples(text: str, dataset_id: str = "") -> Dataset:
-    """Parse an N-Triples document. Duplicate triples are dropped and counted."""
+    """Parse an N-Triples document. Duplicate triples are dropped and counted.
+
+    One pass walks ``text`` by position and builds no list of lines: each
+    line, less one CR before its newline, is matched in place. An IRI that
+    was written before is found by its text as written, without decoding it
+    again. A line that fails is diagnosed from its own slice, so the error's
+    column counts from the line's first character.
+    """
     cache = _TermCache()
+    written, iri, bnode = cache.written, cache.iri, cache.bnode
+    match, find = _NT_LINE_RE.match, text.find
     triples = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if line.endswith("\r"):
-            line = line[:-1]
-        m = _NT_LINE_RE.match(line)
+    append = triples.append
+    pos, size, lineno = 0, len(text), 0
+    while pos < size:
+        lineno += 1
+        start = pos
+        nl = find("\n", pos)
+        if nl < 0:
+            nl = size
+        pos = nl + 1
+        end = nl - 1 if nl > start and text[nl - 1] == "\r" else nl
+        m = match(text, start, end)
         if m is None:
-            if _BLANK_OR_COMMENT_RE.match(line):
-                continue
-            _diagnose_nt_line(line, lineno)
+            if _BLANK_OR_COMMENT_RE.match(text, start, end) is None:
+                _diagnose_nt_line(text[start:end], lineno)
+            continue
         s_iri, s_bnode, p_iri, o_iri, o_bnode, o_lex, o_dt, o_lang = m.groups()
         try:
-            subject = cache.iri(s_iri, lineno) if s_iri is not None else cache.bnode(s_bnode[2:])
-            predicate = cache.iri(p_iri, lineno)
+            subject = (written.get(s_iri) or iri(s_iri, lineno) if s_iri is not None
+                       else bnode(s_bnode[2:]))
+            predicate = written.get(p_iri) or iri(p_iri, lineno)
             if o_iri is not None:
-                obj: Term = cache.iri(o_iri, lineno)
+                obj: Term = written.get(o_iri) or iri(o_iri, lineno)
             elif o_bnode is not None:
-                obj = cache.bnode(o_bnode[2:])
+                obj = bnode(o_bnode[2:])
             else:
                 lex = _unescape(o_lex, lineno, allow_echar=True) if "\\" in o_lex else o_lex
-                dt = cache.iri(o_dt, lineno) if o_dt is not None else None
+                dt = written.get(o_dt) or iri(o_dt, lineno) if o_dt is not None else None
                 obj = Literal(lex, datatype=dt, language=o_lang)
         except ParseError:
-            _diagnose_nt_terms(m, lineno)
+            _diagnose_nt_terms(_NT_LINE_RE.match(text[start:end]), lineno)
             raise
-        triples.append(Triple(subject, predicate, obj))
+        append(Triple(subject, predicate, obj))
     return make_dataset(dataset_id, triples)
 
 
@@ -259,14 +283,30 @@ _LITERAL_ESCAPES = {i: "\\u%04X" % i for i in range(0x20)} | {
 _IRI_ESCAPES = {i: "\\u%04X" % i for i in [*range(0x21), *map(ord, _IRI_EXCLUDED + "\\")]}
 
 
+def _escaped_chars(table: dict[int, str]) -> re.Pattern:
+    """One character class of the characters ``table`` maps. Few texts hold
+    any of them, and a search for one is much cheaper than ``str.translate``."""
+    return re.compile("[" + "".join(re.escape(chr(c)) for c in table) + "]")
+
+
+_LITERAL_ESCAPED = _escaped_chars(_LITERAL_ESCAPES)
+_IRI_ESCAPED = _escaped_chars(_IRI_ESCAPES)
+
+
+def _iri_ntriples(text: str) -> str:
+    return "<" + (text.translate(_IRI_ESCAPES) if _IRI_ESCAPED.search(text) else text) + ">"
+
+
 def term_to_ntriples(term: Term) -> str:
     if isinstance(term, Iri):
-        return "<" + term.text.translate(_IRI_ESCAPES) + ">"
+        return _iri_ntriples(term.text)
     if isinstance(term, BlankNode):
         return "_:" + term.label
-    lex = term.lexical.translate(_LITERAL_ESCAPES)
+    lex = term.lexical
+    if _LITERAL_ESCAPED.search(lex):
+        lex = lex.translate(_LITERAL_ESCAPES)
     if term.datatype is not None:
-        return f'"{lex}"^^<{term.datatype.text.translate(_IRI_ESCAPES)}>'
+        return f'"{lex}"^^{_iri_ntriples(term.datatype.text)}'
     if term.language is not None:
         return f'"{lex}"@{term.language}'
     return f'"{lex}"'
@@ -277,12 +317,15 @@ def triple_to_ntriples(t: Triple) -> str:
 
 
 def serialize_dataset(dataset: Dataset) -> bytes:
-    """Serialize to canonical N-Triples (the only output syntax)."""
+    """Serialize to canonical N-Triples (the only output syntax).
+
+    The lines go straight into one joined text, which is then encoded; no
+    list of lines is kept. A term is escaped only where the check of its
+    table finds a character to escape; all other text is written as it is.
+    """
     if not dataset.triples:
         return b""
-    lines = [triple_to_ntriples(t) for t in dataset.triples]
-    lines.append("")
-    return "\n".join(lines).encode("utf-8")
+    return ("\n".join(map(triple_to_ntriples, dataset.triples)) + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +624,9 @@ def parse_turtle(text: str, dataset_id: str = "") -> Dataset:
 # Front door
 
 
-def parse_dataset(data: bytes | str, fmt: str = FORMAT_NTRIPLES,
-                  dataset_id: str = "") -> Dataset:
-    """Parse ``data`` in the given format ("ntriples" or "turtle")."""
+def _decode(data: bytes | str) -> str:
+    """The text of a document: ``data`` decoded as UTF-8, less a leading byte
+    order mark. A byte that does not decode is a ParseError at its place."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
@@ -591,8 +634,10 @@ def parse_dataset(data: bytes | str, fmt: str = FORMAT_NTRIPLES,
         before = data[:exc.start].decode("utf-8-sig")
         raise ParseError(before.count("\n") + 1, len(before) - before.rfind("\n"),
                          f"invalid UTF-8 byte 0x{data[exc.start]:02X}") from None
-    if text.startswith("﻿"):
-        text = text[1:]
+    return text[1:] if text.startswith("\ufeff") else text
+
+
+def _parse_text(text: str, fmt: str, dataset_id: str) -> Dataset:
     if fmt == FORMAT_NTRIPLES:
         return parse_ntriples(text, dataset_id)
     if fmt == FORMAT_TURTLE:
@@ -600,14 +645,24 @@ def parse_dataset(data: bytes | str, fmt: str = FORMAT_NTRIPLES,
     raise ValueError(f"unknown format: {fmt!r}")
 
 
+def parse_dataset(data: bytes | str, fmt: str = FORMAT_NTRIPLES,
+                  dataset_id: str = "") -> Dataset:
+    """Parse ``data`` in the given format ("ntriples" or "turtle")."""
+    return _parse_text(_decode(data), fmt, dataset_id)
+
+
 def guess_format(path: Path) -> str:
     return FORMAT_TURTLE if path.suffix.lower() in (".ttl", ".turtle") else FORMAT_NTRIPLES
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """Parse the file at ``path`` in the format its suffix names; its id is the file stem."""
+    """Parse the file at ``path`` in the format its suffix names; its id is the file stem.
+
+    The file's bytes are an argument of the decode step alone, so they are
+    freed when it returns, before the parse builds its first triple.
+    """
     path = Path(path)
-    return parse_dataset(path.read_bytes(), guess_format(path), path.stem)
+    return _parse_text(_decode(path.read_bytes()), guess_format(path), path.stem)
 
 
 def merge_datasets(primary: Dataset, extra: Dataset) -> Dataset:

@@ -214,7 +214,9 @@ def _ymd_ok(year: str, month: str, day: str) -> bool:
     m, d = int(month), int(day)
     if not 1 <= m <= 12:
         return False
-    y = int(year)
+    # the leap rule reads the year mod 400, and 10000 is 0 mod 400, so the
+    # last four digits decide it for a year of any length
+    y = int(year[-4:])
     leap = y % 4 == 0 and (y % 100 != 0 or y % 400 == 0)
     limit = 29 if (m == 2 and leap) else _MONTH_DAYS[m - 1]
     return 1 <= d <= limit

@@ -38,11 +38,19 @@ def report_to_dict(report: MetricReport) -> dict:
 @contextmanager
 def malformed(what: str):
     """Raise the errors that reading a wrongly shaped JSON ``what`` causes,
-    a missing key or a value of the wrong type, as ValueError."""
+    a missing key, a value of the wrong type or nesting too deep for the
+    decoder, as ValueError."""
     try:
         yield
-    except (AttributeError, KeyError, OverflowError, TypeError) as exc:
+    except (AttributeError, KeyError, OverflowError, RecursionError, TypeError) as exc:
         raise ValueError(f"malformed {what}: {type(exc).__name__}: {exc}") from None
+
+
+def read_json(path, what: str):
+    """The JSON value in the file at ``path``, a ``what``; nesting too deep
+    for the decoder makes it a malformed one."""
+    with open(path, encoding="utf-8") as fh, malformed(what):
+        return json.load(fh)
 
 
 def typed(value, *kinds: type):
@@ -89,8 +97,7 @@ def report_to_json(report: MetricReport) -> str:
 
 
 def load_report(path) -> MetricReport:
-    with open(path, encoding="utf-8") as fh:
-        return report_from_dict(json.load(fh))
+    return report_from_dict(read_json(path, "report"))
 
 
 def report_to_csv(report: MetricReport) -> str:

@@ -112,6 +112,30 @@ def test_invalid_utf8_exits_1_without_traceback(tmp_path, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.nt", "plan.json"]
 
 
+@pytest.mark.parametrize("datatype, time", [("date", ""), ("dateTime", "T12:00:00")])
+def test_assess_reads_a_5000_digit_year_by_its_last_four_digits(tmp_path, datatype, time):
+    xsd = "http://www.w3.org/2001/XMLSchema#"
+    schema = (f"<http://e/p> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+              f"<http://www.w3.org/2002/07/owl#DatatypeProperty> .\n"
+              f"<http://e/p> <http://www.w3.org/2000/01/rdf-schema#range> <{xsd}{datatype}> .\n")
+    reports = []
+    for head in ("", "1" + "0" * 4995):
+        doc = tmp_path / f"years{len(head)}.nt"
+        doc.write_text(schema + "".join(
+            f'<http://e/s{i}> <http://e/p> "{head}{year}-{day}{time}"^^<{xsd}{datatype}> .\n'
+            for i, (year, day) in enumerate((y, d) for y in ("2000", "1900", "2024", "2023")
+                                            for d in ("02-29", "02-28", "04-31", "13-01"))))
+        out = tmp_path / f"{doc.stem}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "rdfqa", "assess", str(doc), "--format", "json", "-o", str(out)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        reports.append(json.loads(out.read_text())["metrics"]["M2"])
+    assert reports[0]["numerator"] == 10  # 04-31, 13-01, and 02-29 of 1900 and 2023
+    assert reports[1] == reports[0]
+
+
 def test_assess_unknown_metric_is_usage_error(capsys):
     assert run_cli(["assess", FAMILY, "--metrics", "M99"]) == 2
 
@@ -435,6 +459,9 @@ def test_contaminate_bad_plan_exits_1(tmp_path, capsys):
     ("correlate", '{"flags": [1], "metrics": {}}'),
     ("compare --manifest", '{"seed": 1, "warnings": "abc"}'),
     ("compare --manifest", '{"seed": 1, "warnings": [null]}'),
+    # nesting too deep for the JSON decoder
+    *(pytest.param(command, "[" * 100_000, id=f"{command}-nested")
+      for command in ("contaminate", "compare --manifest", "compare", "correlate")),
 ])
 def test_malformed_plan_manifest_or_report_exits_1_without_traceback(tmp_path, command, bad):
     good = tmp_path / "good.json"

@@ -14,7 +14,7 @@ from hypothesis import example, given, strategies as st
 from rdfqa import (Dataset, ParseError, assess, contaminate, load_dataset, parse_dataset,
                    serialize_dataset)
 from rdfqa.cli import main
-from rdfqa.contaminate import load_plan, manifest_to_dict, plan_to_dict
+from rdfqa.contaminate import load_plan, manifest_to_dict
 from rdfqa.core.parsing import parse_ntriples, parse_turtle
 from rdfqa.fixtures import fixture_path
 from rdfqa.metrics import Dictionary
@@ -142,7 +142,8 @@ _ZOO = str(fixture_path("zoo_clean.nt"))
 _ZOO_PLAN = load_plan(fixture_path("plans/zoo_clean.json"))
 _WORDS = Dictionary(id="none", words=frozenset())
 _VALID = {
-    "plan": plan_to_dict(_ZOO_PLAN),
+    "plan": {"seed": _ZOO_PLAN.seed,
+             "intensities": {h.value: n for h, n in _ZOO_PLAN.intensities.items()}},
     "manifest": manifest_to_dict(contaminate(load_dataset(_ZOO), _ZOO_PLAN, _WORDS)[1]),
     "report": report_to_dict(assess(load_dataset(_ZOO), _WORDS)),
 }

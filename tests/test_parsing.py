@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from rdfqa import (
@@ -12,6 +14,7 @@ from rdfqa import (
     serialize_dataset,
 )
 from rdfqa.core.model import RDF_TYPE, XSD_INTEGER, is_declaration_triple, make_dataset
+from rdfqa.core.parsing import _IRI_ESCAPED, _IRI_ESCAPES, _LITERAL_ESCAPED, _LITERAL_ESCAPES
 from rdfqa.fixtures import fixture_path
 
 EX = "http://example.org/t#"
@@ -264,3 +267,67 @@ def test_crlf_line_endings_still_parse():
     text = "<http://e/s> <http://e/p> \"a\" .\r\n<http://e/s> <http://e/p> <http://e/o> .\r\n"
     assert parse_dataset(text, "ntriples").triples == parse_dataset(text, "turtle").triples
     assert len(parse_dataset(text, "ntriples").triples) == 2
+
+
+_S, _P, _O = "<http://e/s>", "<http://e/p>", "<http://e/o>"
+_SPO = f"{_S} {_P} {_O} .\n".encode()
+
+
+@pytest.mark.parametrize("data, expected", [
+    # line endings: CRLF, a lone final CR, no final newline
+    (f'{_S} {_P} "a" .\r\n{_S} {_P} {_O} .\r\n', f'{_S} {_P} "a" .\n'.encode() + _SPO),
+    (f"{_S} {_P} {_O} .\r", _SPO),
+    (f"{_S} {_P} {_O} .", _SPO),
+    (f"{_S} {_P} {_O} .\n\r", _SPO),
+    # blank and comment lines that end in CR; only one CR goes with the newline
+    (f"\r\n# c\r\n \t\r\n{_S} {_P} {_O} . # c\r\n", _SPO),
+    (f"# c\r\r\n{_S} {_P} {_O} .\n", _SPO),
+    (f"{_S} {_P} {_O} .\r\r\n", (1, 41, "trailing content after '.'")),
+    (f"\r\r\n{_S} {_P} {_O} .\n", (1, 1, "unexpected character '\\r'")),
+    (f"{_S} {_P} {_O}\r.\n", (1, 39, "expected '.' at end of triple")),
+    # a bad line after CRLF lines is located on its own line
+    (f'{_S} {_P} {_O} .\r\n{_S} {_P} "a" .\r\n{_S} {_P} "x .\r\n',
+     (3, 27, "unterminated string literal")),
+    (f"{_S} {_P} {_O} .\r\n\r\n{_S} <rel> {_O} .\r\n", (3, 14, "IRI is not absolute: <rel>")),
+    (f"{_S} {_P} {_O} .\r\n{_S} {_P} <http://e/\\u00ZZ> .\r\n", (2, 37, "bad \\u escape")),
+    # a byte order mark, as bytes and as text
+    (b"\xef\xbb\xbf" + _SPO, _SPO),
+    ("\ufeff" + _SPO.decode(), _SPO),
+    # \u005C is a backslash: <http://e/\u005Cu0061> is http://e/\u0061, not http://e/a
+    (f"<http://e/\\u005Cu0061> {_P} <http://e/\\u0061> .\n<http://e/a> {_P} <http://e/\\u0061> .\n",
+     f"<http://e/\\u005Cu0061> {_P} <http://e/a> .\n<http://e/a> {_P} <http://e/a> .\n".encode()),
+])
+def test_ntriples_lines_parse_or_fail_in_place(data, expected):
+    if isinstance(expected, tuple):
+        with pytest.raises(ParseError) as err:
+            parse_dataset(data, "ntriples")
+        assert (err.value.line, err.value.column, err.value.message) == expected
+    else:
+        assert serialize_dataset(parse_dataset(data, "ntriples")) == expected
+
+
+@pytest.mark.parametrize("check, table", [(_IRI_ESCAPED, _IRI_ESCAPES),
+                                          (_LITERAL_ESCAPED, _LITERAL_ESCAPES)])
+def test_escape_checks_find_exactly_the_characters_their_table_escapes(check, table):
+    scalars = "".join(chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF)
+    assert set(map(ord, check.findall(scalars))) == set(table)
+
+
+def test_every_escaped_character_round_trips_in_the_bytes_written_before():
+    lit = "".join(map(chr, range(0x20))) + '\\"'
+    iri_chars = [*map(chr, range(0x21)), *'<>"{}|^`\\']
+    p = Iri("http://e/p")
+    triples = [Triple(Iri(f"http://e/{c}x"), p, Literal(f"a{c}b")) for c in lit]
+    triples += [Triple(Iri("http://e/s"), Iri(f"http://e/p{c}"), Iri(f"http://e/o{c}"))
+                for c in iri_chars]
+    b = BlankNode("b")
+    triples += [Triple(b, p, Literal(lit, datatype=Iri("http://e/dt" + "".join(iri_chars)))),
+                Triple(b, p, Literal(lit, language="en-GB")),
+                # nothing to escape: written as it is
+                Triple(b, p, Literal("\u00e9\u2028\U0010FFFF plain", datatype=XSD_INTEGER))]
+    ds = make_dataset("w", triples)
+    out = serialize_dataset(ds)
+    assert parse_dataset(out, "ntriples", "w") == ds
+    # the bytes the writer gave when it escaped every term with str.translate
+    assert hashlib.sha256(out).hexdigest() == (
+        "875c86b1e0e01db246b1013d3b88a87ffa79eb3f1db24b82aeeeb51f918adc88")

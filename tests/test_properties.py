@@ -136,7 +136,7 @@ def _recheck(ds, schema, instances, mid, offender):
             class_ranges = {r for r in ranges if r in schema.classes}
             asserted = instances.classes_of.get(t.object, frozenset())
             return bool(class_ranges) and bool(asserted) and not any(
-                c in class_ranges or class_ranges & schema.superclasses(c)
+                c in class_ranges or class_ranges & schema.ancestors.get(c, frozenset())
                 for c in asserted)
         dts = [r for r in ranges if r in CHECKABLE_DATATYPES]
         return bool(dts) and isinstance(t.object, Literal) and not any(
