@@ -36,6 +36,7 @@ import json
 import string
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping
@@ -480,7 +481,7 @@ class _Contaminator:
             if not members_a:
                 continue
             for b in classes[i + 1:]:
-                if frozenset((a, b)) in schema.disjoint_pairs:
+                if schema.disjoint(a, b):
                     continue
                 members_b = members_of.get(b)
                 if members_b and members_a & members_b:
@@ -492,9 +493,10 @@ class _Contaminator:
 
     def h9_disjoint_instances(self, n: int):
         schema = self.log.schema()
-        pairs = sorted((tuple(sorted(p, key=lambda c: c.text))
-                        for p in schema.disjoint_pairs),
-                       key=lambda pair: (pair[0].text, pair[1].text))
+        # every class in a disjoint pair is declared disjoint or has ancestors
+        related = sorted(schema.ancestors.keys() | schema.disjoint_with.keys(),
+                         key=lambda c: c.text)
+        pairs = [pair for pair in combinations(related, 2) if schema.disjoint(*pair)]
         done, why = self._capped(n) if pairs else (0, "no disjoint class pairs available")
         for _ in range(done):
             a, b = self.rng.choice(pairs)

@@ -1,11 +1,11 @@
 """Schema and instance indices over a parsed dataset.
 
 The schema index holds what the document *declares* (classes, properties and
-their kinds, domain/range axioms, functional/inverse-functional markers,
-disjointness closed under symmetry and subclass descent). The instance index
-holds what the document *uses* (instance/class memberships and per-predicate
-triple counts). Keeping declaration and usage apart is what lets the
-undefined-terms metric compare the two. Both builders read only their own
+their kinds, domain/range axioms, functional/inverse-functional markers, the
+declared disjoint pairs; ``SchemaIndex.disjoint`` derives the rest). The
+instance index holds what the document *uses* (instance/class memberships and
+per-predicate triple counts). Keeping declaration and usage apart is what lets
+the undefined-terms metric compare the two. Both builders read only their own
 predicates through ``Dataset.of``, and ``predicate_counts`` is read off the
 same by-predicate view rather than counted in a scan of its own.
 """
@@ -47,8 +47,8 @@ class SchemaIndex:
     """Declared vocabulary of a dataset. Treat all fields as immutable.
 
     Subclass links are kept only in their transitive closure, ``ancestors``;
-    every subclass test goes through it. IRIs under ``BUILTIN_NAMESPACES``
-    never enter ``classes``.
+    disjointness only as declared, in ``disjoint_with``, and ``disjoint``
+    derives the rest. IRIs under ``BUILTIN_NAMESPACES`` never enter ``classes``.
     """
 
     classes: frozenset[Iri]
@@ -58,13 +58,29 @@ class SchemaIndex:
     xsd_ranges: Mapping[Iri, frozenset[Iri]]
     functional: frozenset[Iri]
     inverse_functional: frozenset[Iri]
-    disjoint_pairs: frozenset[frozenset[Iri]]
+    #: per class, its ``owl:disjointWith``/``owl:complementOf`` partners, both ways
+    disjoint_with: Mapping[Iri, frozenset[Iri]]
     #: transitive superclasses per subclass subject (may include the class
     #: itself when the declared hierarchy is cyclic)
     ancestors: Mapping[Iri, frozenset[Iri]]
 
     def is_transitive_subclass(self, child: Iri, parent: Iri) -> bool:
         return parent in self.ancestors.get(child, frozenset())
+
+    def disjoint(self, a: Iri, b: Iri) -> bool:
+        """Whether ``a != b`` and some class among ``a`` and its ancestors is
+        declared disjoint with some class among ``b`` and its ancestors."""
+        if a == b:
+            return False
+        declared, up_a = self.disjoint_with, self.ancestors.get(a, frozenset())
+        if len(up_a) > len(declared):  # visit only the declared ancestors
+            up_a = up_a.intersection(declared)
+        up_b = self.ancestors.get(b, frozenset())
+        for x in (a, *up_a):
+            partners = declared.get(x)
+            if partners and (b in partners or not partners.isdisjoint(up_b)):
+                return True
+        return False
 
 
 @dataclass(frozen=True)
@@ -73,10 +89,10 @@ class InstanceIndex:
 
     An instance is an IRI subject of an ``rdf:type`` triple whose object is
     an IRI outside ``BUILTIN_NAMESPACES``; ``classes_of`` and ``members_of``
-    are the two directions of that membership.
+    are the two directions of that membership (the instances are the keys of
+    ``classes_of``).
     """
 
-    instances: frozenset[Iri]
     classes_of: Mapping[Iri, frozenset[Iri]]
     members_of: Mapping[Iri, frozenset[Iri]]
     #: number of triples per predicate, covering every triple
@@ -106,7 +122,7 @@ def build_schema_index(dataset: Dataset) -> SchemaIndex:
     classes: set[Iri] = set()
     prop_types: dict[Iri, set[Iri]] = {}
     range_of: dict[Iri, set[Iri]] = {}
-    declared_disjoint: set[frozenset[Iri]] = set()
+    disjoint_with: dict[Iri, set[Iri]] = {}
     subclass_of: dict[Iri, set[Iri]] = {}
     # first-mention document order, so downstream iteration is deterministic
     prop_order: dict[Iri, None] = {}
@@ -136,7 +152,8 @@ def build_schema_index(dataset: Dataset) -> SchemaIndex:
             if isinstance(t.subject, Iri) and isinstance(t.object, Iri):
                 note_class(t.subject)
                 if t.subject != t.object:
-                    declared_disjoint.add(frozenset((t.subject, t.object)))
+                    disjoint_with.setdefault(t.subject, set()).add(t.object)
+                    disjoint_with.setdefault(t.object, set()).add(t.subject)
         elif p == RDFS_DOMAIN:
             if isinstance(t.subject, Iri):
                 prop_order.setdefault(t.subject)
@@ -175,25 +192,6 @@ def build_schema_index(dataset: Dataset) -> SchemaIndex:
     inverse_functional = frozenset(p for p, types in prop_types.items()
                                    if OWL_INVERSE_FUNCTIONAL_PROPERTY in types)
 
-    ancestors = _transitive_parents(subclass_of)
-
-    # Disjointness propagates down the class hierarchy: if A and B are
-    # disjoint, every (transitive) subclass of A is disjoint with B and with
-    # every subclass of B.
-    descendants: dict[Iri, set[Iri]] = {}
-    for child, parents in ancestors.items():
-        for parent in parents:
-            descendants.setdefault(parent, set()).add(child)
-    disjoint_pairs: set[frozenset[Iri]] = set()
-    for pair in declared_disjoint:
-        a, b = tuple(pair)
-        left = {a} | descendants.get(a, set())
-        right = {b} | descendants.get(b, set())
-        for x in left:
-            for y in right:
-                if x != y:
-                    disjoint_pairs.add(frozenset((x, y)))
-
     return SchemaIndex(
         classes=frozenset(classes),
         properties=properties,
@@ -201,8 +199,8 @@ def build_schema_index(dataset: Dataset) -> SchemaIndex:
         xsd_ranges=xsd_ranges,
         functional=functional,
         inverse_functional=inverse_functional,
-        disjoint_pairs=frozenset(disjoint_pairs),
-        ancestors=ancestors,
+        disjoint_with={c: frozenset(v) for c, v in disjoint_with.items()},
+        ancestors=_transitive_parents(subclass_of),
     )
 
 
@@ -222,7 +220,6 @@ def build_instance_index(dataset: Dataset) -> InstanceIndex:
             members_of.setdefault(t.object, set()).add(t.subject)
 
     return InstanceIndex(
-        instances=frozenset(classes_of),
         classes_of={i: frozenset(v) for i, v in classes_of.items()},
         members_of={c: frozenset(v) for c, v in members_of.items()},
         predicate_counts={p: len(ix) for p, ix in dataset.by_predicate.items()},

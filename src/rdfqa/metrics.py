@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from itertools import combinations
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -372,21 +373,20 @@ def m4_undefined_terms(dataset: Dataset, schema: SchemaIndex) -> MetricValue:
 
 
 def m5_disjoint_membership(schema: SchemaIndex, instances: InstanceIndex) -> MetricValue:
-    """Instances asserted into two classes declared (or derived) disjoint.
+    """Instances asserted into two disjoint classes.
 
-    Each instance counts once no matter how many disjoint pairs it violates.
+    Two classes are disjoint when ``SchemaIndex.disjoint`` says so: declared
+    disjoint, or under two classes that are. Each instance counts once no
+    matter how many disjoint pairs it violates, and each distinct set of
+    asserted classes is decided once.
     """
-    offenders = []
-    if schema.disjoint_pairs:
-        # an instance of a single class cannot violate a disjoint pair
-        candidates = [i for i, classes in instances.classes_of.items() if len(classes) > 1]
-        for inst in sorted(candidates, key=lambda i: i.text):
-            asserted = sorted(instances.classes_of[inst], key=lambda c: c.text)
-            if any(frozenset((a, b)) in schema.disjoint_pairs
-                   for i, a in enumerate(asserted) for b in asserted[i + 1:]):
-                offenders.append(inst.text)
+    # an instance of a single class cannot violate a disjoint pair
+    flagged = {classes for classes in set(instances.classes_of.values()) if len(classes) > 1
+               and any(schema.disjoint(a, b) for a, b in combinations(classes, 2))}
+    offenders = sorted(i.text for i, classes in instances.classes_of.items()
+                       if classes in flagged)
     return _ratio_value(MetricId.DISJOINT_MEMBERSHIP, len(offenders),
-                        len(instances.instances), offenders)
+                        len(instances.classes_of), offenders)
 
 
 def _term_type_key(term):
@@ -523,7 +523,7 @@ def assess(dataset: Dataset, dictionary: Dictionary | None = None,
         dataset_id=dataset.id,
         counts=ReportCounts(
             triples=len(dataset.triples),
-            instances=len(instances.instances),
+            instances=len(instances.classes_of),
             classes=len(schema.classes),
             properties=len(schema.properties),
         ),

@@ -245,6 +245,30 @@ def build_scale_document(n_triples=400_000):
     return "\n".join(lines).encode()
 
 
+def build_wide_document(n_subclasses):
+    """Two disjoint classes ``A`` and ``B`` with ``n_subclasses`` direct
+    subclasses each (``a1``.. and ``b1``..). Instance ``x`` sits in ``a1`` and
+    ``b2``, the one disjoint membership; instance ``y{i}`` sits in ``a{i}``
+    and ``a{i+1}`` for the first five ``i``, so those classes share members."""
+    ex = "http://example.org/wide#"
+    rdf = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+    rdfs = "http://www.w3.org/2000/01/rdf-schema#"
+    owl = "http://www.w3.org/2002/07/owl#"
+    lines = [f"<{ex}A> <{rdf}type> <{owl}Class> .",
+             f"<{ex}B> <{rdf}type> <{owl}Class> .",
+             f"<{ex}A> <{owl}disjointWith> <{ex}B> ."]
+    for i in range(1, n_subclasses + 1):
+        lines.append(f"<{ex}a{i}> <{rdfs}subClassOf> <{ex}A> .")
+        lines.append(f"<{ex}b{i}> <{rdfs}subClassOf> <{ex}B> .")
+    lines.append(f"<{ex}x> <{rdf}type> <{ex}a1> .")
+    lines.append(f"<{ex}x> <{rdf}type> <{ex}b2> .")
+    for i in range(1, min(5, n_subclasses - 1) + 1):
+        lines.append(f"<{ex}y{i}> <{rdf}type> <{ex}a{i}> .")
+        lines.append(f"<{ex}y{i}> <{rdf}type> <{ex}a{i + 1}> .")
+    lines.append("")
+    return "\n".join(lines).encode()
+
+
 def test_c7_scale_400k_triples(words):
     blob = build_scale_document()
     start = time.perf_counter()

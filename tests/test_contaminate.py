@@ -36,7 +36,7 @@ from rdfqa.core.model import (
 from rdfqa.core.parsing import parse_dataset, triple_to_ntriples
 from rdfqa.fixtures import fixture_path
 
-from .test_acceptance import build_scale_document
+from .test_acceptance import build_scale_document, build_wide_document
 
 SEED = 424242
 
@@ -292,6 +292,26 @@ def test_each_heuristic_alone_matches_recorded_digests(scale_30k, family, words,
     assert _digests(scale_30k, plan, words) == SCALE_30K_SINGLE_DIGESTS[h.value]
     plan = ContaminationPlan({h: 1000}, 0, family.id)
     assert _digests(family, plan, words) == FAMILY_1000_SINGLE_DIGESTS[h.value]
+
+
+# sha256 of the serialized output and of the manifest JSON for H8, H9 and
+# H14 at 3 on a 20-subclass wide document, recorded while the schema index
+# still stored every derived disjoint pair; H9 draws from the sorted pair
+# list, so these pin its order on a schema where disjointness is inherited
+WIDE_20_DIGESTS = {
+    0: ("8e930a28d5610642a82d45aac870bf5de257ac18624374e84b40a507e9cb86dc",
+        "de70e80743b38fad7f0366cc445d4830987986ea27ce200ee284e121c50fbd0c"),
+    1: ("4532541b3f2d46141ae1dba251578e595ec7db4dc6ef9ca565c49f099ae7d817",
+        "6133f9036370c98eb2ff8c524f15de8b40538433babfb60a2b57813845523c42"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(WIDE_20_DIGESTS))
+def test_disjointness_heuristics_on_wide_document_match_recorded_digests(words, seed):
+    wide = parse_dataset(build_wide_document(20), "ntriples", "wide")
+    plan = ContaminationPlan({HeuristicId.H8: 3, HeuristicId.H9: 3, HeuristicId.H14: 3},
+                             seed, wide.id)
+    assert _digests(wide, plan, words) == WIDE_20_DIGESTS[seed]
 
 
 def test_bundled_dirty_fixture_regenerates(zoo, words):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 from rdfqa import (
     Iri,
     PropertyKind,
@@ -5,6 +7,7 @@ from rdfqa import (
     build_instance_index,
     build_schema_index,
     make_dataset,
+    parse_dataset,
 )
 from rdfqa.core.model import (
     OWL_CLASS,
@@ -14,6 +17,9 @@ from rdfqa.core.model import (
     RDFS_RANGE,
     RDFS_SUBCLASSOF,
 )
+from rdfqa.metrics import m5_disjoint_membership
+
+from .test_acceptance import build_wide_document
 
 EX = "http://example.org/x#"
 
@@ -37,7 +43,7 @@ def test_family_counts(family):
     assert kinds.count(PropertyKind.OBJECT) == 11
     assert kinds.count(PropertyKind.DATATYPE) == 6
     instances = build_instance_index(family)
-    assert len(instances.instances) == 7
+    assert len(instances.classes_of) == 7
 
 
 def test_disjoint_closure_propagates_to_subclasses():
@@ -47,14 +53,22 @@ def test_disjoint_closure_propagates_to_subclasses():
         Triple(c, RDFS_SUBCLASSOF, a),
     ])
     schema = build_schema_index(ds)
-    assert schema.disjoint_pairs == frozenset({frozenset({a, b}), frozenset({c, b})})
+    assert schema.disjoint_with == {a: frozenset({b}), b: frozenset({a})}
+    for x, y in ((a, b), (c, b)):
+        assert schema.disjoint(x, y) and schema.disjoint(y, x)
+    assert not schema.disjoint(a, a)
+    assert not schema.disjoint(a, c) and not schema.disjoint(c, a)
 
 
 def test_complement_counts_as_disjoint():
-    a, b = iri("A"), iri("B")
-    ds = make_dataset("cp", [Triple(a, Iri("http://www.w3.org/2002/07/owl#complementOf"), b)])
+    a, b, c = iri("A"), iri("B"), iri("C")
+    ds = make_dataset("cp", [Triple(a, Iri("http://www.w3.org/2002/07/owl#complementOf"), b),
+                             Triple(c, RDFS_SUBCLASSOF, a)])
     schema = build_schema_index(ds)
-    assert frozenset({a, b}) in schema.disjoint_pairs
+    assert schema.disjoint(a, b) and schema.disjoint(b, a)
+    assert schema.disjoint(c, b) and schema.disjoint(b, c)
+    assert not schema.disjoint(a, a)
+    assert not schema.disjoint(a, c) and not schema.disjoint(c, a)
     assert a in schema.classes
 
 
@@ -95,20 +109,20 @@ def test_instance_set_semantics():
     ])
     idx = build_instance_index(ds)
     assert idx.classes_of[x] == frozenset({c, d})
-    assert idx.instances == frozenset({x})
+    assert idx.classes_of.keys() == {x}
     assert idx.members_of[c] == frozenset({x})
 
 
 def test_zero_type_triples_means_no_instances():
     ds = make_dataset("u", [Triple(iri("a"), iri("p"), iri("b"))])
-    assert build_instance_index(ds).instances == frozenset()
+    assert not build_instance_index(ds).classes_of
 
 
 def test_builtin_exclusion(family, zoo):
     for ds in (family, zoo):
         schema = build_schema_index(ds)
         instances = build_instance_index(ds)
-        for c in schema.classes | instances.instances:
+        for c in schema.classes | instances.classes_of.keys():
             assert not c.text.startswith((
                 "http://www.w3.org/1999/02/22-rdf-syntax-ns#",
                 "http://www.w3.org/2000/01/rdf-schema#",
@@ -130,3 +144,20 @@ def test_membership_maps_are_mutual_inverses(family):
 def test_predicate_groups_cover_every_triple(family):
     idx = build_instance_index(family)
     assert sum(idx.predicate_counts.values()) == len(family.triples)
+
+
+def test_wide_hierarchy_keeps_only_the_declared_pair():
+    # 300 subclasses under each of two disjoint classes: the index holds the
+    # one declared pair, not the 90k pairs it implies; 2 MB is about five
+    # times the measured peak
+    ds = parse_dataset(build_wide_document(300), "ntriples", "wide")
+    tracemalloc.start()
+    try:
+        schema = build_schema_index(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert sum(map(len, schema.disjoint_with.values())) == 2
+    mv = m5_disjoint_membership(schema, build_instance_index(ds))
+    assert mv.offenders == ("http://example.org/wide#x",)

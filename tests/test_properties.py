@@ -1,6 +1,7 @@
 """Invariant checks over seeded random datasets."""
 
 import dataclasses
+from itertools import combinations
 from random import Random
 
 from rdfqa import (
@@ -21,7 +22,8 @@ from rdfqa import (
 )
 from rdfqa.contaminate import Edit, EditAction, EditLog, manifest_to_json
 from rdfqa.core.indexing import PropertyKind
-from rdfqa.core.model import (AXIOM_PREDICATES, RDF_TYPE, RDFS_DOMAIN, XSD_NS, Triple,
+from rdfqa.core.model import (AXIOM_PREDICATES, OWL_COMPLEMENT_OF, OWL_DISJOINT_WITH,
+                              RDF_TYPE, RDFS_DOMAIN, RDFS_SUBCLASSOF, XSD_NS, Triple,
                               is_builtin, is_declaration_triple, make_dataset)
 from rdfqa.metrics import (
     CHECKABLE_DATATYPES,
@@ -34,6 +36,7 @@ from rdfqa.metrics import (
 from rdfqa.reporting import report_from_dict, report_to_dict
 
 from .datagen import DICT_WORDS, make_random_dataset
+from .oracle import _disjoint_pairs
 
 WORDS = Dictionary(id="gen", words=DICT_WORDS)
 RUNS = 150
@@ -73,9 +76,8 @@ def test_index_consistency():
         for inst, classes in idx.classes_of.items():
             for c in classes:
                 assert inst in idx.members_of[c]
-        assert idx.instances == frozenset(idx.classes_of)
         schema = build_schema_index(ds)
-        for c in schema.classes | idx.instances:
+        for c in schema.classes | idx.classes_of.keys():
             assert not is_builtin(c)
         assert schema.functional <= set(schema.properties)
         assert schema.inverse_functional <= set(schema.properties)
@@ -93,7 +95,7 @@ def test_zero_scale_invariance():
             assert report.metrics[MetricId.FUNCTIONAL_CONFLICTS].value == 0.0
         if not schema.inverse_functional:
             assert report.metrics[MetricId.INVERSE_FUNCTIONAL_CONFLICTS].value == 0.0
-        if not schema.disjoint_pairs:
+        if not schema.disjoint_with:
             assert report.metrics[MetricId.DISJOINT_MEMBERSHIP].value == 0.0
 
 
@@ -115,9 +117,8 @@ def _recheck(ds, schema, instances, mid, offender):
             t.predicate == prop for t in triples)
     if mid is MetricId.DISJOINT_MEMBERSHIP:
         inst = Iri(offender)
-        classes = sorted(instances.classes_of[inst], key=lambda c: c.text)
-        return any(frozenset((a, b)) in schema.disjoint_pairs
-                   for i, a in enumerate(classes) for b in classes[i + 1:])
+        return any(schema.disjoint(a, b)
+                   for a, b in combinations(instances.classes_of[inst], 2))
     if mid is MetricId.SIMILAR_CLASSES:
         cls = Iri(offender)
         members = instances.members_of.get(cls)
@@ -232,6 +233,23 @@ def test_contamination_replay_on_random_datasets():
             assert manifest.achieved.get(h, 0) <= requested
         for mv in assess(dirty, WORDS).metrics.values():
             assert 0.0 <= mv.value <= 1.0
+
+
+def test_disjoint_matches_the_oracle_pair_set():
+    # the rule over declared partners and ancestors decides every pair of
+    # hierarchy IRIs as the oracle's closed pair set does, cycles included
+    hierarchy = (RDFS_SUBCLASSOF, OWL_DISJOINT_WITH, OWL_COMPLEMENT_OF)
+    derived = 0
+    for ds in datasets(114):
+        schema = build_schema_index(ds)
+        closed = _disjoint_pairs(ds.triples)
+        terms = {term for t in ds.triples if t.predicate in hierarchy
+                 for term in (t.subject, t.object) if isinstance(term, Iri)}
+        for x in terms:
+            for y in terms:
+                assert schema.disjoint(x, y) == (frozenset((x, y)) in closed), (ds.id, x, y)
+        derived += any(y not in schema.disjoint_with.get(x, ()) for x, y in map(tuple, closed))
+    assert derived >= 10  # enough datasets whose disjointness is inherited
 
 
 # -- the edit engine caches the schema index and drops it only after an edit
