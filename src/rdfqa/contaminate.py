@@ -36,7 +36,8 @@ import json
 import string
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
+from operator import itemgetter
 from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping
@@ -69,7 +70,7 @@ from .core.model import (
 )
 from .core.parsing import ParseError, parse_ntriples, triple_to_ntriples
 from .metrics import (CHECKABLE_DATATYPES, Dictionary, MetricId, alpha_tokens,
-                      checkable_text, default_dictionary, has_unknown_token,
+                      checkable_mask, default_dictionary, has_unknown_token,
                       improper_datatype)
 from .reporting import malformed, read_json, typed, typed_items
 
@@ -365,9 +366,10 @@ class _Contaminator:
         return f"contamvalue{self.value_counter}"
 
     def _spellable_candidates(self, schema):
-        return [t for t in self.log.current()
-                if (lex := checkable_text(t.object)) is not None
-                and not has_unknown_token(lex, self.dictionary)
+        current = self.log.current()
+        checkable = compress(current, checkable_mask(map(itemgetter(2), current)))
+        return [t for t in checkable
+                if not has_unknown_token(lex := t.object.lexical, self.dictionary)
                 and not _no_checkable_alpha(lex)
                 and _fake_target(schema, t.predicate) is None]
 

@@ -207,10 +207,14 @@ def parse_ntriples(text: str, dataset_id: str = "") -> Dataset:
     line, less one CR before its newline, is matched in place. An IRI that
     was written before is found by its text as written, without decoding it
     again. A line that fails is diagnosed from its own slice, so the error's
-    column counts from the line's first character.
+    column counts from the line's first character. Each literal and triple
+    is built by ``tuple.__new__``, past the checks of the classes' own
+    constructors: the line grammar admits no literal with both a datatype
+    and a language tag.
     """
     cache = _TermCache()
     written, iri, bnode = cache.written, cache.iri, cache.bnode
+    new = tuple.__new__
     match, find = _NT_LINE_RE.match, text.find
     triples = []
     append = triples.append
@@ -240,11 +244,11 @@ def parse_ntriples(text: str, dataset_id: str = "") -> Dataset:
             else:
                 lex = _unescape(o_lex, lineno, allow_echar=True) if "\\" in o_lex else o_lex
                 dt = written.get(o_dt) or iri(o_dt, lineno) if o_dt is not None else None
-                obj = Literal(lex, datatype=dt, language=o_lang)
+                obj = new(Literal, (2, lex, dt, o_lang))
         except ParseError:
             _diagnose_nt_terms(_NT_LINE_RE.match(text[start:end]), lineno)
             raise
-        append(Triple(subject, predicate, obj))
+        append(new(Triple, (subject, predicate, obj)))
     return make_dataset(dataset_id, triples)
 
 
@@ -396,8 +400,22 @@ def _tokenize_turtle(text: str) -> list[_Token]:
     return tokens
 
 
+class _OpenList:
+    """A predicate-object list being parsed: its subject, the predicate of
+    the objects being read, and the punctuation that closes it (``"]"``, or
+    ``None`` for a statement's list, which the statement's ``.`` ends)."""
+
+    __slots__ = ("subject", "predicate", "closer")
+
+    def __init__(self, subject: Term, predicate: Iri, closer: str | None):
+        self.subject = subject
+        self.predicate = predicate
+        self.closer = closer
+
+
 class _TurtleParser:
-    """Recursive-descent parser over the token stream.
+    """Descent parser over the token stream; nested objects are walked with
+    an explicit stack (``walk``), so nesting depth is bounded by memory only.
 
     Blank node labels written in the document are preserved; anonymous nodes
     get deterministic ``genidN`` labels (collision-checked against the
@@ -505,14 +523,11 @@ class _TurtleParser:
 
     def statement(self):
         if self.at("["):
-            subject = self.bnode_property_list()
+            subject = self.object_term()
             if not self.at("."):
                 self.predicate_object_list(subject)
-        elif self.at("("):
-            subject = self.collection()
-            self.predicate_object_list(subject)
         else:
-            subject = self.subject()
+            subject = self.object_term() if self.at("(") else self.subject()
             self.predicate_object_list(subject)
         self.expect_punct(".")
 
@@ -535,28 +550,72 @@ class _TurtleParser:
         return node
 
     def predicate_object_list(self, subject):
-        while True:
-            predicate = self.verb()
-            while True:
-                obj = self.object_term()
-                self.triples.append(Triple(subject, predicate, obj))
-                if self.at(","):
-                    self.next()
-                    continue
-                break
-            if self.at(";"):
-                while self.at(";"):
-                    self.next()
-                if self.at(".])") or self.peek().kind == "eof":
-                    return
-                continue
-            return
+        self.walk([_OpenList(subject, self.verb(), None)])
 
     def object_term(self) -> Term:
-        if self.at("["):
-            return self.bnode_property_list()
-        if self.at("("):
-            return self.collection()
+        return self.walk([])
+
+    def walk(self, stack: list) -> Term:
+        """Parse objects until no list is left open on ``stack``.
+
+        A blank node property list or a collection opens a list, and its
+        objects are parsed before the object it makes is handed to the list
+        below it. The open lists live on ``stack`` rather than on the call
+        stack, so nesting has no depth limit. Each open list is an
+        ``_OpenList`` (a predicate-object list) or a ``list`` of collection
+        items. Returns the object made last: the one object parsed when
+        ``stack`` starts empty.
+        """
+        while True:
+            if self.at("["):
+                self.next()
+                node = self.fresh_bnode()
+                if not self.at("]"):
+                    stack.append(_OpenList(node, self.verb(), "]"))
+                    continue
+                self.next()
+                value: Term = node
+            elif self.at("("):
+                self.next()
+                if not self.at(")"):
+                    self.check_collection_open()
+                    stack.append([])
+                    continue
+                self.next()
+                value = RDF_NIL
+            else:
+                value = self.simple_object()
+            # hand the finished object to the list open below it, and close
+            # every list that it ends
+            while stack:
+                top = stack[-1]
+                if isinstance(top, list):
+                    top.append(value)
+                    if not self.at(")"):
+                        self.check_collection_open()
+                        break
+                    self.next()
+                    stack.pop()
+                    value = self.collection_nodes(top)
+                    continue
+                self.triples.append(Triple(top.subject, top.predicate, value))
+                if self.at(","):
+                    self.next()
+                    break
+                if self.at(";"):
+                    while self.at(";"):
+                        self.next()
+                    if not self.at(".])") and self.peek().kind != "eof":
+                        top.predicate = self.verb()
+                        break
+                stack.pop()
+                if top.closer is not None:
+                    self.expect_punct(top.closer)
+                value = top.subject
+            else:
+                return value
+
+    def simple_object(self) -> Term:
         tok = self.next()
         if tok.kind == "blank":
             return self.cache.bnode(tok.value[2:])
@@ -588,24 +647,13 @@ class _TurtleParser:
             return Literal(lex, datatype=dt)
         return Literal(lex)
 
-    def bnode_property_list(self) -> BlankNode:
-        self.expect_punct("[")
-        node = self.fresh_bnode()
-        if not self.at("]"):
-            self.predicate_object_list(node)
-        self.expect_punct("]")
-        return node
+    def check_collection_open(self):
+        if self.peek().kind == "eof":
+            self.error(self.peek(), "unterminated collection")
 
-    def collection(self) -> Term:
-        self.expect_punct("(")
-        items = []
-        while not self.at(")"):
-            if self.peek().kind == "eof":
-                self.error(self.peek(), "unterminated collection")
-            items.append(self.object_term())
-        self.next()
-        if not items:
-            return RDF_NIL
+    def collection_nodes(self, items: list[Term]) -> BlankNode:
+        """The first node of the rdf:first/rdf:rest chain over ``items``;
+        the nodes are labelled after every item has been parsed."""
         nodes = [self.fresh_bnode() for _ in items]
         for i, (node, item) in enumerate(zip(nodes, items)):
             self.triples.append(Triple(node, RDF_FIRST, item))

@@ -7,18 +7,28 @@ offenders (triple indices or IRIs). A zero denominator never raises; it
 yields value 0 and a DegenerateDenominator flag on the report. IRIs under
 ``BUILTIN_NAMESPACES`` are never classes, instances or undefined terms.
 
-The seven triple metrics read the dataset through one by-predicate view
-and share two scan shapes: ``_flagged`` keeps the flagged triples of
-``Dataset.of(predicates)`` in document order (M2, M3, M4, M9), and
-``_conflict_groups`` keeps whole conflicting groups in first-seen order
-(M6, M7, M8). A conflict group never spans two predicates, so it groups
-each predicate's triples on their own, by the subject (M6, M7) or the
-object (M8). Each reads only its own predicates: M2 the properties with
-class or checkable datatype ranges, M4 ``rdf:type`` and the used
-predicates that are neither builtin nor declared, M6 all but ``rdf:type``,
-M7 the functional and M8 the inverse-functional properties, M9 the
-properties with XSD ranges. M3's rule reads only the object, so it visits
-every triple. M1, M5 and M10 read the indices and keep IRIs.
+The triple metrics read the dataset per predicate, through
+``Dataset.by_predicate``. M2, M3, M4 and M9 take a predicate's object
+column, decide their rule once per distinct value it reads, and flag with
+C-level iterators (``map``, ``compress``, set membership), so no Python code
+runs per triple; ``_flagged`` merges the flagged indices into document
+order. In detail:
+
+- M2 decides once per distinct asserted class set (object properties) or
+  lexical form (datatype properties), and skips a property whose verdict
+  cannot vary: no class set misses its range, or a range is xsd:string.
+- M3's rule reads only the object, so it takes the whole object column.
+  The literals it checks are found per distinct (datatype, language) pair,
+  and their tokens are decided once per distinct token.
+- M4 flags every triple of an undeclared predicate, and decides
+  ``rdf:type`` once per distinct class.
+- M9 decides once per distinct datatype of each property.
+
+M6, M7 and M8 keep whole conflicting groups in first-seen order
+(``_conflict_groups``). A group never spans two predicates, so each
+predicate's triples are grouped on their own, by the subject (M6, M7) or
+the object (M8). M6 groups only the predicates whose objects are of more
+than one term type. M1, M5 and M10 read the indices and keep IRIs.
 """
 
 from __future__ import annotations
@@ -26,8 +36,8 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from itertools import combinations
-from operator import attrgetter, itemgetter
+from itertools import chain, combinations, compress, repeat
+from operator import attrgetter, itemgetter, not_
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -51,6 +61,7 @@ from .core.model import (
     Dataset,
     Iri,
     Literal,
+    Term,
     Triple,
     is_builtin,
 )
@@ -162,24 +173,30 @@ def default_dictionary() -> Dictionary:
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-def checkable_text(term) -> str | None:
-    """Text of a spell-checkable literal (plain, English-tagged or xsd:string)."""
-    if not isinstance(term, Literal):
-        return None
-    if term.datatype is not None and term.datatype != XSD_STRING:
-        return None
-    if term.language is not None:
-        lang = term.language.lower()
-        if lang != "en" and not lang.startswith("en-"):
-            return None
-    return term.lexical
+def _spellable_tags(datatype: Iri | None, language: str | None) -> bool:
+    """Whether a literal with these tags is plain, English-tagged or xsd:string."""
+    if datatype is not None and datatype != XSD_STRING:
+        return False
+    if language is None:
+        return True
+    lang = language.lower()
+    return lang == "en" or lang.startswith("en-")
+
+
+def checkable_mask(objects: Iterable[Term]) -> list[bool]:
+    """Which of ``objects`` are spell-checkable literals (plain,
+    English-tagged or xsd:string); decided once per distinct pair of tags,
+    so no Python code runs per object."""
+    # a literal's (datatype, language), and () for an IRI or blank node
+    tags = list(map(itemgetter(slice(2, None)), objects))
+    spellable = {tag for tag in set(tags) if tag and _spellable_tags(*tag)}
+    return list(map(spellable.__contains__, tags))
 
 
 def alpha_tokens(text: str):
-    """Spell-checkable tokens: alphabetic, length >= 2, no digits."""
+    """Spell-checkable tokens: alphabetic and of length >= 2. A digit
+    (category Nd or No) is never alphabetic, so a token holding one is exempt."""
     for token in _TOKEN_RE.findall(text):
-        if any(c.isdigit() for c in token):
-            continue
         if len(token) >= 2 and token.isalpha():
             yield token
 
@@ -235,18 +252,14 @@ def _valid_datetime(lexical: str) -> bool:
     return int(m.group(5)) <= 23 and int(m.group(6)) <= 59 and int(m.group(7)) <= 59
 
 
-def lexical_valid(lexical: str, datatype: Iri) -> bool | None:
-    """True/False for the checkable XSD datatypes, None for unknown ones."""
-    if datatype == XSD_STRING:
-        return True
-    if datatype == XSD_DATE:
-        return _valid_date(lexical)
-    if datatype == XSD_DATETIME:
-        return _valid_datetime(lexical)
-    pattern = _LEXICAL_RES.get(datatype)
-    if pattern is None:
-        return None
-    return pattern.match(lexical) is not None
+#: a truthy result for a valid lexical form, per checkable datatype but
+#: xsd:string, for which every form is valid; only xsd:date and xsd:dateTime
+#: need Python past the pattern
+_LEXICAL_CHECKS: dict[Iri, Callable[[str], object]] = {
+    **{d: pattern.match for d, pattern in _LEXICAL_RES.items()},
+    XSD_DATE: _valid_date,
+    XSD_DATETIME: _valid_datetime,
+}
 
 
 #: Datatypes whose lexical forms are checked, in the order the contaminator
@@ -269,12 +282,22 @@ def _ratio_value(mid: MetricId, num: int, den: int,
                        clamped=value > 1.0, offenders=tuple(offenders[:OFFENDER_CAP]))
 
 
-def _flagged(mid: MetricId, dataset: Dataset, indices: Iterable[int],
-             flags: Callable[[Triple], bool]) -> MetricValue:
-    """The visited triples that ``flags``, in document order, over all triples."""
-    triples = dataset.triples
-    flagged = [i for i in indices if flags(triples[i])]
-    return _ratio_value(mid, len(flagged), len(triples), flagged)
+def _objects(dataset: Dataset, indices: Iterable[int]) -> list[Term]:
+    """The objects of the triples at ``indices``, in their order."""
+    return list(map(itemgetter(2), map(dataset.triples.__getitem__, indices)))
+
+
+def _literal_objects(dataset: Dataset, indices: list[int]) -> tuple[list[int], list[Literal]]:
+    """Those of ``indices`` whose triple's object is a literal, and the literals."""
+    objects = _objects(dataset, indices)
+    is_literal = list(map(isinstance, objects, repeat(Literal)))
+    return list(compress(indices, is_literal)), list(compress(objects, is_literal))
+
+
+def _flagged(mid: MetricId, dataset: Dataset, flagged: list[int]) -> MetricValue:
+    """The flagged triple indices, merged into document order, over all triples."""
+    flagged.sort()
+    return _ratio_value(mid, len(flagged), len(dataset.triples), flagged)
 
 
 def _conflict_groups(mid: MetricId, dataset: Dataset, predicates: Iterable[Iri],
@@ -328,35 +351,50 @@ def m2_out_of_range_values(dataset: Dataset, schema: SchemaIndex,
     """
     class_ranges = {p: frozenset(r for r in schema.range_of.get(p, ()) if r in schema.classes)
                     for p, kind in schema.properties.items() if kind is PropertyKind.OBJECT}
-    dt_ranges = {prop: tuple(r for r in ranges if r in CHECKABLE_DATATYPES)
-                 for prop, ranges in schema.xsd_ranges.items()}
-    checked = [p for p, ranges in (*class_ranges.items(), *dt_ranges.items()) if ranges]
     # the asserted classes each object property admits: a class range, or a
     # class that transitively specializes one
     admitted = {p: ranges | {c for c, sup in schema.ancestors.items()
                              if not sup.isdisjoint(ranges)}
                 for p, ranges in class_ranges.items() if ranges}
-
-    def out_of_range(t: Triple) -> bool:
-        classes = admitted.get(t.predicate)
-        if classes is not None:
-            # only IRIs have asserted classes
-            asserted = instances.classes_of.get(t.object)
-            return asserted is not None and asserted.isdisjoint(classes)
-        return (isinstance(t.object, Literal)
-                and not any(lexical_valid(t.object.lexical, d) for d in dt_ranges[t.predicate]))
-
-    return _flagged(MetricId.OUT_OF_RANGE, dataset, dataset.of(checked), out_of_range)
+    classes_of, by_predicate = instances.classes_of, dataset.by_predicate
+    class_sets = set(classes_of.values())
+    flagged: list[int] = []
+    for p, classes in admitted.items():
+        # the asserted class sets out of range; only IRIs have one
+        out = {asserted for asserted in class_sets if asserted.isdisjoint(classes)}
+        if out and (idx := by_predicate.get(p)):
+            flagged += compress(idx, map(out.__contains__,
+                                         map(classes_of.get, _objects(dataset, idx))))
+    for p, ranges in schema.xsd_ranges.items():
+        checks = [_LEXICAL_CHECKS[r] for r in ranges if r in _LEXICAL_CHECKS]
+        # every lexical form is valid for xsd:string
+        if not checks or XSD_STRING in ranges or not (idx := by_predicate.get(p)):
+            continue
+        idx, literals = _literal_objects(dataset, idx)
+        lexicals = list(map(itemgetter(1), literals))
+        invalid = list(set(lexicals))
+        for check in checks:
+            invalid = list(compress(invalid, map(not_, map(check, invalid))))
+        if invalid:
+            flagged += compress(idx, map(set(invalid).__contains__, lexicals))
+    return _flagged(MetricId.OUT_OF_RANGE, dataset, flagged)
 
 
 def m3_misspelled_values(dataset: Dataset, dictionary: Dictionary) -> MetricValue:
     """Triples whose checkable literal object carries a token not in the dictionary.
 
-    The rule reads only the object, so every triple is visited.
+    The rule reads only the object, so the whole object column is read.
     """
-    return _flagged(MetricId.MISSPELLED_VALUES, dataset, range(len(dataset.triples)),
-                    lambda t: (text := checkable_text(t.object)) is not None
-                    and has_unknown_token(text, dictionary))
+    objects = list(map(itemgetter(2), dataset.triples))
+    checkable = checkable_mask(objects)
+    tokens = list(map(_TOKEN_RE.findall, map(itemgetter(1), compress(objects, checkable))))
+    # a token is one maximal run, so has_unknown_token decides it alone; a
+    # token holding a digit is never alphabetic, and is never checked
+    unknown = {token for token in filter(str.isalpha, set(chain.from_iterable(tokens)))
+               if has_unknown_token(token, dictionary)}
+    flagged = list(compress(compress(range(len(objects)), checkable),
+                            map(not_, map(unknown.isdisjoint, tokens))))
+    return _flagged(MetricId.MISSPELLED_VALUES, dataset, flagged)
 
 
 def m4_undefined_terms(dataset: Dataset, schema: SchemaIndex) -> MetricValue:
@@ -364,12 +402,16 @@ def m4_undefined_terms(dataset: Dataset, schema: SchemaIndex) -> MetricValue:
 
     Every triple of an undeclared, non-builtin predicate is flagged.
     """
-    undeclared = [p for p in dataset.by_predicate
-                  if not is_builtin(p) and p not in schema.properties]
-    return _flagged(MetricId.UNDEFINED_TERMS, dataset, dataset.of((RDF_TYPE, *undeclared)),
-                    lambda t: t.predicate != RDF_TYPE or (
-                        isinstance(t.object, Iri) and not is_builtin(t.object)
-                        and t.object not in schema.classes))
+    flagged: list[int] = []
+    for p, idx in dataset.by_predicate.items():
+        if p == RDF_TYPE:
+            objects = _objects(dataset, idx)
+            undefined = {o for o in set(objects) if isinstance(o, Iri)
+                         and not is_builtin(o) and o not in schema.classes}
+            flagged += compress(idx, map(undefined.__contains__, objects))
+        elif not is_builtin(p) and p not in schema.properties:
+            flagged += idx
+    return _flagged(MetricId.UNDEFINED_TERMS, dataset, flagged)
 
 
 def m5_disjoint_membership(schema: SchemaIndex, instances: InstanceIndex) -> MetricValue:
@@ -394,18 +436,31 @@ def _term_type_key(term):
     return type(term), term.datatype if isinstance(term, Literal) else None
 
 
+def _one_type_key(dataset: Dataset, indices: list[int], types: list[type]) -> bool:
+    """Whether the objects of the triples at ``indices`` share one
+    ``_term_type_key``; ``types`` holds the type of every triple's object."""
+    kinds = set(map(types.__getitem__, indices))
+    return len(kinds) == 1 and (Literal not in kinds
+                                or len(set(map(itemgetter(2), _objects(dataset, indices)))) == 1)
+
+
 def m6_inconsistent_values(dataset: Dataset) -> MetricValue:
     """Same subject and predicate, objects of conflicting term types.
 
     Objects conflict when their term types differ (IRI vs literal, or
     differing literal datatypes); a conflicting pair contributes exactly 1.
-    Visits every triple except the rdf:type ones. With two or more type keys
-    in a group, every object conflicts with at least one other, so all of
-    them participate.
+    Reads every predicate except rdf:type, and groups only those whose
+    objects have two or more type keys. With two or more type keys in a
+    group, every object conflicts with at least one other, so all of them
+    participate.
     """
+    # one pass in document order; reading the objects predicate by predicate
+    # would stride through the whole dataset once per predicate
+    types = list(map(type, map(itemgetter(2), dataset.triples)))
     return _conflict_groups(
         MetricId.INCONSISTENT_VALUES, dataset,
-        (p for p in dataset.by_predicate if p != RDF_TYPE),
+        [p for p, idx in dataset.by_predicate.items()
+         if p != RDF_TYPE and not _one_type_key(dataset, idx, types)],
         key=attrgetter("subject"),
         excess=lambda group: (len(group) - 1
                               if len({_term_type_key(t.object) for t in group}) > 1 else 0))
@@ -432,14 +487,16 @@ def m8_inverse_functional_conflicts(dataset: Dataset, schema: SchemaIndex) -> Me
         excess=lambda group: len({t.subject for t in group}) - 1)
 
 
+def _improper_tag(datatype: Iri | None, ranges: frozenset[Iri]) -> bool:
+    return (XSD_STRING if datatype is None else datatype) not in ranges
+
+
 def improper_datatype(t: Triple, xsd_ranges: Mapping[Iri, frozenset[Iri]]) -> bool:
     """The improper-datatype rule: ``t``'s object is a literal whose datatype
     tag, xsd:string when untagged, is not among its predicate's ``xsd_ranges``."""
     ranges = xsd_ranges.get(t.predicate)
-    if not ranges or not isinstance(t.object, Literal):
-        return False
-    tag = t.object.datatype
-    return (XSD_STRING if tag is None else tag) not in ranges
+    return bool(ranges) and isinstance(t.object, Literal) and _improper_tag(
+        t.object.datatype, ranges)
 
 
 def m9_improper_datatype(dataset: Dataset, schema: SchemaIndex) -> MetricValue:
@@ -449,8 +506,16 @@ def m9_improper_datatype(dataset: Dataset, schema: SchemaIndex) -> MetricValue:
     lexical value. Untyped (plain or language-tagged) literals are flagged
     only when the declared range is not xsd:string.
     """
-    return _flagged(MetricId.IMPROPER_DATATYPE, dataset, dataset.of(schema.xsd_ranges),
-                    lambda t: improper_datatype(t, schema.xsd_ranges))
+    flagged: list[int] = []
+    for p, ranges in schema.xsd_ranges.items():
+        if idx := dataset.by_predicate.get(p):
+            # an IRI or blank node object is never flagged
+            idx, literals = _literal_objects(dataset, idx)
+            datatypes = list(map(itemgetter(2), literals))
+            improper = {d for d in set(datatypes) if _improper_tag(d, ranges)}
+            if improper:
+                flagged += compress(idx, map(improper.__contains__, datatypes))
+    return _flagged(MetricId.IMPROPER_DATATYPE, dataset, flagged)
 
 
 def m10_similar_classes(schema: SchemaIndex, instances: InstanceIndex) -> MetricValue:

@@ -16,6 +16,7 @@ from rdfqa.core.model import make_dataset
 from rdfqa.fixtures import fixture_path
 
 from .test_acceptance import build_scale_document
+from .test_parsing import NESTING_DEPTH, nested_turtle
 
 FAMILY = str(fixture_path("family.nt"))
 ZOO = str(fixture_path("zoo_clean.nt"))
@@ -134,6 +135,20 @@ def test_assess_reads_a_5000_digit_year_by_its_last_four_digits(tmp_path, dataty
         reports.append(json.loads(out.read_text())["metrics"]["M2"])
     assert reports[0]["numerator"] == 10  # 04-31, 13-01, and 02-29 of 1900 and 2023
     assert reports[1] == reports[0]
+
+
+@pytest.mark.parametrize("shape", ["bnode", "collection", "mix"])
+def test_assess_deeply_nested_turtle_exits_0_without_traceback(tmp_path, shape):
+    doc = tmp_path / "nested.ttl"
+    doc.write_text(nested_turtle(shape, NESTING_DEPTH))
+    out = tmp_path / "nested.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdfqa", "assess", str(doc), "--format", "json", "-o", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    triples = {"bnode": 1, "collection": 2, "mix": 3}[shape] * NESTING_DEPTH + 1
+    assert json.loads(out.read_text())["counts"]["triples"] == triples
 
 
 def test_assess_unknown_metric_is_usage_error(capsys):

@@ -15,7 +15,9 @@ from rdfqa.core.model import (
     XSD_STRING,
 )
 from rdfqa.metrics import (
+    _TOKEN_RE,
     Dictionary,
+    alpha_tokens,
     m1_missing_property_values,
     m2_out_of_range_values,
     m3_misspelled_values,
@@ -461,3 +463,22 @@ def test_metric_id_lookup_is_case_insensitive():
     assert metric_id("m10") is MetricId.SIMILAR_CLASSES
     with pytest.raises(ValueError):
         metric_id("M11")
+
+
+def test_alpha_tokens_need_no_digit_check():
+    # a digit (category Nd or No) is never alphabetic, so the length and
+    # isalpha() filter alone agrees with one that also rejects any token
+    # holding a digit, on every code point but the surrogates, alone and
+    # inside a token
+    def with_digit_check(text):
+        return [token for token in _TOKEN_RE.findall(text)
+                if not any(map(str.isdigit, token)) and len(token) >= 2 and token.isalpha()]
+
+    chars = [chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
+    assert not any(c.isdigit() and c.isalpha() for c in chars)
+    # a character that is not alphanumeric ends a token, so only the
+    # alphanumeric ones can sit inside one
+    inside = [c for c in chars if c.isalnum()]
+    for shape, among in (("{}", chars), ("{0}{0}", chars), ("ab{}cd", inside)):
+        text = " ".join(map(shape.format, among))
+        assert list(alpha_tokens(text)) == with_digit_check(text), shape

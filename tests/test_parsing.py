@@ -331,3 +331,56 @@ def test_every_escaped_character_round_trips_in_the_bytes_written_before():
     # the bytes the writer gave when it escaped every term with str.translate
     assert hashlib.sha256(out).hexdigest() == (
         "875c86b1e0e01db246b1013d3b88a87ffa79eb3f1db24b82aeeeb51f918adc88")
+
+
+NESTING_DEPTH = 10_000
+_NESTED_OPEN = {"bnode": "[ e:p ", "collection": "( ", "mix": "[ e:p ( "}
+_NESTED_CLOSE = {"bnode": " ]", "collection": " )", "mix": " ) ]"}
+
+
+def nested_turtle(shape: str, depth: int) -> str:
+    """``e:s e:p`` and an object nested ``depth`` levels deep: blank node
+    property lists, collections, or each level one of both."""
+    return ("@prefix e: <http://example.org/t#> .\ne:s e:p "
+            + _NESTED_OPEN[shape] * depth + "e:o" + _NESTED_CLOSE[shape] * depth + " .\n")
+
+
+def _nested_triples(shape: str, depth: int) -> list[Triple]:
+    """The triples of ``nested_turtle(shape, depth)`` in parse order: a
+    blank node is labelled at its ``[``, a collection's node at its ``)``."""
+    first, rest, nil = (Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#" + name)
+                        for name in ("first", "rest", "nil"))
+    p, inner = Iri(EX + "p"), Iri(EX + "o")
+    triples, labels = [], iter(range(3 * depth))
+    if shape == "mix":
+        bnodes = [BlankNode(f"genid{next(labels)}") for _ in range(depth)]
+    for level in reversed(range(depth)):
+        if shape != "bnode":
+            node = BlankNode(f"genid{next(labels)}")
+            triples += [Triple(node, first, inner), Triple(node, rest, nil)]
+            inner = node
+        if shape != "collection":
+            node = bnodes[level] if shape == "mix" else BlankNode(f"genid{level}")
+            triples.append(Triple(node, p, inner))
+            inner = node
+    return [*triples, Triple(Iri(EX + "s"), p, inner)]
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTED_OPEN))
+@pytest.mark.parametrize("depth", [1, 3, NESTING_DEPTH])
+def test_turtle_nesting_has_no_depth_limit(shape, depth):
+    # nested objects are walked with an explicit stack, so 10k levels parse
+    # to the same triples and genid labels as shallow nesting does
+    ds = parse_dataset(nested_turtle(shape, depth), "turtle")
+    assert list(ds.triples) == _nested_triples(shape, depth)
+
+
+def test_turtle_nested_subjects_and_errors_inside_deep_nesting():
+    deep = nested_turtle("mix", NESTING_DEPTH)
+    subject = deep.replace("e:s e:p ", "", 1)[:-len(" .\n")] + " e:q e:r .\n"
+    assert len(parse_dataset(subject, "turtle").triples) == 3 * NESTING_DEPTH + 1
+    # a fault at the bottom is reported where it stands, not as a crash
+    with pytest.raises(ParseError, match="expected object, found '.'"):
+        parse_dataset(deep.replace("e:o", "."), "turtle")
+    with pytest.raises(ParseError, match="unterminated collection"):
+        parse_dataset(deep[:deep.index("e:o")], "turtle")

@@ -1,6 +1,7 @@
 """Invariant checks over seeded random datasets."""
 
 import dataclasses
+from collections import Counter
 from itertools import combinations
 from random import Random
 
@@ -20,23 +21,19 @@ from rdfqa import (
     replay_manifest,
     serialize_dataset,
 )
+from rdfqa import metrics
 from rdfqa.contaminate import Edit, EditAction, EditLog, manifest_to_json
 from rdfqa.core.indexing import PropertyKind
-from rdfqa.core.model import (AXIOM_PREDICATES, OWL_COMPLEMENT_OF, OWL_DISJOINT_WITH,
-                              RDF_TYPE, RDFS_DOMAIN, RDFS_SUBCLASSOF, XSD_NS, Triple,
-                              is_builtin, is_declaration_triple, make_dataset)
-from rdfqa.metrics import (
-    CHECKABLE_DATATYPES,
-    OFFENDER_CAP,
-    Dictionary,
-    checkable_text,
-    has_unknown_token,
-    lexical_valid,
-)
+from rdfqa.core.model import (AXIOM_PREDICATES, OWL_CLASS, OWL_COMPLEMENT_OF,
+                              OWL_DATATYPE_PROPERTY, OWL_DISJOINT_WITH, OWL_OBJECT_PROPERTY,
+                              RDF_TYPE, RDFS_DOMAIN, RDFS_RANGE, RDFS_SUBCLASSOF, XSD_NS,
+                              Triple, is_builtin, is_declaration_triple, make_dataset)
+from rdfqa.metrics import OFFENDER_CAP, Dictionary, has_unknown_token
 from rdfqa.reporting import report_from_dict, report_to_dict
 
+from . import datagen, oracle
 from .datagen import DICT_WORDS, make_random_dataset
-from .oracle import _disjoint_pairs
+from .oracle import _disjoint_pairs, brute_force_metrics
 
 WORDS = Dictionary(id="gen", words=DICT_WORDS)
 RUNS = 150
@@ -139,11 +136,11 @@ def _recheck(ds, schema, instances, mid, offender):
             return bool(class_ranges) and bool(asserted) and not any(
                 c in class_ranges or class_ranges & schema.ancestors.get(c, frozenset())
                 for c in asserted)
-        dts = [r for r in ranges if r in CHECKABLE_DATATYPES]
+        dts = [r for r in ranges if r in oracle.LEXICAL_CHECKS]
         return bool(dts) and isinstance(t.object, Literal) and not any(
-            lexical_valid(t.object.lexical, d) for d in dts)
+            oracle.LEXICAL_CHECKS[d](t.object.lexical) for d in dts)
     if mid is MetricId.MISSPELLED_VALUES:
-        text = checkable_text(t.object)
+        text = oracle._checkable_text(t.object)
         return text is not None and has_unknown_token(text, WORDS)
     if mid is MetricId.UNDEFINED_TERMS:
         if t.predicate == RDF_TYPE:
@@ -218,6 +215,117 @@ def test_triple_offenders_are_the_first_flagged_in_document_order():
             assert list(mv.offenders) == flagged[:OFFENDER_CAP], (mid, ds.id)
             capped += len(flagged) > OFFENDER_CAP
     assert capped
+
+
+def _kernel_branches(ds):
+    """Which per-predicate shortcut of M2, M3, M6 and M9 each predicate of
+    ``ds`` takes, told apart with the oracle's own helpers."""
+    triples = ds.triples
+    kinds = oracle._declared_properties(triples)
+    classes = oracle._declared_classes(triples)
+    class_sets = oracle._instances_with_classes(triples).values()
+    xsd_string = Iri(XSD_NS + "string")
+    dated = {Iri(XSD_NS + "date"), Iri(XSD_NS + "dateTime")}
+    branches = Counter()
+    for p in {t.predicate for t in triples} - {RDF_TYPE}:
+        objects = [t.object for t in triples if t.predicate == p]
+        types = {oracle._term_type(o) for o in objects}
+        branches["M6 one type key" if len(types) == 1 else "M6 mixed"] += 1
+        ranges = oracle._ranges_of(triples, p)
+        if kinds.get(p) == "object" and (class_ranges := ranges & classes):
+            out = any(not any(c == r or r in oracle._superclasses(triples, c)
+                              for c in asserted for r in class_ranges)
+                      for asserted in class_sets)
+            branches["M2 some class set out of range" if out
+                     else "M2 no class set out of range"] += 1
+        if kinds.get(p) == "datatype":
+            checkable = ranges & oracle.LEXICAL_CHECKS.keys()
+            if xsd_string in checkable:
+                branches["M2 xsd:string range"] += 1
+            elif checkable & dated:
+                branches["M2 date or dateTime range"] += 1
+            elif checkable:
+                branches["M2 pattern ranges only"] += 1
+            tags = {o.datatype for o in objects if isinstance(o, Literal)}
+            if any(r.text.startswith(XSD_NS) for r in ranges) and len(tags) > 1:
+                branches["M9 several tags"] += 1
+    for t in triples:
+        if isinstance(t.object, Literal):
+            checkable = oracle._checkable_text(t.object) is not None
+            branches["M3 checkable literal" if checkable else "M3 literal not checkable"] += 1
+    return branches
+
+
+def _kernel_dataset(rng):
+    """A dataset in which each property's objects are all of one term type
+    or mixed, and the instances' classes are all admitted by the object
+    properties' ranges or not, each by a coin toss."""
+    classes, props, insts = datagen.CLASSES[:4], datagen.PROPS[:5], datagen.INSTANCES[:6]
+    triples = [Triple(c, RDF_TYPE, OWL_CLASS) for c in classes]
+    triples.append(Triple(classes[1], RDFS_SUBCLASSOF, classes[0]))
+    for p in props[:2]:
+        triples += [Triple(p, RDF_TYPE, OWL_OBJECT_PROPERTY), Triple(p, RDFS_RANGE, classes[0])]
+    for p in props[2:]:
+        triples.append(Triple(p, RDF_TYPE, OWL_DATATYPE_PROPERTY))
+        triples += [Triple(p, RDFS_RANGE, d)
+                    for d in rng.sample(datagen.DATATYPES[:8], rng.randrange(1, 3))]
+    pool = classes[:2] if rng.random() < 0.5 else classes
+    for inst in insts:
+        triples += [Triple(inst, RDF_TYPE, c) for c in rng.sample(pool, rng.randrange(1, 3))]
+    for p in [*props, datagen.PROPS[6]]:
+        mixed, datatype = rng.random() < 0.5, rng.choice([None, *datagen.DATATYPES])
+        for _ in range(rng.randrange(1, 9)):
+            if mixed:
+                obj = datagen._object_term(rng)
+            elif p in props[:2]:
+                obj = rng.choice(datagen.INSTANCES)
+            else:
+                obj = Literal(rng.choice(datagen.LEXICALS), datatype)
+            triples.append(Triple(rng.choice(insts), p, obj))
+    rng.shuffle(triples)
+    return make_dataset(f"kernel-{rng.randrange(1 << 30)}", triples)
+
+
+def test_metric_kernels_match_the_oracle_on_every_shortcut(monkeypatch):
+    # M2, M3, M6 and M9 decide per predicate and per distinct value, and skip
+    # a predicate whose verdict cannot vary; on datasets where each shortcut
+    # both fires and does not, every value equals the oracle's, and the
+    # offenders are the first flagged triples in document order
+    monkeypatch.setattr(metrics, "OFFENDER_CAP", 4)  # so that the cap binds
+    kernels = (MetricId.OUT_OF_RANGE, MetricId.MISSPELLED_VALUES,
+               MetricId.INCONSISTENT_VALUES, MetricId.IMPROPER_DATATYPE)
+    branches, capped = Counter(), 0
+    rng = Random(116)
+    kernel_datasets = [_kernel_dataset(rng) for _ in range(150)]
+    for ds in [*datasets(115, runs=100, max_triples=60), *kernel_datasets]:
+        branches += _kernel_branches(ds)
+        schema, instances = build_schema_index(ds), build_instance_index(ds)
+        report = assess(ds, WORDS)
+        expected = brute_force_metrics(list(ds.triples), set(DICT_WORDS))
+        for mid in kernels:
+            mv = report.metrics[mid]
+            assert (mv.numerator, mv.denominator, mv.value, mv.clamped) == expected[mid.value], \
+                (mid, ds.id)
+            if mid is MetricId.INCONSISTENT_VALUES:
+                # whole conflicting groups, in the order each group is first seen
+                groups = {}
+                for i, t in enumerate(ds.triples):
+                    if _recheck(ds, schema, instances, mid, i):
+                        groups.setdefault((t.subject, t.predicate), []).append(i)
+                flagged = [i for group in groups.values() for i in group]
+            else:
+                flagged = [i for i in range(len(ds.triples))
+                           if _recheck(ds, schema, instances, mid, i)]
+                assert mv.numerator == len(flagged), (mid, ds.id)
+            assert list(mv.offenders) == flagged[:4], (mid, ds.id)
+            capped += len(flagged) > 4
+    assert capped >= 20
+    for branch in ("M6 one type key", "M6 mixed",
+                   "M2 no class set out of range", "M2 some class set out of range",
+                   "M2 xsd:string range", "M2 date or dateTime range", "M2 pattern ranges only",
+                   "M9 several tags", "M3 checkable literal", "M3 literal not checkable"):
+        assert branches[branch] >= 20, (branch, branches)
+
 
 def test_contamination_replay_on_random_datasets():
     rng = Random(108)
@@ -366,9 +474,9 @@ def test_by_predicate_view_answers_every_set_the_indices_and_metrics_pass(monkey
     for ds in datasets(112):
         asked.clear()
         assess(ds, WORDS)
-        # both indices, then M2, M4 and M9; M6, M7 and M8 group each
-        # predicate's triples straight from dataset.by_predicate
-        assert len(asked) == 5
+        # both indices; every triple metric reads each predicate's triples
+        # straight from dataset.by_predicate
+        assert len(asked) == 2
         used = [t.predicate for t in ds.triples[:4]]
         for chosen in [*asked, [], [unused], [unused, *used], used + used[::-1]]:
             assert of(ds, chosen) == _brute_of(ds, chosen)
