@@ -13,8 +13,10 @@ apply an edit the same way. The log keeps one view from each predicate to
 its slots, so a heuristic reads only the triples of its own predicates, in
 document order; and one cached index, the schema, rebuilt only after an edit
 to a declaration triple. Every heuristic picks its candidates with one
-sample step and makes every edit through one apply rule, which skips an edit
-whose resulting triple is already present.
+sample step, through the rule of the metric it raises (H4, H5 and H13 ask
+M3's ``token_flags``; H8 pairs classes within each asserted class set, as M5
+reads them), and makes every edit through one apply rule, which skips an
+edit whose resulting triple is already present.
 
 Injected terms live under the reserved ``contam:`` IRI scheme so they are
 recognizable and can never collide with source vocabulary.
@@ -37,12 +39,12 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, compress
-from operator import itemgetter
+from operator import attrgetter, itemgetter, not_
 from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping
 
-from .core.indexing import SchemaIndex, build_instance_index, build_schema_index
+from .core.indexing import InstanceIndex, SchemaIndex, build_instance_index, build_schema_index
 from .core.model import (
     CLASS_TYPES,
     OWL_CLASS,
@@ -69,9 +71,9 @@ from .core.model import (
     is_declaration_triple,
 )
 from .core.parsing import ParseError, parse_ntriples, triple_to_ntriples
-from .metrics import (CHECKABLE_DATATYPES, Dictionary, MetricId, alpha_tokens,
-                      checkable_mask, default_dictionary, has_unknown_token,
-                      improper_datatype)
+from .metrics import (CHECKABLE_DATATYPES, Dictionary, MetricId, checkable_mask,
+                      default_dictionary, has_unknown_token, improper_datatype,
+                      token_flags)
 from .reporting import malformed, read_json, typed, typed_items
 
 
@@ -169,10 +171,6 @@ _FAKEABLE = tuple(d for d in CHECKABLE_DATATYPES if d != XSD_STRING)
 _CLASS_AXIOM_PREDICATES = frozenset({RDFS_SUBCLASSOF, OWL_DISJOINT_WITH, OWL_COMPLEMENT_OF})
 
 
-def _no_checkable_alpha(text: str) -> bool:
-    return next(alpha_tokens(text), None) is None
-
-
 def _fake_target(schema: SchemaIndex, predicate: Iri) -> Iri | None:
     """The first declared range of ``predicate`` in ``_FAKEABLE`` order, if any."""
     ranges = schema.range_of.get(predicate, ())
@@ -209,7 +207,9 @@ class EditLog:
     place in document order. One view maps each predicate to the ids of its
     filled slots; ``of()`` reads it, so a heuristic visits only the triples
     of its own predicates. The one cached index is ``schema()``, built on
-    first use and dropped after an edit to a declaration triple.
+    first use and dropped after an edit to a declaration triple;
+    ``instances()`` is built from the current ``rdf:type`` triples on each
+    call.
     """
 
     def __init__(self, triples: Iterable[Triple]):
@@ -273,10 +273,10 @@ class EditLog:
             self._schema = build_schema_index(Dataset(id="", triples=tuple(self.declarations())))
         return self._schema
 
-    def members_of(self) -> Mapping[Iri, frozenset[Iri]]:
+    def instances(self) -> InstanceIndex:
         # class memberships come from rdf:type triples alone
         typed = tuple(self.of((RDF_TYPE,)))
-        return build_instance_index(Dataset(id="", triples=typed)).members_of
+        return build_instance_index(Dataset(id="", triples=typed))
 
 
 def _reject(edit: Edit, t: Triple | None, why: str):
@@ -367,11 +367,11 @@ class _Contaminator:
 
     def _spellable_candidates(self, schema):
         current = self.log.current()
-        checkable = compress(current, checkable_mask(map(itemgetter(2), current)))
-        return [t for t in checkable
-                if not has_unknown_token(lex := t.object.lexical, self.dictionary)
-                and not _no_checkable_alpha(lex)
-                and _fake_target(schema, t.predicate) is None]
+        checkable = list(compress(current, checkable_mask(map(itemgetter(2), current))))
+        unknown, checked = token_flags([t.object.lexical for t in checkable], self.dictionary)
+        # a candidate holds checked tokens, every one of them in the dictionary
+        return [t for t, bad, good in zip(checkable, unknown, checked)
+                if good and not bad and _fake_target(schema, t.predicate) is None]
 
     def h4_mutate_literals(self, n: int):
         candidates = self._spellable_candidates(self.log.schema())
@@ -450,44 +450,36 @@ class _Contaminator:
         pool = [("class", c) for c in used_classes] + [("property", p) for p in used_props]
         chosen = self._sample(pool, n)
         # every triple that declares a term is a declaration triple, so one
-        # scan finds them all; a triple an earlier term removed is skipped
-        declarations = self.log.declarations()
-        for kind, term in chosen:
-            for t in declarations:
-                if t not in self.log:
-                    continue
-                if kind == "class":
-                    declares = (
-                        (t.subject == term and t.predicate == RDF_TYPE
-                         and t.object in CLASS_TYPES)
-                        or (t.subject == term and t.predicate in _CLASS_AXIOM_PREDICATES)
-                        or (t.predicate in (RDFS_DOMAIN, RDFS_RANGE) and t.object == term)
-                    )
-                else:
-                    declares = (
-                        (t.subject == term and t.predicate == RDF_TYPE
-                         and t.object in DECLARATION_TYPES)
-                        or (t.subject == term and t.predicate in (RDFS_DOMAIN, RDFS_RANGE))
-                    )
-                if declares:
+        # pass groups them by the (kind, term) they declare, in document
+        # order; a triple an earlier term removed is skipped
+        declaring: dict[tuple[str, object], list[Triple]] = {}
+        for t in self.log.declarations():
+            s, p, o = t
+            if p == RDF_TYPE:
+                if o in CLASS_TYPES:
+                    declaring.setdefault(("class", s), []).append(t)
+                if o in DECLARATION_TYPES:
+                    declaring.setdefault(("property", s), []).append(t)
+            elif p in _CLASS_AXIOM_PREDICATES:
+                declaring.setdefault(("class", s), []).append(t)
+            elif p == RDFS_DOMAIN or p == RDFS_RANGE:
+                declaring.setdefault(("class", o), []).append(t)
+                declaring.setdefault(("property", s), []).append(t)
+        for key in chosen:
+            for t in declaring.get(key, ()):
+                if t in self.log:
                     self.apply(HeuristicId.H7, EditAction.REMOVE_AXIOM, before=t)
         self.record(HeuristicId.H7, n, len(chosen), "no used declared terms")
 
     def h8_make_disjoint(self, n: int):
         schema = self.log.schema()
-        members_of = self.log.members_of()
-        classes = sorted(schema.classes, key=lambda c: c.text)
-        candidates = []
-        for i, a in enumerate(classes):
-            members_a = members_of.get(a)
-            if not members_a:
-                continue
-            for b in classes[i + 1:]:
-                if schema.disjoint(a, b):
-                    continue
-                members_b = members_of.get(b)
-                if members_b and members_a & members_b:
-                    candidates.append((a, b))
+        # M5's shape: two declared classes share an instance only inside one
+        # distinct asserted class set
+        shared = {pair for classes in set(self.log.instances().classes_of.values())
+                  for pair in combinations(sorted(classes & schema.classes,
+                                                  key=attrgetter("text")), 2)}
+        candidates = sorted((pair for pair in shared if not schema.disjoint(*pair)),
+                            key=lambda pair: (pair[0].text, pair[1].text))
         done = sum(self.apply(HeuristicId.H8, EditAction.ADD_AXIOM,
                               after=Triple(a, OWL_DISJOINT_WITH, b))
                    for a, b in self._sample(candidates, n))
@@ -562,10 +554,11 @@ class _Contaminator:
                 continue
             if group_sizes[t.subject, t.predicate] != 1:
                 continue
-            if not _no_checkable_alpha(t.object.lexical):
-                continue
             new_tag = XSD_STRING if XSD_STRING not in xsd_ranges else XSD_INTEGER
             candidates.append((t, new_tag))
+        # only a literal with no checked token is retagged
+        _, checked = token_flags([t.object.lexical for t, _ in candidates], self.dictionary)
+        candidates = list(compress(candidates, map(not_, checked)))
         done = sum(self.apply(HeuristicId.H13, EditAction.REWRITE_TRIPLE, t,
                               Triple(t.subject, t.predicate,
                                      Literal(t.object.lexical, datatype=new_tag)))
@@ -574,7 +567,7 @@ class _Contaminator:
 
     def h14_clone_classes(self, n: int):
         schema = self.log.schema()
-        members_of = self.log.members_of()
+        members_of = self.log.instances().members_of
         candidates = sorted((c for c in schema.classes if members_of.get(c)),
                             key=lambda c: c.text)
         chosen = self._sample(candidates, n)

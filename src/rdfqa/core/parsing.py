@@ -58,10 +58,16 @@ _IRI_BODY = rf"[^\x00-\x20{re.escape(_IRI_EXCLUDED)}]*"
 # Label may contain inner dots but cannot end with one.
 _BNODE_LABEL = r"_:[A-Za-z0-9_](?:[A-Za-z0-9_\-]|\.(?=[A-Za-z0-9_.\-]))*"
 _LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
-# Body of a "..." string: a raw CR or LF ends the line, so neither may occur.
-# Unrolled (Friedl, Mastering Regular Expressions, ch. 6): a run of plain
-# characters, then escapes each followed by such a run, with no alternation.
+# The bodies of the four string forms, unrolled (Friedl, Mastering Regular
+# Expressions, ch. 6): a run of plain characters, then escapes each followed
+# by such a run, with no alternation per character. A raw CR or LF ends the
+# line, so neither may occur in a short string. In a long string a quote
+# stands unless two more follow it; each character reads one way only, so a
+# body that never closes fails in linear time.
 _STRING_BODY = r'[^"\\\n\r]*(?:\\.[^"\\\n\r]*)*'
+_SINGLE_BODY = r"[^'\\\n\r]*(?:\\.[^'\\\n\r]*)*"
+_LONG_DOUBLE_BODY = r'[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*'
+_LONG_SINGLE_BODY = r"[^'\\]*(?:(?:\\.|'(?!''))[^'\\]*)*"
 _IRI_BODY_RE = re.compile(_IRI_BODY)
 
 #: what is wrong when no term matches at a character that may start one
@@ -176,20 +182,21 @@ class _TermCache:
         self.written: dict[str, Iri] = {}
         self.bnodes: dict[str, BlankNode] = {}
 
-    def iri(self, raw: str, line: int) -> Iri:
-        """The IRI written as ``<raw>``: its escapes decoded, then interned."""
+    def iri(self, raw: str, line: int, col: int) -> Iri:
+        """The IRI written as ``<raw>``, with its ``<`` at ``line`` and
+        ``col``: its escapes decoded, then interned."""
         node = self.written.get(raw)
         if node is None:
-            text = _unescape(raw, line, allow_echar=False) if "\\" in raw else raw
-            node = self.written[raw] = self.intern(text, line)
+            text = _unescape(raw, line, allow_echar=False, col=col + 1) if "\\" in raw else raw
+            node = self.written[raw] = self.intern(text, line, col)
         return node
 
-    def intern(self, text: str, line: int) -> Iri:
+    def intern(self, text: str, line: int, col: int = 1) -> Iri:
         """The IRI whose text, already decoded, is ``text``; checked once per text."""
         node = self.iris.get(text)
         if node is None:
             if not _SCHEME_RE.match(text):
-                raise ParseError(line, 1, f"IRI is not absolute: <{text}>")
+                raise ParseError(line, col, f"IRI is not absolute: <{text}>")
             node = self.iris[text] = Iri(text)
         return node
 
@@ -207,10 +214,11 @@ def parse_ntriples(text: str, dataset_id: str = "") -> Dataset:
     line, less one CR before its newline, is matched in place. An IRI that
     was written before is found by its text as written, without decoding it
     again. A line that fails is diagnosed from its own slice, so the error's
-    column counts from the line's first character. Each literal and triple
-    is built by ``tuple.__new__``, past the checks of the classes' own
-    constructors: the line grammar admits no literal with both a datatype
-    and a language tag.
+    column counts from the line's first character; a term that fails is
+    located by the match, read only when the term is decoded. Each literal
+    and triple is built by ``tuple.__new__``, past the checks of the
+    classes' own constructors: the line grammar admits no literal with both
+    a datatype and a language tag.
     """
     cache = _TermCache()
     written, iri, bnode = cache.written, cache.iri, cache.bnode
@@ -233,34 +241,23 @@ def parse_ntriples(text: str, dataset_id: str = "") -> Dataset:
                 _diagnose_nt_line(text[start:end], lineno)
             continue
         s_iri, s_bnode, p_iri, o_iri, o_bnode, o_lex, o_dt, o_lang = m.groups()
-        try:
-            subject = (written.get(s_iri) or iri(s_iri, lineno) if s_iri is not None
-                       else bnode(s_bnode[2:]))
-            predicate = written.get(p_iri) or iri(p_iri, lineno)
-            if o_iri is not None:
-                obj: Term = written.get(o_iri) or iri(o_iri, lineno)
-            elif o_bnode is not None:
-                obj = bnode(o_bnode[2:])
-            else:
-                lex = _unescape(o_lex, lineno, allow_echar=True) if "\\" in o_lex else o_lex
-                dt = written.get(o_dt) or iri(o_dt, lineno) if o_dt is not None else None
-                obj = new(Literal, (2, lex, dt, o_lang))
-        except ParseError:
-            _diagnose_nt_terms(_NT_LINE_RE.match(text[start:end]), lineno)
-            raise
+        # a group starts one past its '<', and m.start(g) - start is the
+        # column of that '<'
+        subject = (written.get(s_iri) or iri(s_iri, lineno, m.start(1) - start)
+                   if s_iri is not None else bnode(s_bnode[2:]))
+        predicate = written.get(p_iri) or iri(p_iri, lineno, m.start(3) - start)
+        if o_iri is not None:
+            obj: Term = written.get(o_iri) or iri(o_iri, lineno, m.start(4) - start)
+        elif o_bnode is not None:
+            obj = bnode(o_bnode[2:])
+        else:
+            lex = (_unescape(o_lex, lineno, allow_echar=True, col=m.start(6) - start + 1)
+                   if "\\" in o_lex else o_lex)
+            dt = (written.get(o_dt) or iri(o_dt, lineno, m.start(7) - start)
+                  if o_dt is not None else None)
+            obj = new(Literal, (2, lex, dt, o_lang))
         append(new(Triple, (subject, predicate, obj)))
     return make_dataset(dataset_id, triples)
-
-
-def _diagnose_nt_terms(m: re.Match, lineno: int):
-    """Re-decode a matched line's terms in parse order to report the column
-    of a bad escape, or of the '<' of an IRI that is not absolute."""
-    for group in (1, 3, 4, 6, 7):
-        raw = m.group(group)
-        if raw is not None and "\\" in raw:
-            raw = _unescape(raw, lineno, allow_echar=group == 6, col=m.start(group) + 1)
-        if raw is not None and group != 6 and not _SCHEME_RE.match(raw):
-            raise ParseError(lineno, m.start(group), f"IRI is not absolute: <{raw}>")
 
 
 def _diagnose_nt_line(line: str, lineno: int):
@@ -343,9 +340,9 @@ _TOKEN_RE = re.compile(
       (?P<ws>[ \t\r\n]+)
     | (?P<comment>\#[^\n]*)
     | (?P<iriref><{_IRI_BODY}>)
-    | (?P<string>'''(?:[^'\\]|\\.|'(?!'')|''(?!'))*'''
-        |\"\"\"(?:[^"\\]|\\.|"(?!"")|""(?!"))*\"\"\"
-        |'(?!'')(?:[^'\\\n\r]|\\.)*'
+    | (?P<string>'''{_LONG_SINGLE_BODY}'''
+        |\"\"\"{_LONG_DOUBLE_BODY}\"\"\"
+        |'(?!''){_SINGLE_BODY}'
         |"(?!""){_STRING_BODY}")
     | (?P<prefix_kw>@prefix(?![A-Za-z0-9_\-])|@base(?![A-Za-z0-9_\-])
         |[Pp][Rr][Ee][Ff][Ii][Xx](?![A-Za-z0-9_:\-])

@@ -19,7 +19,8 @@ order. In detail:
   cannot vary: no class set misses its range, or a range is xsd:string.
 - M3's rule reads only the object, so it takes the whole object column.
   The literals it checks are found per distinct (datatype, language) pair,
-  and their tokens are decided once per distinct token.
+  and ``token_flags``, the token kernel the contaminator shares, decides
+  their tokens once per distinct token.
 - M4 flags every triple of an undeclared predicate, and decides
   ``rdf:type`` once per distinct class.
 - M9 decides once per distinct datatype of each property.
@@ -193,16 +194,24 @@ def checkable_mask(objects: Iterable[Term]) -> list[bool]:
     return list(map(spellable.__contains__, tags))
 
 
-def alpha_tokens(text: str):
-    """Spell-checkable tokens: alphabetic and of length >= 2. A digit
-    (category Nd or No) is never alphabetic, so a token holding one is exempt."""
-    for token in _TOKEN_RE.findall(text):
-        if len(token) >= 2 and token.isalpha():
-            yield token
+def token_flags(texts: Iterable[str], dictionary: Dictionary) -> tuple[list[bool], list[bool]]:
+    """For each of ``texts``: whether it holds a checked token that is not in
+    ``dictionary``, and whether it holds a checked token at all.
+
+    A checked token is alphabetic and of length >= 2. A digit (category Nd
+    or No) is never alphabetic, so a token holding one is exempt. Each
+    distinct token is decided once, so no Python code runs per text.
+    """
+    tokens = list(map(_TOKEN_RE.findall, texts))
+    checked = {token for token in set(chain.from_iterable(tokens))
+               if len(token) >= 2 and token.isalpha()}
+    unknown = {token for token in checked if token.lower() not in dictionary.words}
+    return (list(map(not_, map(unknown.isdisjoint, tokens))),
+            list(map(not_, map(checked.isdisjoint, tokens))))
 
 
 def has_unknown_token(text: str, dictionary: Dictionary) -> bool:
-    return any(token.lower() not in dictionary.words for token in alpha_tokens(text))
+    return token_flags((text,), dictionary)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +396,8 @@ def m3_misspelled_values(dataset: Dataset, dictionary: Dictionary) -> MetricValu
     """
     objects = list(map(itemgetter(2), dataset.triples))
     checkable = checkable_mask(objects)
-    tokens = list(map(_TOKEN_RE.findall, map(itemgetter(1), compress(objects, checkable))))
-    # a token is one maximal run, so has_unknown_token decides it alone; a
-    # token holding a digit is never alphabetic, and is never checked
-    unknown = {token for token in filter(str.isalpha, set(chain.from_iterable(tokens)))
-               if has_unknown_token(token, dictionary)}
-    flagged = list(compress(compress(range(len(objects)), checkable),
-                            map(not_, map(unknown.isdisjoint, tokens))))
+    unknown, _ = token_flags(map(itemgetter(1), compress(objects, checkable)), dictionary)
+    flagged = list(compress(compress(range(len(objects)), checkable), unknown))
     return _flagged(MetricId.MISSPELLED_VALUES, dataset, flagged)
 
 

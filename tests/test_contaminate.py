@@ -24,6 +24,7 @@ from rdfqa.contaminate import (
     manifest_to_json,
     plan_from_dict,
 )
+from rdfqa.core.indexing import SchemaIndex
 from rdfqa.core.model import (
     OWL_DATATYPE_PROPERTY,
     RDF_TYPE,
@@ -31,6 +32,7 @@ from rdfqa.core.model import (
     Iri,
     Literal,
     Triple,
+    is_declaration_triple,
     make_dataset,
 )
 from rdfqa.core.parsing import parse_dataset, triple_to_ntriples
@@ -312,6 +314,63 @@ def test_disjointness_heuristics_on_wide_document_match_recorded_digests(words, 
     plan = ContaminationPlan({HeuristicId.H8: 3, HeuristicId.H9: 3, HeuristicId.H14: 3},
                              seed, wide.id)
     assert _digests(wide, plan, words) == WIDE_20_DIGESTS[seed]
+
+
+def build_many_classes_document(n_classes):
+    """Classes ``C0``.. each declared ``owl:Class`` with one instance
+    ``i0``.., plus an instance ``s`` in ``C0`` and ``C1``: the one pair of
+    classes that share an instance."""
+    ex = "http://example.org/many#"
+    rdf = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+    owl = "http://www.w3.org/2002/07/owl#"
+    lines = []
+    for i in range(n_classes):
+        lines.append(f"<{ex}C{i}> <{rdf}type> <{owl}Class> .")
+        lines.append(f"<{ex}i{i}> <{rdf}type> <{ex}C{i}> .")
+    lines.append(f"<{ex}s> <{rdf}type> <{ex}C0> .")
+    lines.append(f"<{ex}s> <{rdf}type> <{ex}C1> .")
+    lines.append("")
+    return "\n".join(lines).encode()
+
+
+@pytest.fixture(scope="module")
+def many_classes():
+    return parse_dataset(build_many_classes_document(3000), "ntriples", "many")
+
+
+# sha256 of the serialized output and of the manifest JSON for H7 at 10**12
+# and H8 at 3 on the 3000-class document, recorded while H7 scanned every
+# declaration per chosen term and H8 tested every pair of classes
+MANY_3000_DIGESTS = {
+    "H7": ("080a7f574cb3d1b58e16a84931fefa209575ce085089101c968a7c594927c522",
+           "4ce1aaa6d18e3e2dce83cf6e215844b61af5ca6bcc80357072c51f9ec95fe4fb"),
+    "H8": ("fafd5229ca4726bb582d016b1a4a7b297e567e56b99ad080c73ee04c29bd5149",
+           "bbfc3a7ca35fa157420b7f45ea030a4d0ae31e8f3974cb2dd2c267c380c070d0"),
+}
+
+
+def test_h8_decides_only_the_class_pairs_that_share_an_instance(
+        many_classes, words, monkeypatch):
+    calls = []
+    disjoint = SchemaIndex.disjoint
+    monkeypatch.setattr(SchemaIndex, "disjoint",
+                        lambda schema, a, b: calls.append((a, b)) or disjoint(schema, a, b))
+    plan = ContaminationPlan({HeuristicId.H8: 3}, 0, many_classes.id)
+    assert _digests(many_classes, plan, words) == MANY_3000_DIGESTS["H8"]
+    # C0 and C1 are the one pair with a shared instance
+    assert len(calls) <= 1
+
+
+def test_h7_visits_each_declaration_at_most_once_per_term_it_declares(
+        many_classes, words, monkeypatch):
+    checks = []
+    contains = EditLog.__contains__
+    monkeypatch.setattr(EditLog, "__contains__",
+                        lambda log, t: checks.append(t) or contains(log, t))
+    plan = ContaminationPlan({HeuristicId.H7: 10**12}, 0, many_classes.id)
+    assert _digests(many_classes, plan, words) == MANY_3000_DIGESTS["H7"]
+    declarations = sum(map(is_declaration_triple, many_classes.triples))
+    assert len(checks) <= 2 * declarations
 
 
 def test_bundled_dirty_fixture_regenerates(zoo, words):

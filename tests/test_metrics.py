@@ -1,3 +1,5 @@
+from itertools import compress
+
 import pytest
 
 from rdfqa import Iri, Literal, MetricId, Triple, assess, make_dataset
@@ -17,7 +19,6 @@ from rdfqa.core.model import (
 from rdfqa.metrics import (
     _TOKEN_RE,
     Dictionary,
-    alpha_tokens,
     m1_missing_property_values,
     m2_out_of_range_values,
     m3_misspelled_values,
@@ -28,6 +29,7 @@ from rdfqa.metrics import (
     m8_inverse_functional_conflicts,
     m9_improper_datatype,
     m10_similar_classes,
+    token_flags,
 )
 
 EX = "http://example.org/m#"
@@ -465,11 +467,11 @@ def test_metric_id_lookup_is_case_insensitive():
         metric_id("M11")
 
 
-def test_alpha_tokens_need_no_digit_check():
-    # a digit (category Nd or No) is never alphabetic, so the length and
-    # isalpha() filter alone agrees with one that also rejects any token
-    # holding a digit, on every code point but the surrogates, alone and
-    # inside a token
+def test_token_kernel_needs_no_digit_check():
+    # a digit (category Nd or No) is never alphabetic, so the kernel's length
+    # and isalpha() rule agrees with one that also rejects any token holding
+    # a digit, on every code point but the surrogates, alone and inside a
+    # token; with an empty dictionary every checked token is unknown
     def with_digit_check(text):
         return [token for token in _TOKEN_RE.findall(text)
                 if not any(map(str.isdigit, token)) and len(token) >= 2 and token.isalpha()]
@@ -479,6 +481,22 @@ def test_alpha_tokens_need_no_digit_check():
     # a character that is not alphanumeric ends a token, so only the
     # alphanumeric ones can sit inside one
     inside = [c for c in chars if c.isalnum()]
-    for shape, among in (("{}", chars), ("{0}{0}", chars), ("ab{}cd", inside)):
-        text = " ".join(map(shape.format, among))
-        assert list(alpha_tokens(text)) == with_digit_check(text), shape
+    outside = [c for c in chars if not c.isalnum()]
+    empty = Dictionary(id="empty", words=frozenset())
+    for shape in ("{}", "{0}{0}", "ab{}cd"):
+        # each text is one whole token or holds none
+        texts = list(map(shape.format, inside))
+        unknown, checked = token_flags(texts, empty)
+        assert list(compress(texts, checked)) == with_digit_check(" ".join(texts)), shape
+        assert unknown == checked, shape
+    # the others hold no token at all, alone or doubled
+    for shape in ("{}", "{0}{0}"):
+        text = " ".join(map(shape.format, outside))
+        assert _TOKEN_RE.findall(text) == [] and token_flags([text], empty) == ([False], [False])
+
+
+def test_token_kernel_flags_each_text_on_its_own():
+    words = Dictionary(id="t", words=frozenset({"alpha", "beta"}))
+    texts = ["alpha beta", "Alpha zzqx", "a 12 x9", "", "beta2 BETA", "zzqx"]
+    assert token_flags(texts, words) == ([False, True, False, False, False, True],
+                                         [True, True, False, False, True, True])

@@ -6,6 +6,7 @@ loads, so every run checks the same examples.
 
 import copy
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from rdfqa import (Dataset, ParseError, assess, contaminate, load_dataset, parse
                    serialize_dataset)
 from rdfqa.cli import main
 from rdfqa.contaminate import load_plan, manifest_to_dict
-from rdfqa.core.parsing import parse_ntriples, parse_turtle
+from rdfqa.core.parsing import _TOKEN_RE, parse_ntriples, parse_turtle
 from rdfqa.fixtures import fixture_path
 from rdfqa.metrics import Dictionary
 from rdfqa.reporting import report_to_dict
@@ -214,3 +215,29 @@ def test_cli_exits_0_1_or_2_on_any_json_input_and_writes_nothing_unless_0(case):
         assert written == ["bad.json", "good.json"]
     else:
         assert "out" in written
+
+
+# The string alternatives of the Turtle token pattern as they were before
+# they were unrolled: one alternation per character of the body.
+_ALTERNATING_STRING_RE = re.compile(r"""
+      '''(?:[^'\\]|\\.|'(?!'')|''(?!'))*'''
+    | \"\"\"(?:[^"\\]|\\.|"(?!"")|""(?!"))*\"\"\"
+    | '(?!'')(?:[^'\\\n\r]|\\.)*'
+    | "(?!"")[^"\\\n\r]*(?:\\.[^"\\\n\r]*)*"
+    """, re.VERBOSE)
+
+_QUOTE_RUNS = st.sampled_from(["'", '"']).flatmap(
+    lambda q: st.integers(1, 3).map(lambda k: q * k))
+_STRING_PIECES = st.one_of(
+    st.text("ab \t", min_size=1, max_size=3), _QUOTE_RUNS,
+    st.sampled_from(["\\n", "\\'", '\\"', "\\\\", "\\u0041", "\\", "\n", "\r", "\\\n", "é"]))
+
+
+@given(quote=st.sampled_from(["'''", '"""', "'", '"']),
+       body=st.lists(_STRING_PIECES, max_size=12).map("".join),
+       tail=st.sampled_from(["", "'", '"', "'''", '"""', " .", "'x", '"""x']))
+def test_unrolled_strings_match_the_span_of_the_alternating_pattern(quote, body, tail):
+    text = quote + body + tail
+    old = _ALTERNATING_STRING_RE.match(text)
+    new = _TOKEN_RE.match(text)
+    assert (new and new.lastgroup, new and new.span()) == (old and "string", old and old.span())

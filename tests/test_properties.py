@@ -22,7 +22,7 @@ from rdfqa import (
     serialize_dataset,
 )
 from rdfqa import metrics
-from rdfqa.contaminate import Edit, EditAction, EditLog, manifest_to_json
+from rdfqa.contaminate import Edit, EditAction, EditLog, _Contaminator, manifest_to_json
 from rdfqa.core.indexing import PropertyKind
 from rdfqa.core.model import (AXIOM_PREDICATES, OWL_CLASS, OWL_COMPLEMENT_OF,
                               OWL_DATATYPE_PROPERTY, OWL_DISJOINT_WITH, OWL_OBJECT_PROPERTY,
@@ -392,8 +392,8 @@ def test_index_cache_never_changes_a_choice(monkeypatch):
     # the reference has no cache and no view: every read filters all current triples
     monkeypatch.setattr(EditLog, "schema",
                         lambda log: build_schema_index(make_dataset("", log.current())))
-    monkeypatch.setattr(EditLog, "members_of", lambda log: build_instance_index(
-        make_dataset("", log.current())).members_of)
+    monkeypatch.setattr(EditLog, "instances",
+                        lambda log: build_instance_index(make_dataset("", log.current())))
 
     def of(log, predicates):
         predicates = set(predicates)
@@ -401,6 +401,52 @@ def test_index_cache_never_changes_a_choice(monkeypatch):
 
     monkeypatch.setattr(EditLog, "of", of)
     assert run_all() == cached
+
+
+def _pairwise_h8_candidates(log):
+    """H8's candidates by the rule it used before it read the class sets:
+    every pair of declared classes, in text order, that are not disjoint
+    and share a member."""
+    schema = log.schema()
+    members_of = log.instances().members_of
+    classes = sorted(schema.classes, key=lambda c: c.text)
+    candidates = []
+    for i, a in enumerate(classes):
+        members_a = members_of.get(a)
+        if not members_a:
+            continue
+        for b in classes[i + 1:]:
+            if schema.disjoint(a, b):
+                continue
+            members_b = members_of.get(b)
+            if members_b and members_a & members_b:
+                candidates.append((a, b))
+    return candidates
+
+
+def test_h8_candidates_match_the_pairwise_rule(monkeypatch):
+    # H8 samples its candidate list once, and at the time of its call the
+    # same log gives the pairwise rule's list; a combined plan hands H8 a
+    # log that H2..H7 have edited
+    seen = []
+    sample = _Contaminator._sample
+
+    def recording_sample(self, candidates, n):
+        if n == 10**6:
+            seen.append((candidates, _pairwise_h8_candidates(self.log)))
+        return sample(self, candidates, n)
+
+    monkeypatch.setattr(_Contaminator, "_sample", recording_sample)
+    plans = [{HeuristicId.H8: 10**6},
+             {**{h: 2 for h in HeuristicId}, HeuristicId.H8: 10**6}]
+    for ds in datasets(115):
+        for seed, intensities in enumerate(plans):
+            contaminate(ds, ContaminationPlan(intensities, seed), WORDS)
+    assert len(seen) == 2 * RUNS
+    for candidates, pairwise in seen:
+        assert candidates == pairwise
+    assert sum(1 for candidates, _ in seen if candidates) >= 40
+    assert sum(1 for candidates, _ in seen if len(candidates) > 1) >= 4  # order pinned
 
 
 def _heuristic_predicate_sets(schema):
