@@ -1,8 +1,9 @@
 """Command-line front end: assess, contaminate, compare, correlate.
 
-Exit codes: 0 success, 1 unreadable or malformed input, 2 usage error.
-Output files are written atomically; a failing command leaves no partial
-files behind. A command runs with the cyclic garbage collector off.
+Exit codes: 0 success, 1 an input that cannot be read or parsed or an
+output that cannot be written, 2 usage error. An error names the file it
+came from. Output files are written atomically; a failing command leaves no
+partial files behind. A command runs with the cyclic garbage collector off.
 """
 
 from __future__ import annotations
@@ -51,13 +52,32 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _write_atomic(path: Path, data: bytes):
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+class InputError(Exception):
+    """An input file that does not decode or parse; the message names it."""
+
+
+def _read(load, path):
+    """``load(path)``; a parse, decode or JSON error becomes an InputError naming ``path``."""
     try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        return load(path)
+    except (ParseError, ValueError) as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def _write_atomic(*files: tuple[Path, bytes]):
+    """Write every ``(path, data)`` pair or none: each goes to a temporary
+    file first, and the temporaries are renamed once all are written."""
+    tmps = [p.with_name(f"{p.name}.tmp{os.getpid()}-{k}") for k, (p, _) in enumerate(files)]
+    renamed = []
+    try:
+        for tmp, (_, data) in zip(tmps, files):
+            tmp.write_bytes(data)
+        for tmp, (path, _) in zip(tmps, files):
+            os.replace(tmp, path)
+            renamed.append(path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for path in tmps + renamed:
+            path.unlink(missing_ok=True)
         raise
 
 
@@ -65,23 +85,19 @@ def _emit(text: str, output_path: Path | None):
     if output_path is None:
         sys.stdout.write(text)
     else:
-        _write_atomic(output_path, text.encode("utf-8"))
+        _write_atomic((output_path, text.encode("utf-8")))
 
 
 def _resolve_dictionary(args: argparse.Namespace) -> Dictionary:
     # precedence: flag, then environment, then the packaged word list
-    if args.dictionary is not None:
-        return load_dictionary(args.dictionary)
-    env = os.environ.get(DICTIONARY_ENV)
-    if env:
-        return load_dictionary(env)
-    return default_dictionary()
+    path = args.dictionary or os.environ.get(DICTIONARY_ENV)
+    return _read(load_dictionary, path) if path else default_dictionary()
 
 
 def _load_input_dataset(args: argparse.Namespace):
-    dataset = load_dataset(args.dataset)
+    dataset = _read(load_dataset, args.dataset)
     if args.schema is not None:
-        dataset = merge_datasets(dataset, load_dataset(args.schema))
+        dataset = merge_datasets(dataset, _read(load_dataset, args.schema))
     return dataset
 
 
@@ -101,35 +117,23 @@ def cmd_assess(args: argparse.Namespace) -> int:
             selection = _parse_metric_selection(args.metrics)
         except ValueError as exc:
             return _fail(str(exc), EXIT_USAGE)
-    try:
-        dataset = _load_input_dataset(args)
-        dictionary = _resolve_dictionary(args)
-    except ParseError as exc:
-        return _fail(f"{args.dataset}: {exc}", EXIT_INPUT)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    report = assess(dataset, dictionary, selection=selection)
+    dataset = _load_input_dataset(args)
+    report = assess(dataset, _resolve_dictionary(args), selection=selection)
     _emit(render_report(report, args.format), args.output)
     return EXIT_OK
 
 
 def cmd_contaminate(args: argparse.Namespace) -> int:
-    try:
-        dataset = _load_input_dataset(args)
-        plan = load_plan(args.plan)
-        dictionary = _resolve_dictionary(args)
-    except ParseError as exc:
-        return _fail(f"{args.dataset}: {exc}", EXIT_INPUT)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    dataset = _load_input_dataset(args)
+    plan = _read(load_plan, args.plan)
+    dictionary = _resolve_dictionary(args)
     plan = dataclasses.replace(plan, seed=plan.seed if args.seed is None else args.seed,
                                dataset_id=plan.dataset_id or dataset.id)
     contaminated, manifest = contaminate(dataset, plan, dictionary)
     out_bytes = serialize_dataset(contaminated)
     manifest_json = manifest_to_json(manifest)
     manifest_path = args.manifest or args.output.with_suffix(".manifest.json")
-    _write_atomic(args.output, out_bytes)
-    _write_atomic(manifest_path, manifest_json.encode("utf-8"))
+    _write_atomic((args.output, out_bytes), (manifest_path, manifest_json.encode("utf-8")))
     for warning in manifest.warnings:
         print(f"rdfqa: warning: {warning}", file=sys.stderr)
     return EXIT_OK
@@ -155,12 +159,9 @@ def _trend_table(delta_report, manifest) -> str:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    try:
-        before = load_report(args.before)
-        after = load_report(args.after)
-        manifest = load_manifest(args.manifest) if args.manifest else None
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        return _fail(f"cannot read reports: {exc}", EXIT_INPUT)
+    before = _read(load_report, args.before)
+    after = _read(load_report, args.after)
+    manifest = _read(load_manifest, args.manifest) if args.manifest else None
     try:
         delta_report = compute_delta(before, after)
     except MetricMismatch as exc:
@@ -190,10 +191,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_correlate(args: argparse.Namespace) -> int:
     if len(args.reports) < 3:
         return _fail("correlate needs at least 3 report files", EXIT_USAGE)
-    try:
-        reports = [load_report(p) for p in args.reports]
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        return _fail(f"cannot read reports: {exc}", EXIT_INPUT)
+    reports = [_read(load_report, p) for p in args.reports]
     matrix = correlation_matrix(reports, alpha=args.alpha)
     if args.format == "json":
         text = matrix_to_json(matrix)
@@ -260,6 +258,8 @@ def main(argv: list[str] | None = None) -> int:
             "correlate": cmd_correlate,
         }
         return handlers[args.command](args)
+    except (InputError, OSError) as exc:
+        return _fail(str(exc), EXIT_INPUT)
     finally:
         if was_enabled:
             gc.enable()

@@ -11,15 +11,17 @@ The contaminator and replay share one edit engine, ``EditLog``: a slot list
 with holes plus a position map, so value-based edits are O(1) and both paths
 apply an edit the same way. The log keeps one view from each predicate to
 its slots, so a heuristic reads only the triples of its own predicates, in
-document order; and one cached index, the schema, rebuilt only after an edit
-to a declaration triple. Every heuristic picks its candidates with one
+document order. The index builders read the log itself, as they read a
+``Dataset``; the schema index is cached and rebuilt only after an edit to a
+declaration triple. Every heuristic picks its candidates with one
 sample step, through the rule of the metric it raises (H4, H5 and H13 ask
 M3's ``token_flags``; H8 pairs classes within each asserted class set, as M5
 reads them), and makes every edit through one apply rule, which skips an
 edit whose resulting triple is already present.
 
 Injected terms live under the reserved ``contam:`` IRI scheme so they are
-recognizable and can never collide with source vocabulary.
+recognizable, and a minted IRI skips any term the input already holds, so it
+can never collide with source vocabulary.
 
 Heuristics are designed to hit only their own metric, but defects interact;
 measure one heuristic at a time when studying metric response. Documented
@@ -38,13 +40,13 @@ import json
 import string
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from operator import attrgetter, itemgetter, not_
 from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping
 
-from .core.indexing import InstanceIndex, SchemaIndex, build_instance_index, build_schema_index
+from .core.indexing import SchemaIndex, build_instance_index, build_schema_index
 from .core.model import (
     CLASS_TYPES,
     OWL_CLASS,
@@ -171,10 +173,11 @@ _FAKEABLE = tuple(d for d in CHECKABLE_DATATYPES if d != XSD_STRING)
 _CLASS_AXIOM_PREDICATES = frozenset({RDFS_SUBCLASSOF, OWL_DISJOINT_WITH, OWL_COMPLEMENT_OF})
 
 
-def _fake_target(schema: SchemaIndex, predicate: Iri) -> Iri | None:
-    """The first declared range of ``predicate`` in ``_FAKEABLE`` order, if any."""
-    ranges = schema.range_of.get(predicate, ())
-    return next((r for r in _FAKEABLE if r in ranges), None)
+def _fake_targets(schema: SchemaIndex) -> dict[Iri, Iri]:
+    """Each property's first declared range in ``_FAKEABLE`` order, for the
+    properties that have one."""
+    return {p: target for p, ranges in schema.range_of.items()
+            if (target := next((r for r in _FAKEABLE if r in ranges), None)) is not None}
 
 
 #: the k-th fresh lexical form inside each fake target's range (``None``: no
@@ -206,10 +209,10 @@ class EditLog:
     a triple's slot, so every edit is O(1) and a rewrite keeps its triple's
     place in document order. One view maps each predicate to the ids of its
     filled slots; ``of()`` reads it, so a heuristic visits only the triples
-    of its own predicates. The one cached index is ``schema()``, built on
-    first use and dropped after an edit to a declaration triple;
-    ``instances()`` is built from the current ``rdf:type`` triples on each
-    call.
+    of its own predicates. ``of()`` and ``by_predicate`` read as a
+    ``Dataset``'s do, so ``build_schema_index`` and ``build_instance_index``
+    take the log itself. The one cached index is ``schema()``, built on
+    first use and dropped after an edit to a declaration triple.
     """
 
     def __init__(self, triples: Iterable[Triple]):
@@ -264,19 +267,10 @@ class EditLog:
         if any(t is not None and is_declaration_triple(t) for t in (before, after)):
             self._schema = None
 
-    def declarations(self) -> list[Triple]:
-        return [t for t in self.of((RDF_TYPE, *AXIOM_PREDICATES)) if is_declaration_triple(t)]
-
     def schema(self) -> SchemaIndex:
-        # build_schema_index reads only declaration triples
         if self._schema is None:
-            self._schema = build_schema_index(Dataset(id="", triples=tuple(self.declarations())))
+            self._schema = build_schema_index(self)
         return self._schema
-
-    def instances(self) -> InstanceIndex:
-        # class memberships come from rdf:type triples alone
-        typed = tuple(self.of((RDF_TYPE,)))
-        return build_instance_index(Dataset(id="", triples=typed))
 
 
 def _reject(edit: Edit, t: Triple | None, why: str):
@@ -296,9 +290,7 @@ class _Contaminator:
         self.edit_cap = EDITS_PER_INPUT_TRIPLE * len(dataset.triples)
         self.achieved: dict[HeuristicId, int] = {}
         self.warnings: list[str] = []
-        self.seen_iris = {term.text for t in dataset.triples
-                          for term in (t.subject, t.predicate, t.object)
-                          if isinstance(term, Iri)}
+        self.input_terms = set(chain.from_iterable(dataset.triples))
         self.fresh_counter = 0
         self.value_counter = 0
 
@@ -316,12 +308,12 @@ class _Contaminator:
         return 1
 
     def fresh_iri(self, tag: str) -> Iri:
+        # the counter never repeats a text, so only the input's terms can collide
         while True:
-            text = f"contam:{tag}-{self.fresh_counter}"
+            iri = Iri(f"contam:{tag}-{self.fresh_counter}")
             self.fresh_counter += 1
-            if text not in self.seen_iris:
-                self.seen_iris.add(text)
-                return Iri(text)
+            if iri not in self.input_terms:
+                return iri
 
     def record(self, h: HeuristicId, requested: int, achieved: int, why: str = ""):
         self.achieved[h] = achieved
@@ -349,10 +341,11 @@ class _Contaminator:
 
     def h3_out_of_range(self, n: int):
         schema = self.log.schema()
-        # every fakeable range is an XSD range, held by datatype-kind properties only
-        candidates = [(t, target) for t in self.log.of(schema.xsd_ranges)
-                      if isinstance(t.object, Literal)
-                      and (target := _fake_target(schema, t.predicate)) is not None]
+        # every fakeable range is an XSD range; H3 rewrites datatype-kind properties only
+        targets = {p: target for p, target in _fake_targets(schema).items()
+                   if p in schema.xsd_ranges}
+        candidates = [(t, targets[t.predicate]) for t in self.log.of(targets)
+                      if isinstance(t.object, Literal)]
         done = sum(self.apply(HeuristicId.H3, EditAction.REWRITE_TRIPLE, t,
                               Triple(t.subject, t.predicate,
                                      Literal(self._fresh_plain_value(), datatype=target)))
@@ -369,9 +362,10 @@ class _Contaminator:
         current = self.log.current()
         checkable = list(compress(current, checkable_mask(map(itemgetter(2), current))))
         unknown, checked = token_flags([t.object.lexical for t in checkable], self.dictionary)
+        fakeable = _fake_targets(schema).keys()
         # a candidate holds checked tokens, every one of them in the dictionary
         return [t for t, bad, good in zip(checkable, unknown, checked)
-                if good and not bad and _fake_target(schema, t.predicate) is None]
+                if good and not bad and t.predicate not in fakeable]
 
     def h4_mutate_literals(self, n: int):
         candidates = self._spellable_candidates(self.log.schema())
@@ -449,11 +443,12 @@ class _Contaminator:
                             key=lambda p: p.text)
         pool = [("class", c) for c in used_classes] + [("property", p) for p in used_props]
         chosen = self._sample(pool, n)
-        # every triple that declares a term is a declaration triple, so one
-        # pass groups them by the (kind, term) they declare, in document
-        # order; a triple an earlier term removed is skipped
+        # one pass groups the declaration triples by the (kind, term) they
+        # declare, in document order; an instance's rdf:type triple has no
+        # declaration type as its object, so it joins no group. A triple an
+        # earlier term removed is skipped
         declaring: dict[tuple[str, object], list[Triple]] = {}
-        for t in self.log.declarations():
+        for t in self.log.of((RDF_TYPE, *AXIOM_PREDICATES)):
             s, p, o = t
             if p == RDF_TYPE:
                 if o in CLASS_TYPES:
@@ -475,7 +470,7 @@ class _Contaminator:
         schema = self.log.schema()
         # M5's shape: two declared classes share an instance only inside one
         # distinct asserted class set
-        shared = {pair for classes in set(self.log.instances().classes_of.values())
+        shared = {pair for classes in set(build_instance_index(self.log).classes_of.values())
                   for pair in combinations(sorted(classes & schema.classes,
                                                   key=attrgetter("text")), 2)}
         candidates = sorted((pair for pair in shared if not schema.disjoint(*pair)),
@@ -512,10 +507,11 @@ class _Contaminator:
     def h11_functional_duplicates(self, n: int):
         schema = self.log.schema()
         candidates = self.log.of(schema.functional)
+        targets = _fake_targets(schema)
         done = sum(self.apply(HeuristicId.H11, EditAction.ADD_TRIPLE,
                               after=Triple(t.subject, t.predicate, new_object))
                    for t in self._sample(candidates, n)
-                   if (new_object := self._fresh_object_like(t, schema, "h11-object")) is not None)
+                   if (new_object := self._fresh_object_like(t, targets, "h11-object")) is not None)
         self.record(HeuristicId.H11, n, done, "no functional-property triples to copy")
 
     def h12_inverse_functional_duplicates(self, n: int):
@@ -526,13 +522,13 @@ class _Contaminator:
         self.record(HeuristicId.H12, n, done,
                     "no inverse-functional-property triples to copy")
 
-    def _fresh_object_like(self, t: Triple, schema, tag: str):
+    def _fresh_object_like(self, t: Triple, targets: Mapping[Iri, Iri], tag: str):
         """A new object distinct from the original, matching its term type and
         staying inside the declared lexical range (no side effects on the
         range/datatype metrics)."""
         if not isinstance(t.object, Literal):
             return self.fresh_iri(tag)
-        lexical = _IN_RANGE_LEXICAL.get(_fake_target(schema, t.predicate))
+        lexical = _IN_RANGE_LEXICAL.get(targets.get(t.predicate))
         for _ in range(50):
             self.value_counter += 1
             if lexical is None:
@@ -567,7 +563,7 @@ class _Contaminator:
 
     def h14_clone_classes(self, n: int):
         schema = self.log.schema()
-        members_of = self.log.instances().members_of
+        members_of = build_instance_index(self.log).members_of
         candidates = sorted((c for c in schema.classes if members_of.get(c)),
                             key=lambda c: c.text)
         chosen = self._sample(candidates, n)

@@ -6,8 +6,9 @@ declared disjoint pairs; ``SchemaIndex.disjoint`` derives the rest). The
 instance index holds what the document *uses* (instance/class memberships and
 per-predicate triple counts). Keeping declaration and usage apart is what lets
 the undefined-terms metric compare the two. Both builders read only their own
-predicates through ``Dataset.of``, and ``predicate_counts`` is read off the
-same by-predicate view rather than counted in a scan of its own.
+predicates through ``of()``, and ``predicate_counts`` is read off the same
+by-predicate view. A ``Dataset`` and the contaminator's ``EditLog`` answer
+both reads alike, so an index of the log equals one of its current triples.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .model import (
     RDFS_RANGE,
     RDFS_SUBCLASSOF,
     XSD_NS,
-    Dataset,
     Iri,
     is_builtin,
 )
@@ -114,8 +114,9 @@ def _transitive_parents(subclass_of: dict[Iri, set[Iri]]) -> dict[Iri, frozenset
     return out
 
 
-def build_schema_index(dataset: Dataset) -> SchemaIndex:
-    """Collect the declared classes, properties and axioms of ``dataset``.
+def build_schema_index(store) -> SchemaIndex:
+    """Collect the declared classes, properties and axioms of ``store``, a
+    ``Dataset`` or an ``EditLog``.
 
     An empty or schema-free dataset yields an empty index.
     """
@@ -131,10 +132,8 @@ def build_schema_index(dataset: Dataset) -> SchemaIndex:
         if isinstance(term, Iri) and not is_builtin(term):
             classes.add(term)
 
-    triples = dataset.triples
-    for i in dataset.of((RDF_TYPE, RDFS_SUBCLASSOF, OWL_DISJOINT_WITH, OWL_COMPLEMENT_OF,
-                         RDFS_DOMAIN, RDFS_RANGE)):
-        t = triples[i]
+    for t in store.of((RDF_TYPE, RDFS_SUBCLASSOF, OWL_DISJOINT_WITH, OWL_COMPLEMENT_OF,
+                       RDFS_DOMAIN, RDFS_RANGE)):
         p = t.predicate
         if p == RDF_TYPE:
             if not isinstance(t.subject, Iri) or not isinstance(t.object, Iri):
@@ -204,17 +203,16 @@ def build_schema_index(dataset: Dataset) -> SchemaIndex:
     )
 
 
-def build_instance_index(dataset: Dataset) -> InstanceIndex:
-    """Collect instance memberships and per-predicate triple counts.
+def build_instance_index(store) -> InstanceIndex:
+    """Collect the instance memberships and per-predicate triple counts of
+    ``store``, a ``Dataset`` or an ``EditLog``.
 
     Membership requires an IRI subject and a non-builtin IRI class; blank
     nodes are never instances.
     """
     classes_of: dict[Iri, set[Iri]] = {}
     members_of: dict[Iri, set[Iri]] = {}
-    triples = dataset.triples
-    for i in dataset.of((RDF_TYPE,)):
-        t = triples[i]
+    for t in store.of((RDF_TYPE,)):
         if isinstance(t.object, Iri) and isinstance(t.subject, Iri) and not is_builtin(t.object):
             classes_of.setdefault(t.subject, set()).add(t.object)
             members_of.setdefault(t.object, set()).add(t.subject)
@@ -222,5 +220,6 @@ def build_instance_index(dataset: Dataset) -> InstanceIndex:
     return InstanceIndex(
         classes_of={i: frozenset(v) for i, v in classes_of.items()},
         members_of={c: frozenset(v) for c, v in members_of.items()},
-        predicate_counts={p: len(ix) for p, ix in dataset.by_predicate.items()},
+        # a log keeps the entry of a predicate whose triples were all removed
+        predicate_counts={p: len(ix) for p, ix in store.by_predicate.items() if ix},
     )

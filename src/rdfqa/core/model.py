@@ -102,6 +102,8 @@ class Dataset:
 
     ``by_predicate``, read by ``of()``, is a cache built on first use, not a
     field: ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` ignore it.
+    ``of()`` and the sizes of the ``by_predicate`` entries are what the index
+    builders read, and the contaminator's ``EditLog`` answers both the same way.
     """
 
     id: str
@@ -116,9 +118,11 @@ class Dataset:
             by_predicate.setdefault(t.predicate, []).append(i)
         return by_predicate
 
-    def of(self, predicates: Iterable[Iri]) -> list[int]:
-        """The indices of the triples of ``predicates``, in document order."""
-        return sorted(i for p in set(predicates) for i in self.by_predicate.get(p, ()))
+    def of(self, predicates: Iterable[Iri]) -> list[Triple]:
+        """The triples of ``predicates``, in document order."""
+        triples = self.triples
+        return [triples[i] for i in sorted(i for p in set(predicates)
+                                           for i in self.by_predicate.get(p, ()))]
 
 
 def make_dataset(dataset_id: str, triples: Sequence[Triple]) -> Dataset:

@@ -172,6 +172,67 @@ def test_assess_missing_file_exits_1(tmp_path):
     assert run_cli(["assess", str(tmp_path / "nope.nt")]) == 1
 
 
+def _rdfqa(*args, env=None):
+    return subprocess.run([sys.executable, "-m", "rdfqa", *map(str, args)],
+                          capture_output=True, text=True, env={**os.environ, **(env or {})})
+
+
+def _assert_input_error(proc, named):
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"rdfqa: error: {named}"), proc.stderr
+
+
+@pytest.mark.parametrize("command", ["assess", "contaminate"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_undecodable_dictionary_exits_1_naming_it(tmp_path, command, source):
+    words = tmp_path / "words.txt"
+    words.write_bytes(b"apple\n\xff\n")
+    flag = ["--dictionary", words] if source == "flag" else []
+    plan = ["--plan", PLAN] if command == "contaminate" else []
+    proc = _rdfqa(command, ZOO, *plan, *flag, "-o", tmp_path / "out.nt",
+                  env={"RDFQA_DICTIONARY": str(words)} if source == "env" else None)
+    _assert_input_error(proc, f"{words}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["words.txt"]
+
+
+@pytest.mark.parametrize("command", ["assess", "contaminate", "compare", "correlate"])
+def test_unwritable_output_exits_1_naming_it(tmp_path, command):
+    report = tmp_path / "r.json"
+    assert run_cli(["assess", ZOO, "--format", "json", "-o", str(report)]) == 0
+    out = tmp_path / "missing" / "out"
+    args = {
+        "assess": ["assess", ZOO],
+        "contaminate": ["contaminate", ZOO, "--plan", PLAN],
+        "compare": ["compare", report, report],
+        "correlate": ["correlate", report, report, report],
+    }[command]
+    proc = _rdfqa(*args, "-o", out)
+    _assert_input_error(proc, "")
+    assert str(out.parent) in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+
+
+def test_unwritable_manifest_leaves_no_contaminated_output(tmp_path):
+    out = tmp_path / "dirty.nt"
+    manifest = tmp_path / "missing" / "m.json"
+    proc = _rdfqa("contaminate", ZOO, "--plan", PLAN, "-o", out, "--manifest", manifest)
+    _assert_input_error(proc, "")
+    assert str(manifest.parent) in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["assess", "contaminate"])
+def test_schema_syntax_error_names_the_schema_file(tmp_path, command):
+    schema = tmp_path / "schema.nt"
+    schema.write_text("<http://a/s> <http://a/p> .\n")
+    plan = ["--plan", PLAN] if command == "contaminate" else []
+    proc = _rdfqa(command, ZOO, "--schema", schema, *plan, "-o", tmp_path / "out.nt")
+    _assert_input_error(proc, f"{schema}: line 1, column ")
+    assert ZOO not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["schema.nt"]
+
+
 def test_assess_with_split_schema(tmp_path, family, capsys):
     schema = [t for t in family.triples if is_declaration_triple(t)]
     instances = [t for t in family.triples if not is_declaration_triple(t)]

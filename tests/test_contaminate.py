@@ -29,6 +29,7 @@ from rdfqa.core.model import (
     OWL_DATATYPE_PROPERTY,
     RDF_TYPE,
     RDFS_RANGE,
+    BlankNode,
     Iri,
     Literal,
     Triple,
@@ -392,6 +393,21 @@ def test_injected_terms_use_reserved_namespace(zoo, words):
                    for t in (triple.subject, triple.predicate, triple.object)
                    if isinstance(t, Iri)}
     assert not {t.text for t in fresh} & source_iris
+
+
+@pytest.mark.parametrize("position", ["subject", "predicate", "object"])
+def test_fresh_iri_skips_only_an_input_iri_of_its_text(words, position):
+    taken = Iri("contam:h1-property-0")
+    ex = {part: Iri(f"http://example.org/{part}") for part in ("subject", "predicate", "object")}
+    dataset = make_dataset("d", [
+        Triple(**{**ex, position: taken}),
+        # the next text, but as a literal and a blank node: neither is an IRI
+        Triple(ex["subject"], ex["predicate"], Literal("contam:h1-property-1")),
+        Triple(BlankNode("contam:h1-property-1"), ex["predicate"], ex["object"]),
+    ])
+    _, manifest = contaminate(dataset, ContaminationPlan({HeuristicId.H1: 2}, 0), words)
+    assert [e.after.subject for e in manifest.edits] == [
+        Iri("contam:h1-property-1"), Iri("contam:h1-property-2")]
 
 
 def test_achieved_never_exceeds_requested(zoo, words):

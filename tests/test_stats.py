@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -132,6 +133,19 @@ def test_runtime_needs_no_scipy():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_ci_installs_exactly_the_test_extra():
+    # the CI step installs the extra's packages by name, so the two lists
+    # must agree, or a test that needs one of them is skipped in CI or locally
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    with (root / "pyproject.toml").open("rb") as fh:
+        extra = tomllib.load(fh)["project"]["optional-dependencies"]["test"]
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text()
+    (installed,) = re.findall(r"- name: Install the test extra\n\s+run: pip install (.+)\n",
+                              workflow)
+    assert sorted(installed.split()) == sorted(re.match(r"[\w.-]+", r)[0] for r in extra)
 
 
 def test_exact_permutation_agrees_in_direction():
