@@ -100,8 +100,9 @@ class Triple(NamedTuple):
 class Dataset:
     """A parsed RDF document: a duplicate-free, ordered sequence of triples.
 
-    ``by_predicate``, read by ``of()``, is a cache built on first use, not a
-    field: ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` ignore it.
+    ``by_predicate``, read by ``of()``, and ``objects`` are caches built on
+    first use, not fields: ``==``, ``hash``, ``repr`` and
+    ``dataclasses.replace`` ignore them.
     ``of()`` and the sizes of the ``by_predicate`` entries are what the index
     builders read, and the contaminator's ``EditLog`` answers both the same way.
     """
@@ -117,6 +118,12 @@ class Dataset:
         for i, t in enumerate(self.triples):
             by_predicate.setdefault(t.predicate, []).append(i)
         return by_predicate
+
+    @cached_property
+    def objects(self) -> tuple[Term, ...]:
+        """The object of every triple, in document order: one column that
+        the metrics index by the triple indices of ``by_predicate``."""
+        return tuple(map(itemgetter(2), self.triples))
 
     def of(self, predicates: Iterable[Iri]) -> list[Triple]:
         """The triples of ``predicates``, in document order."""

@@ -98,7 +98,7 @@ def _lexical_error(text: str, pos: int, starts: str) -> tuple[int, str]:
     return pos, _LEXICAL_ERRORS[c]
 
 
-# An N-Triples line as the pieces that _NT_LINE_RE joins and _diagnose_nt_line
+# An N-Triples line as the pieces that _NT_LINE_RE joins and _nt_line_error
 # walks. Each piece carries the lead characters of the terms it admits, for
 # _lexical_error, or the message for a line on which it fails. The literal
 # suffix piece matches nothing after an IRI or blank node object.
@@ -118,7 +118,18 @@ _NT_PIECES = [(re.compile(piece), starts, message) for piece, starts, message in
 ]]
 _NT_LINE_RE = re.compile("".join(piece.pattern for piece, _, _ in _NT_PIECES))
 
-_BLANK_OR_COMMENT_RE = re.compile(r"[ \t]*(?:#.*)?$")
+# A whole N-Triples document as one pattern, one match per line: a triple
+# (the pieces up to the comment), a blank line, or a comment, then one CR
+# before the newline. A line that is none of these matches the last
+# alternative, an empty group, at its start: so every line is met in its
+# turn, and the scan stops at the first bad one instead of searching on for
+# the next line that matches. An IRIREF body is scanned as [^>]*, which sre
+# runs as a loop over one character, much faster than the strict class;
+# _TermCache.iri checks each body against the strict class once per written
+# text. Such a body can run past its newline into later lines, but never
+# passes that check.
+_NT_DOCUMENT_RE = re.compile(r"(?m)^(?:(?:{}|[ \t]*)(?:#.*)?\r?$|())".format(
+    "".join(piece.pattern for piece, _, _ in _NT_PIECES[:-1]).replace(_IRI_BODY, "[^>]*")))
 
 _STRING_ESCAPES = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
@@ -184,9 +195,13 @@ class _TermCache:
 
     def iri(self, raw: str, line: int, col: int) -> Iri:
         """The IRI written as ``<raw>``, with its ``<`` at ``line`` and
-        ``col``: its escapes decoded, then interned."""
+        ``col``: checked against the IRIREF grammar, its escapes decoded,
+        then interned. A body found in ``written`` has passed all three."""
         node = self.written.get(raw)
         if node is None:
+            bad = _IRI_BODY_RE.match(raw).end()
+            if bad < len(raw):
+                raise ParseError(line, col + 1 + bad, "invalid character in IRI")
             text = _unescape(raw, line, allow_echar=False, col=col + 1) if "\\" in raw else raw
             node = self.written[raw] = self.intern(text, line, col)
         return node
@@ -210,66 +225,78 @@ class _TermCache:
 def parse_ntriples(text: str, dataset_id: str = "") -> Dataset:
     """Parse an N-Triples document. Duplicate triples are dropped and counted.
 
-    One pass walks ``text`` by position and builds no list of lines: each
-    line, less one CR before its newline, is matched in place. An IRI that
-    was written before is found by its text as written, without decoding it
-    again. A line that fails is diagnosed from its own slice, so the error's
-    column counts from the line's first character; a term that fails is
-    located by the match, read only when the term is decoded. Each literal
-    and triple is built by ``tuple.__new__``, past the checks of the
-    classes' own constructors: the line grammar admits no literal with both
-    a datatype and a language tag.
+    One ``finditer`` scan of ``_NT_DOCUMENT_RE`` reads the whole document,
+    one match per line, so a line's number is its match's ordinal and no
+    line is sliced out of ``text``. An IRI body is checked against the
+    IRIREF grammar, decoded and interned once per text as written; a body
+    written before is found by that text alone. Each literal and triple is
+    built by ``tuple.__new__``, past the checks of the classes' own
+    constructors: the line grammar admits no literal with both a datatype
+    and a language tag. Each triple keys an insertion-ordered dict as it is
+    built, which drops the duplicates in document order.
+
+    Errors are located only on failure, with the same priority as a walk
+    line by line: the first line that is no triple, blank line or comment
+    is diagnosed from its own text, so the error's column counts from the
+    line's first character. A term that fails (a bad IRI, a relative one, a
+    bad escape) gives way to the error of its line when the line grammar
+    rejects the line, and stands otherwise.
     """
     cache = _TermCache()
     written, iri, bnode = cache.written, cache.iri, cache.bnode
     new = tuple.__new__
-    match, find = _NT_LINE_RE.match, text.find
-    triples = []
-    append = triples.append
-    pos, size, lineno = 0, len(text), 0
-    while pos < size:
-        lineno += 1
-        start = pos
-        nl = find("\n", pos)
-        if nl < 0:
-            nl = size
-        pos = nl + 1
-        end = nl - 1 if nl > start and text[nl - 1] == "\r" else nl
-        m = match(text, start, end)
-        if m is None:
-            if _BLANK_OR_COMMENT_RE.match(text, start, end) is None:
-                _diagnose_nt_line(text[start:end], lineno)
+    kept: dict[Triple, None] = {}
+    lineno = blank = 0
+    for lineno, m in enumerate(_NT_DOCUMENT_RE.finditer(text), 1):
+        s_iri, s_bnode, p_iri, o_iri, o_bnode, o_lex, o_dt, o_lang, rejected = m.groups()
+        if p_iri is None:
+            if rejected is not None:
+                raise _nt_line_error(text, m.start(), lineno)
+            blank += 1
             continue
-        s_iri, s_bnode, p_iri, o_iri, o_bnode, o_lex, o_dt, o_lang = m.groups()
-        # a group starts one past its '<', and m.start(g) - start is the
-        # column of that '<'
-        subject = (written.get(s_iri) or iri(s_iri, lineno, m.start(1) - start)
-                   if s_iri is not None else bnode(s_bnode[2:]))
-        predicate = written.get(p_iri) or iri(p_iri, lineno, m.start(3) - start)
-        if o_iri is not None:
-            obj: Term = written.get(o_iri) or iri(o_iri, lineno, m.start(4) - start)
-        elif o_bnode is not None:
-            obj = bnode(o_bnode[2:])
-        else:
-            lex = (_unescape(o_lex, lineno, allow_echar=True, col=m.start(6) - start + 1)
-                   if "\\" in o_lex else o_lex)
-            dt = (written.get(o_dt) or iri(o_dt, lineno, m.start(7) - start)
-                  if o_dt is not None else None)
-            obj = new(Literal, (2, lex, dt, o_lang))
-        append(new(Triple, (subject, predicate, obj)))
-    return make_dataset(dataset_id, triples)
+        # a match starts at its line's first character and a group one past
+        # its '<', so m.start(g) - m.start() is the column of that '<'
+        try:
+            subject = (written.get(s_iri) or iri(s_iri, lineno, m.start(1) - m.start())
+                       if s_iri is not None else bnode(s_bnode[2:]))
+            predicate = written.get(p_iri) or iri(p_iri, lineno, m.start(3) - m.start())
+            if o_iri is not None:
+                obj: Term = written.get(o_iri) or iri(o_iri, lineno, m.start(4) - m.start())
+            elif o_bnode is not None:
+                obj = bnode(o_bnode[2:])
+            else:
+                lex = (_unescape(o_lex, lineno, allow_echar=True, col=m.start(6) - m.start() + 1)
+                       if "\\" in o_lex else o_lex)
+                dt = (written.get(o_dt) or iri(o_dt, lineno, m.start(7) - m.start())
+                      if o_dt is not None else None)
+                obj = new(Literal, (2, lex, dt, o_lang))
+        except ParseError as exc:
+            raise _nt_line_error(text, m.start(), lineno) or exc from None
+        kept[new(Triple, (subject, predicate, obj))] = None
+    return Dataset(dataset_id, tuple(kept), lineno - blank - len(kept))
 
 
-def _diagnose_nt_line(line: str, lineno: int):
-    """Raise the error of a rejected line at the first piece that fails."""
+def _nt_line_error(text: str, start: int, lineno: int) -> ParseError | None:
+    """The error of the line that starts at ``text[start]``, less one CR
+    before its newline, at the first piece that fails; None if the line
+    grammar accepts the line."""
+    end = text.find("\n", start)
+    if end < 0:
+        end = len(text)
+    if end > start and text[end - 1] == "\r":
+        end -= 1
+    line = text[start:end]
+    if _NT_LINE_RE.match(line):
+        return None
     pos = 0
     for piece, starts, message in _NT_PIECES:
         m = piece.match(line, pos)
         if m is None:
             if message is None:
                 pos, message = _lexical_error(line, pos, starts)
-            raise ParseError(lineno, pos + 1, message)
+            return ParseError(lineno, pos + 1, message)
         pos = m.end()
+    raise AssertionError("the pieces accept a line that _NT_LINE_RE rejects")
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ yields value 0 and a DegenerateDenominator flag on the report. IRIs under
 ``BUILTIN_NAMESPACES`` are never classes, instances or undefined terms.
 
 The triple metrics read the dataset per predicate, through
-``Dataset.by_predicate``. M2, M3, M4 and M9 take a predicate's object
-column, decide their rule once per distinct value it reads, and flag with
-C-level iterators (``map``, ``compress``, set membership), so no Python code
-runs per triple; ``_flagged`` merges the flagged indices into document
-order. In detail:
+``Dataset.by_predicate``, and read objects from ``Dataset.objects``, the
+one object column the dataset builds once for every metric. M2, M4 and M9
+take a predicate's objects from it by triple index, and M3 and M6 read it
+whole. M2, M3, M4 and M9 decide their rule once per distinct value they
+read, and flag with C-level iterators (``map``, ``compress``, set
+membership), so no Python code runs per triple; ``_flagged`` merges the
+flagged indices into document order. In detail:
 
 - M2 decides once per distinct asserted class set (object properties) or
   lexical form (datatype properties), and skips a property whose verdict
@@ -293,7 +295,7 @@ def _ratio_value(mid: MetricId, num: int, den: int,
 
 def _objects(dataset: Dataset, indices: Iterable[int]) -> list[Term]:
     """The objects of the triples at ``indices``, in their order."""
-    return list(map(itemgetter(2), map(dataset.triples.__getitem__, indices)))
+    return list(map(dataset.objects.__getitem__, indices))
 
 
 def _literal_objects(dataset: Dataset, indices: list[int]) -> tuple[list[int], list[Literal]]:
@@ -394,7 +396,7 @@ def m3_misspelled_values(dataset: Dataset, dictionary: Dictionary) -> MetricValu
 
     The rule reads only the object, so the whole object column is read.
     """
-    objects = list(map(itemgetter(2), dataset.triples))
+    objects = dataset.objects
     checkable = checkable_mask(objects)
     unknown, _ = token_flags(map(itemgetter(1), compress(objects, checkable)), dictionary)
     flagged = list(compress(compress(range(len(objects)), checkable), unknown))
@@ -458,9 +460,9 @@ def m6_inconsistent_values(dataset: Dataset) -> MetricValue:
     group, every object conflicts with at least one other, so all of them
     participate.
     """
-    # one pass in document order; reading the objects predicate by predicate
-    # would stride through the whole dataset once per predicate
-    types = list(map(type, map(itemgetter(2), dataset.triples)))
+    # one pass over the object column; reading the types predicate by
+    # predicate would stride through the whole dataset once per predicate
+    types = list(map(type, dataset.objects))
     return _conflict_groups(
         MetricId.INCONSISTENT_VALUES, dataset,
         [p for p, idx in dataset.by_predicate.items()

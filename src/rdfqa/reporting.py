@@ -39,10 +39,13 @@ def report_to_dict(report: MetricReport) -> dict:
 def malformed(what: str):
     """Raise the errors that reading a wrongly shaped JSON ``what`` causes,
     a missing key, a value of the wrong type or nesting too deep for the
-    decoder, as ValueError."""
+    decoder, as ValueError. Nesting too deep is said in plain words: the
+    decoder's RecursionError names the interpreter's limit, not the file."""
     try:
         yield
-    except (AttributeError, KeyError, OverflowError, RecursionError, TypeError) as exc:
+    except RecursionError:
+        raise ValueError(f"malformed {what}: nested too deeply") from None
+    except (AttributeError, KeyError, OverflowError, TypeError) as exc:
         raise ValueError(f"malformed {what}: {type(exc).__name__}: {exc}") from None
 
 

@@ -141,11 +141,31 @@ def spearman_rho(x: Sequence[float], y: Sequence[float]) -> SpearmanResult | Non
     return SpearmanResult(rho=rho, p_value=min(p, 1.0))
 
 
+def _log_gamma_half_ratio(z: float) -> float:
+    """log Gamma(z+1/2) - log Gamma(z). For large z the two lgamma values
+    are close and large, so their difference loses digits; there the
+    asymptotic series is used instead, from the Bernoulli-polynomial form of
+    Stirling's series (DLMF 5.11.8), truncated where its next term is below
+    one unit in the last place at z = 20."""
+    if z < 20.0:
+        return math.lgamma(z + 0.5) - math.lgamma(z)
+    w = 1.0 / (z * z)
+    return 0.5 * math.log(z) - (1.0 / 8.0 - w * (1.0 / 192.0 - w * (
+        1.0 / 640.0 - w * (17.0 / 14336.0 - w * 31.0 / 18432.0)))) / z
+
+
 def _student_t_two_sided_p(t: float, df: int) -> float:
     """P(|T| >= |t|) = I_x(df/2, 1/2) at x = df/(df+t^2), by the modified
     Lentz method (Numerical Recipes, 3rd ed., section 6.4). Past
     x = (a+1)/(a+b+2) it uses I_x(a, b) = 1 - I_{1-x}(b, a), with 1-x formed
-    from t, so a small p is never a difference of two numbers near 1."""
+    from t, so a small p is never a difference of two numbers near 1.
+
+    x and y = 1 - x are both formed from t, and each step reads whichever
+    one keeps its digits: the logarithm of the one near 1 is ``log1p`` of
+    the other, the first Lentz denominator 1 - (a+b)x/(a+1) is formed as
+    (1-b + (a+b)y)/(a+1) when b < 1, and the gamma prefactor reads
+    ``_log_gamma_half_ratio``. So the p-value keeps its digits at large df.
+    """
     a, b = df / 2.0, 0.5
     x, y = df / (df + t * t), t * t / (df + t * t)
     swap = x > (a + 1.0) / (a + b + 2.0)
@@ -155,7 +175,8 @@ def _student_t_two_sided_p(t: float, df: int) -> float:
         return 1.0
     tiny = 1e-300
     c = 1.0
-    d = 1.0 / max(1.0 - (a + b) * x / (a + 1.0), tiny)
+    first = (1.0 - b) + (a + b) * y if b < 1.0 else (a + 1.0) - (a + b) * x
+    d = 1.0 / max(first / (a + 1.0), tiny)
     f = d
     for m in range(1, 1000):
         for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
@@ -167,8 +188,12 @@ def _student_t_two_sided_p(t: float, df: int) -> float:
             f *= c * d
         if abs(c * d - 1.0) < 1e-15:
             break
-    ix = f / a * math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                          + a * math.log(x) + b * math.log(y))
+    log_x = math.log1p(-y) if x > 0.5 else math.log(x)
+    log_y = math.log1p(-x) if y > 0.5 else math.log(y)
+    # one of a and b is 1/2, so B(a, b) is Gamma(1/2) Gamma(z) / Gamma(z+1/2)
+    # for the other one, z
+    ix = f / a * math.exp(_log_gamma_half_ratio(b if swap else a) - math.lgamma(0.5)
+                          + a * log_x + b * log_y)
     return 1.0 - ix if swap else ix
 
 

@@ -559,6 +559,29 @@ def test_malformed_plan_manifest_or_report_exits_1_without_traceback(tmp_path, c
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "good.json"]
 
 
+@pytest.mark.parametrize("what, opener", [
+    ("plan", "["), ("plan", '{"a":'),
+    ("manifest", "["), ("manifest", '{"a":'),
+    ("report", "["), ("report", '{"a":'),
+])
+def test_json_nested_too_deeply_says_so(tmp_path, what, opener):
+    good = tmp_path / "good.json"
+    assert run_cli(["assess", ZOO, "--format", "json", "-o", str(good)]) == 0
+    path = tmp_path / "deep.json"
+    path.write_text(opener * 100_000)
+    args = {
+        "plan": ["contaminate", ZOO, "--plan", str(path)],
+        "manifest": ["compare", str(good), str(good), "--manifest", str(path)],
+        "report": ["compare", str(good), str(path)],
+    }[what]
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdfqa", *args, "-o", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"rdfqa: error: {path}: malformed {what}: nested too deeply\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json", "good.json"]
+
+
 def test_run_experiment_script_on_bundled_fixtures(tmp_path):
     root = Path(__file__).resolve().parent.parent
     data = root / "src" / "rdfqa" / "data"

@@ -112,6 +112,32 @@ def test_no_ntriples_line_is_a_bare_malformed_triple(line):
         assert err.message != "malformed triple"
 
 
+_LINE_PIECES = st.one_of(_RAW_LINES, st.builds(_line, _IRI, st.one_of(_IRI, _LITERAL)),
+                         _DOCUMENTS.map(lambda b: b.decode("utf-8", "replace")))
+
+
+@given(pieces=st.lists(_LINE_PIECES, max_size=6), twice=st.booleans())
+def test_a_document_parses_as_its_lines_do_one_by_one(pieces, twice):
+    # its triples are those of its lines, less duplicates; its error is the
+    # first failing line's, moved down by that line's place in the document
+    doc = "".join(pieces * (1 + twice))
+    triples, expected = [], None
+    for index, line in enumerate(doc.split("\n")):
+        try:
+            triples += parse_ntriples(line).triples
+        except ParseError as err:
+            expected = (index + err.line, err.column, err.message)
+            break
+    try:
+        dataset = parse_ntriples(doc)
+    except ParseError as err:
+        assert (err.line, err.column, err.message) == expected
+    else:
+        assert expected is None
+        assert dataset.triples == tuple(dict.fromkeys(triples))
+        assert dataset.duplicate_count == len(triples) - len(dataset.triples)
+
+
 _PLAN = json.dumps({"seed": 0, "intensities": {f"H{i}": 1 for i in range(1, 15)}})
 
 

@@ -298,6 +298,17 @@ _SPO = f"{_S} {_P} {_O} .\n".encode()
     # \u005C is a backslash: <http://e/\u005Cu0061> is http://e/\u0061, not http://e/a
     (f"<http://e/\\u005Cu0061> {_P} <http://e/\\u0061> .\n<http://e/a> {_P} <http://e/\\u0061> .\n",
      f"<http://e/\\u005Cu0061> {_P} <http://e/a> .\n<http://e/a> {_P} <http://e/a> .\n".encode()),
+    # a line the grammar rejects keeps the grammar's error, though a term
+    # before the fault (a relative IRI, a bad escape) fails too
+    ("<rel> <http://p> <http://a b> .\n", (1, 27, "invalid character in IRI")),
+    ('<http://s> <http://p> "a\\q"^^<http://d x> .\n', (1, 39, "invalid character in IRI")),
+    # an IRI left open at the end of a line fails on that line
+    ("<http://s> <http://p> <http://o> .\n<http://s\n> <http://p> <http://o> .\n",
+     (2, 1, "unterminated IRI")),
+    # the first bad line is reported, though a later line fails too
+    ("bad line\n<rel> <http://p> <http://o> .\n", (1, 1, "unexpected character 'b'")),
+    ("<http://s> <http://p> <http://o> .\rjunk\n", (1, 35, "trailing content after '.'")),
+    ("<http://s> <http://p> <http://o> .\nbad", (2, 1, "unexpected character 'b'")),
 ])
 def test_ntriples_lines_parse_or_fail_in_place(data, expected):
     if isinstance(expected, tuple):
@@ -418,3 +429,15 @@ def test_an_unterminated_long_string_fails_in_linear_time(quote):
     with pytest.raises(ParseError, match="unterminated string literal"):
         parse_dataset(text, "turtle")
     assert time.perf_counter() - start < 1.0
+
+
+def test_a_document_of_unterminated_iris_fails_in_linear_time():
+    # an IRI body is scanned up to the next '>', past its own line; a scan
+    # that went on to the next line after each failing one would read the
+    # rest of this document once per line, about 4 * 10**9 characters
+    text = "<http://e/s\n" * 20_000
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_dataset(text, "ntriples")
+    assert time.perf_counter() - start < 1.0
+    assert (err.value.line, err.value.column, err.value.message) == (1, 1, "unterminated IRI")

@@ -19,7 +19,7 @@ from rdfqa import (
     summarize,
 )
 from rdfqa.metrics import MetricReport, MetricValue, ReportCounts
-from rdfqa.stats import average_ranks, render_matrix
+from rdfqa.stats import _student_t_two_sided_p, average_ranks, render_matrix
 from .oracle import brute_force_ranks, brute_force_spearman
 
 
@@ -92,7 +92,7 @@ def test_p_value_properties():
 
 def test_p_value_matches_scipy_student_t():
     # the p-value is computed without scipy; hold it to scipy's Student-t
-    # survival function on every n from 3 to 200
+    # survival function on every n from 3 to 200, and at three large n
     stats = pytest.importorskip("scipy.stats")
     rng = Random(11)
     checked = 0
@@ -118,6 +118,12 @@ def test_p_value_matches_scipy_student_t():
                 assert diff <= 1e-9 * expected, (n, rho, result.p_value, expected)
             checked += 1
     assert checked > 4000
+    # at large n, x = df/(df+t^2) is near 1; each bound is about twice the
+    # relative error measured against scipy 1.17.1: 2.5e-13, 4.1e-11, 1.5e-10
+    for n, bound in [(10**4, 5e-13), (10**6, 6e-11), (10**8, 3e-10)]:
+        expected = 2.0 * float(stats.t.sf(2.2, n - 2))
+        got = _student_t_two_sided_p(2.2, n - 2)
+        assert abs(got - expected) <= bound * expected, (n, got, expected)
 
 
 def test_runtime_needs_no_scipy():
