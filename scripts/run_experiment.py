@@ -21,8 +21,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from rdfqa import assess, contaminate, default_dictionary, load_dataset, serialize_dataset
-from rdfqa.contaminate import load_plan, manifest_to_json
+from rdfqa import assess, default_dictionary, load_dataset, serialize_dataset
+from rdfqa.contaminate import contaminate, load_plan, manifest_to_json
 from rdfqa.reporting import report_to_json
 from rdfqa.stats import compute_delta, correlation_matrix, render_delta_table, render_matrix
 

@@ -14,7 +14,6 @@ from .contaminate import (
     ContaminationPlan,
     HEURISTIC_TARGETS,
     HeuristicId,
-    contaminate,
     load_manifest,
     load_plan,
     replay_manifest,
@@ -49,12 +48,9 @@ from .stats import (
     DeltaReport,
     MetricMismatch,
     SpearmanResult,
-    SummaryRow,
     compute_delta,
     correlation_matrix,
-    spearman_exact_p,
     spearman_rho,
-    summarize,
 )
 
 __all__ = [
@@ -80,13 +76,11 @@ __all__ = [
     "PropertyKind",
     "SchemaIndex",
     "SpearmanResult",
-    "SummaryRow",
     "Triple",
     "assess",
     "build_instance_index",
     "build_schema_index",
     "compute_delta",
-    "contaminate",
     "correlation_matrix",
     "default_dictionary",
     "load_dataset",
@@ -98,7 +92,5 @@ __all__ = [
     "parse_dataset",
     "replay_manifest",
     "serialize_dataset",
-    "spearman_exact_p",
     "spearman_rho",
-    "summarize",
 ]

@@ -6,12 +6,18 @@ base, predicate/object lists, blank nodes, collections, numeric and boolean
 shorthand). Output is always canonical N-Triples: document order, one triple
 per line, a fixed escaping policy, so that equal datasets produce identical
 bytes and ``parse(serialize(d)) == d``.
+
+A fault is found as an offset into the decoded text: the Turtle lexer and
+parser, the N-Triples line diagnosis, the term checks and the escape
+decoder raise ``_Fault(offset, message)`` and count no lines.
+``_Fault.located`` alone turns an offset into a line and a column, on the
+error path only, where ``parse_ntriples``, ``parse_turtle`` and ``_decode``
+raise the public ``ParseError``.
 """
 
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
 from urllib.parse import urljoin
@@ -46,6 +52,18 @@ class ParseError(Exception):
         self.line = line
         self.column = column
         self.message = message
+
+
+class _Fault(Exception):
+    """A fault in the text being parsed, raised as ``_Fault(offset, message)``."""
+
+    def located(self, text: str) -> ParseError:
+        """This fault as a ParseError at its 1-based line and column in
+        ``text``. A line ends at LF, so a CR before it is the line's last
+        character; a column counts characters, not bytes."""
+        offset, message = self.args
+        return ParseError(text.count("\n", 0, offset) + 1,
+                          offset - text.rfind("\n", 0, offset), message)
 
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
@@ -98,7 +116,7 @@ def _lexical_error(text: str, pos: int, starts: str) -> tuple[int, str]:
     return pos, _LEXICAL_ERRORS[c]
 
 
-# An N-Triples line as the pieces that _NT_LINE_RE joins and _nt_line_error
+# An N-Triples line as the pieces that _NT_LINE_RE joins and _nt_line_fault
 # walks. Each piece carries the lead characters of the terms it admits, for
 # _lexical_error, or the message for a line on which it fails. The literal
 # suffix piece matches nothing after an IRI or blank node object.
@@ -137,19 +155,12 @@ _STRING_ESCAPES = {
 }
 
 
-def _unescape(raw: str, line: int, allow_echar: bool, col: int = 1) -> str:
+def _unescape(raw: str, at: int, allow_echar: bool) -> str:
     """Decode \\uXXXX / \\UXXXXXXXX and (for literals) ECHAR escapes.
 
-    ``line`` and ``col`` locate ``raw[0]`` in the document, so an error
-    points at the offending escape, also inside a multi-line literal.
+    ``raw`` stands at offset ``at`` of the document, so a fault is raised
+    at the offending escape's own offset.
     """
-
-    def fail(i: int, message: str):
-        nl = raw.rfind("\n", 0, i)
-        if nl < 0:
-            raise ParseError(line, col + i, message)
-        raise ParseError(line + raw.count("\n", 0, i), i - nl, message)
-
     out = []
     i = 0
     n = len(raw)
@@ -160,25 +171,25 @@ def _unescape(raw: str, line: int, allow_echar: bool, col: int = 1) -> str:
             i += 1
             continue
         if i + 1 >= n:
-            fail(i, "dangling backslash")
+            raise _Fault(at + i, "dangling backslash")
         e = raw[i + 1]
         if e == "u" or e == "U":
             width = 4 if e == "u" else 8
             hexpart = raw[i + 2:i + 2 + width]
             if len(hexpart) != width or any(h not in "0123456789abcdefABCDEF" for h in hexpart):
-                fail(i, f"bad \\{e} escape")
+                raise _Fault(at + i, f"bad \\{e} escape")
             code = int(hexpart, 16)
             # a lone surrogate cannot be encoded as UTF-8 and chr() refuses
             # anything past U+10FFFF
             if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
-                fail(i, f"\\{e}{hexpart} is not a Unicode scalar value")
+                raise _Fault(at + i, f"\\{e}{hexpart} is not a Unicode scalar value")
             out.append(chr(code))
             i += 2 + width
         elif allow_echar and e in _STRING_ESCAPES:
             out.append(_STRING_ESCAPES[e])
             i += 2
         else:
-            fail(i, f"unknown escape \\{e}")
+            raise _Fault(at + i, f"unknown escape \\{e}")
     return "".join(out)
 
 
@@ -193,25 +204,26 @@ class _TermCache:
         self.written: dict[str, Iri] = {}
         self.bnodes: dict[str, BlankNode] = {}
 
-    def iri(self, raw: str, line: int, col: int) -> Iri:
-        """The IRI written as ``<raw>``, with its ``<`` at ``line`` and
-        ``col``: checked against the IRIREF grammar, its escapes decoded,
-        then interned. A body found in ``written`` has passed all three."""
+    def iri(self, raw: str, at: int) -> Iri:
+        """The IRI written as ``<raw>``, with ``raw`` at offset ``at``:
+        checked against the IRIREF grammar, its escapes decoded, then
+        interned. A body found in ``written`` has passed all three."""
         node = self.written.get(raw)
         if node is None:
             bad = _IRI_BODY_RE.match(raw).end()
             if bad < len(raw):
-                raise ParseError(line, col + 1 + bad, "invalid character in IRI")
-            text = _unescape(raw, line, allow_echar=False, col=col + 1) if "\\" in raw else raw
-            node = self.written[raw] = self.intern(text, line, col)
+                raise _Fault(at + bad, "invalid character in IRI")
+            text = _unescape(raw, at, allow_echar=False) if "\\" in raw else raw
+            node = self.written[raw] = self.intern(text, at - 1)
         return node
 
-    def intern(self, text: str, line: int, col: int = 1) -> Iri:
-        """The IRI whose text, already decoded, is ``text``; checked once per text."""
+    def intern(self, text: str, at: int) -> Iri:
+        """The IRI whose text, already decoded, is ``text``, written at
+        offset ``at``; checked once per text."""
         node = self.iris.get(text)
         if node is None:
             if not _SCHEME_RE.match(text):
-                raise ParseError(line, col, f"IRI is not absolute: <{text}>")
+                raise _Fault(at, f"IRI is not absolute: <{text}>")
             node = self.iris[text] = Iri(text)
         return node
 
@@ -226,58 +238,56 @@ def parse_ntriples(text: str, dataset_id: str = "") -> Dataset:
     """Parse an N-Triples document. Duplicate triples are dropped and counted.
 
     One ``finditer`` scan of ``_NT_DOCUMENT_RE`` reads the whole document,
-    one match per line, so a line's number is its match's ordinal and no
-    line is sliced out of ``text``. An IRI body is checked against the
-    IRIREF grammar, decoded and interned once per text as written; a body
-    written before is found by that text alone. Each literal and triple is
-    built by ``tuple.__new__``, past the checks of the classes' own
-    constructors: the line grammar admits no literal with both a datatype
-    and a language tag. Each triple keys an insertion-ordered dict as it is
-    built, which drops the duplicates in document order.
+    one match per line, so no line is sliced out of ``text``. An IRI body is
+    checked against the IRIREF grammar, decoded and interned once per text
+    as written; a body written before is found by that text alone. Each
+    literal and triple is built by ``tuple.__new__``, past the checks of the
+    classes' own constructors: the line grammar admits no literal with both
+    a datatype and a language tag. Each triple keys an insertion-ordered
+    dict as it is built, which drops the duplicates in document order.
 
     Errors are located only on failure, with the same priority as a walk
     line by line: the first line that is no triple, blank line or comment
-    is diagnosed from its own text, so the error's column counts from the
-    line's first character. A term that fails (a bad IRI, a relative one, a
-    bad escape) gives way to the error of its line when the line grammar
-    rejects the line, and stands otherwise.
+    is diagnosed from its own text. A term that fails (a bad IRI, a relative
+    one, a bad escape) gives way to the fault of its line when the line
+    grammar rejects the line, and stands otherwise.
     """
     cache = _TermCache()
     written, iri, bnode = cache.written, cache.iri, cache.bnode
     new = tuple.__new__
     kept: dict[Triple, None] = {}
-    lineno = blank = 0
-    for lineno, m in enumerate(_NT_DOCUMENT_RE.finditer(text), 1):
+    lines = blank = 0
+    for lines, m in enumerate(_NT_DOCUMENT_RE.finditer(text), 1):
         s_iri, s_bnode, p_iri, o_iri, o_bnode, o_lex, o_dt, o_lang, rejected = m.groups()
         if p_iri is None:
             if rejected is not None:
-                raise _nt_line_error(text, m.start(), lineno)
+                raise _nt_line_fault(text, m.start()).located(text)
             blank += 1
             continue
-        # a match starts at its line's first character and a group one past
-        # its '<', so m.start(g) - m.start() is the column of that '<'
+        # each group of a term's text is passed with its own offset, which
+        # is read only when the term is new or holds an escape
         try:
-            subject = (written.get(s_iri) or iri(s_iri, lineno, m.start(1) - m.start())
+            subject = (written.get(s_iri) or iri(s_iri, m.start(1))
                        if s_iri is not None else bnode(s_bnode[2:]))
-            predicate = written.get(p_iri) or iri(p_iri, lineno, m.start(3) - m.start())
+            predicate = written.get(p_iri) or iri(p_iri, m.start(3))
             if o_iri is not None:
-                obj: Term = written.get(o_iri) or iri(o_iri, lineno, m.start(4) - m.start())
+                obj: Term = written.get(o_iri) or iri(o_iri, m.start(4))
             elif o_bnode is not None:
                 obj = bnode(o_bnode[2:])
             else:
-                lex = (_unescape(o_lex, lineno, allow_echar=True, col=m.start(6) - m.start() + 1)
+                lex = (_unescape(o_lex, m.start(6), allow_echar=True)
                        if "\\" in o_lex else o_lex)
-                dt = (written.get(o_dt) or iri(o_dt, lineno, m.start(7) - m.start())
+                dt = (written.get(o_dt) or iri(o_dt, m.start(7))
                       if o_dt is not None else None)
                 obj = new(Literal, (2, lex, dt, o_lang))
-        except ParseError as exc:
-            raise _nt_line_error(text, m.start(), lineno) or exc from None
+        except _Fault as fault:
+            raise (_nt_line_fault(text, m.start()) or fault).located(text) from None
         kept[new(Triple, (subject, predicate, obj))] = None
-    return Dataset(dataset_id, tuple(kept), lineno - blank - len(kept))
+    return Dataset(dataset_id, tuple(kept), lines - blank - len(kept))
 
 
-def _nt_line_error(text: str, start: int, lineno: int) -> ParseError | None:
-    """The error of the line that starts at ``text[start]``, less one CR
+def _nt_line_fault(text: str, start: int) -> _Fault | None:
+    """The fault of the line that starts at ``text[start]``, less one CR
     before its newline, at the first piece that fails; None if the line
     grammar accepts the line."""
     end = text.find("\n", start)
@@ -294,7 +304,7 @@ def _nt_line_error(text: str, start: int, lineno: int) -> ParseError | None:
         if m is None:
             if message is None:
                 pos, message = _lexical_error(line, pos, starts)
-            return ParseError(lineno, pos + 1, message)
+            return _Fault(start + pos, message)
         pos = m.end()
     raise AssertionError("the pieces accept a line that _NT_LINE_RE rejects")
 
@@ -362,11 +372,19 @@ def serialize_dataset(dataset: Dataset) -> bytes:
 
 _PN_LOCAL = r"(?:[A-Za-z0-9_:%\-]|\.(?=[A-Za-z0-9_:%\-.\\])|\\[_~.\-!$&'()*+,;=/?\#@%])*"
 
+# Whitespace and comments, skipped before each token; unrolled, so each
+# character reads one way only. A comment cannot give back the end of its
+# line, and no token starts with a blank or '#', so when no token follows,
+# the match is retried once per skipped character. The nested form
+# (?:[ \t\r\n]+|\#[^\n]*)* retries every way to split a run of blanks, and a
+# comment that could give back its end would retry every way to split a run
+# of '#', and read tokens inside it.
+_SKIP = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*"
+_SKIP_RE = re.compile(_SKIP)
+
 _TOKEN_RE = re.compile(
-    rf"""
-      (?P<ws>[ \t\r\n]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<iriref><{_IRI_BODY}>)
+    rf"""{_SKIP}(?:
+      (?P<iriref><{_IRI_BODY}>)
     | (?P<string>'''{_LONG_SINGLE_BODY}'''
         |\"\"\"{_LONG_DOUBLE_BODY}\"\"\"
         |'(?!''){_SINGLE_BODY}'
@@ -384,7 +402,7 @@ _TOKEN_RE = re.compile(
     | (?P<boolean>(?:true|false)(?![A-Za-z0-9_:\-]))
     | (?P<kw_a>a(?![A-Za-z0-9_:\-]))
     | (?P<pname>(?:[A-Za-z][A-Za-z0-9_\-.]*)?:{_PN_LOCAL})
-    """,
+    )""",
     re.VERBOSE,
 )
 
@@ -396,31 +414,22 @@ _SHORTHAND_DATATYPES = {
 }
 
 
-_Token = namedtuple("_Token", "kind value line col")
-
-
-def _tokenize_turtle(text: str) -> list[_Token]:
+def _tokenize_turtle(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of ``text`` as ``(kind, value, offset)``, then an ``eof``
+    token at the end of the text. A fault stands at the first character
+    after the blanks that starts no token."""
     tokens = []
+    append = tokens.append
+    match = _TOKEN_RE.match
     pos = 0
-    line = 1
-    line_start = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            fault, message = _lexical_error(text, pos, '<"\'_@')
-            raise ParseError(line, fault - line_start + 1, message)
+    while m := match(text, pos):
         kind = m.lastgroup
-        value = m.group()
-        col = pos - line_start + 1
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            line_start = m.start() + value.rfind("\n") + 1
+        append((kind, m[kind], m.start(kind)))
         pos = m.end()
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
+    pos = _SKIP_RE.match(text, pos).end()
+    if pos < len(text):
+        raise _Fault(*_lexical_error(text, pos, '<"\'_@'))
+    append(("eof", "", pos))
     return tokens
 
 
@@ -440,6 +449,7 @@ class _OpenList:
 class _TurtleParser:
     """Descent parser over the token stream; nested objects are walked with
     an explicit stack (``walk``), so nesting depth is bounded by memory only.
+    A fault is raised at the offset of the token where it is found.
 
     Blank node labels written in the document are preserved; anonymous nodes
     get deterministic ``genidN`` labels (collision-checked against the
@@ -454,59 +464,62 @@ class _TurtleParser:
         self.base: str | None = None
         self.cache = _TermCache()
         self.triples: list[Triple] = []
-        self.used_labels = {t.value[2:] for t in self.tokens if t.kind == "blank"}
+        self.used_labels = {value[2:] for kind, value, _ in self.tokens if kind == "blank"}
         self.anon_counter = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
+    def kind(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.pos][0]
+
     def at(self, chars: str) -> bool:
         """Whether the next token is one of the punctuation characters ``chars``."""
-        tok = self.tokens[self.pos]
-        return tok.kind == "punct" and tok.value in chars
+        kind, value, _ = self.tokens[self.pos]
+        return kind == "punct" and value in chars
 
     def expect_punct(self, ch: str):
         if not self.at(ch):
-            self.error(self.peek(), f"expected {ch!r}, found {self.peek().value!r}")
+            _, value, at = self.peek()
+            raise _Fault(at, f"expected {ch!r}, found {value!r}")
         self.next()
 
-    def error(self, tok: _Token, msg: str):
-        raise ParseError(tok.line, tok.col, msg)
+    def iriref_text(self, value: str, at: int) -> str:
+        """The text of the IRIREF token ``value`` with its escapes decoded, once."""
+        raw = value[1:-1]
+        return _unescape(raw, at + 1, allow_echar=False) if "\\" in raw else raw
 
-    def iriref_text(self, tok: _Token) -> str:
-        """The text of an IRIREF token with its escapes decoded, once."""
-        raw = tok.value[1:-1]
-        return _unescape(raw, tok.line, allow_echar=False, col=tok.col + 1) if "\\" in raw else raw
-
-    def resolve_iri(self, tok: _Token) -> Iri:
-        raw = self.iriref_text(tok)
+    def resolve_iri(self, value: str, at: int) -> Iri:
+        raw = self.iriref_text(value, at)
         if not _SCHEME_RE.match(raw):
             if self.base is None:
-                self.error(tok, f"relative IRI <{raw}> without a base")
+                raise _Fault(at, f"relative IRI <{raw}> without a base")
             raw = urljoin(self.base, raw)
         try:
-            return self.cache.intern(raw, tok.line)
-        except ParseError:
-            self.error(tok, f"cannot resolve <{raw}> to an absolute IRI")
+            return self.cache.intern(raw, at)
+        except _Fault:
+            raise _Fault(at, f"cannot resolve <{raw}> to an absolute IRI") from None
 
-    def iri(self, tok: _Token) -> Iri | None:
+    def iri(self, tok: tuple[str, str, int]) -> Iri | None:
         """The IRI an IRIREF or prefixed-name token names; None for other tokens."""
-        if tok.kind == "iriref":
-            return self.resolve_iri(tok)
-        if tok.kind != "pname":
+        kind, value, at = tok
+        if kind == "iriref":
+            return self.resolve_iri(value, at)
+        if kind != "pname":
             return None
-        prefix, _, local = tok.value.partition(":")
+        prefix, _, local = value.partition(":")
         ns = self.prefixes.get(prefix)
         if ns is None:
-            self.error(tok, f"undefined prefix {prefix!r}")
+            raise _Fault(at, f"undefined prefix {prefix!r}")
         if "\\" in local:
             local = re.sub(r"\\(.)", r"\1", local)
-        return self.cache.intern(ns + local, tok.line)
+        return self.cache.intern(ns + local, at)
 
     def fresh_bnode(self) -> BlankNode:
         while True:
@@ -517,32 +530,32 @@ class _TurtleParser:
                 return self.cache.bnode(label)
 
     def parse(self) -> list[Triple]:
-        while self.peek().kind != "eof":
-            if self.peek().kind == "prefix_kw":
+        while self.kind() != "eof":
+            if self.kind() == "prefix_kw":
                 self.directive()
             else:
                 self.statement()
         return self.triples
 
     def directive(self):
-        tok = self.next()
-        keyword = tok.value.lower().lstrip("@")
-        sparql_style = not tok.value.startswith("@")
+        _, written, _ = self.next()
+        keyword = written.lower().lstrip("@")
         if keyword == "prefix":
-            name_tok = self.next()
-            if name_tok.kind != "pname" or not name_tok.value.endswith(":"):
-                self.error(name_tok, "expected prefix name ending in ':'")
-        iri_tok = self.next()
-        if iri_tok.kind != "iriref":
-            self.error(iri_tok, f"expected IRI in {keyword} directive")
+            kind, name, at = self.next()
+            if kind != "pname" or not name.endswith(":"):
+                raise _Fault(at, "expected prefix name ending in ':'")
+        kind, value, at = self.next()
+        if kind != "iriref":
+            raise _Fault(at, f"expected IRI in {keyword} directive")
         if keyword == "prefix":
-            self.prefixes[name_tok.value[:-1]] = self.resolve_iri(iri_tok).text
+            self.prefixes[name[:-1]] = self.resolve_iri(value, at).text
         else:
-            raw = self.iriref_text(iri_tok)
+            raw = self.iriref_text(value, at)
             self.base = urljoin(self.base, raw) if self.base else raw
             if not _SCHEME_RE.match(self.base):
-                self.error(iri_tok, "base IRI must be absolute")
-        if not sparql_style:
+                raise _Fault(at, "base IRI must be absolute")
+        # the SPARQL forms PREFIX and BASE take no '.'
+        if written.startswith("@"):
             self.expect_punct(".")
 
     def statement(self):
@@ -557,20 +570,22 @@ class _TurtleParser:
 
     def subject(self):
         tok = self.next()
-        if tok.kind == "blank":
-            return self.cache.bnode(tok.value[2:])
+        kind, value, at = tok
+        if kind == "blank":
+            return self.cache.bnode(value[2:])
         node = self.iri(tok)
         if node is None:
-            self.error(tok, f"expected subject, found {tok.value!r}")
+            raise _Fault(at, f"expected subject, found {value!r}")
         return node
 
     def verb(self) -> Iri:
         tok = self.next()
-        if tok.kind == "kw_a":
+        kind, value, at = tok
+        if kind == "kw_a":
             return RDF_TYPE
         node = self.iri(tok)
         if node is None:
-            self.error(tok, f"expected predicate, found {tok.value!r}")
+            raise _Fault(at, f"expected predicate, found {value!r}")
         return node
 
     def predicate_object_list(self, subject):
@@ -629,7 +644,7 @@ class _TurtleParser:
                 if self.at(";"):
                     while self.at(";"):
                         self.next()
-                    if not self.at(".])") and self.peek().kind != "eof":
+                    if not self.at(".])") and self.kind() != "eof":
                         top.predicate = self.verb()
                         break
                 stack.pop()
@@ -641,39 +656,39 @@ class _TurtleParser:
 
     def simple_object(self) -> Term:
         tok = self.next()
-        if tok.kind == "blank":
-            return self.cache.bnode(tok.value[2:])
-        if tok.kind == "string":
-            return self.finish_literal(tok)
-        if tok.kind in _SHORTHAND_DATATYPES:
-            return Literal(tok.value, datatype=_SHORTHAND_DATATYPES[tok.kind])
+        kind, value, at = tok
+        if kind == "blank":
+            return self.cache.bnode(value[2:])
+        if kind == "string":
+            return self.finish_literal(value, at)
+        if kind in _SHORTHAND_DATATYPES:
+            return Literal(value, datatype=_SHORTHAND_DATATYPES[kind])
         node = self.iri(tok)
         if node is None:
-            self.error(tok, f"expected object, found {tok.value!r}")
+            raise _Fault(at, f"expected object, found {value!r}")
         return node
 
-    def finish_literal(self, tok: _Token) -> Literal:
-        raw = tok.value
-        quote = 3 if raw.startswith(("'''", '"""')) else 1
-        body = raw[quote:-quote]
-        lex = (_unescape(body, tok.line, allow_echar=True, col=tok.col + quote)
-               if "\\" in body else body)
-        nxt = self.peek()
-        if nxt.kind == "langtag":
+    def finish_literal(self, value: str, at: int) -> Literal:
+        quote = 3 if value.startswith(("'''", '"""')) else 1
+        body = value[quote:-quote]
+        lex = _unescape(body, at + quote, allow_echar=True) if "\\" in body else body
+        kind, tag, _ = self.peek()
+        if kind == "langtag":
             self.next()
-            return Literal(lex, language=nxt.value[1:])
-        if nxt.kind == "dtype":
+            return Literal(lex, language=tag[1:])
+        if kind == "dtype":
             self.next()
-            dtok = self.next()
-            dt = self.iri(dtok)
+            tok = self.next()
+            dt = self.iri(tok)
             if dt is None:
-                self.error(dtok, "expected datatype IRI")
+                raise _Fault(tok[2], "expected datatype IRI")
             return Literal(lex, datatype=dt)
         return Literal(lex)
 
     def check_collection_open(self):
-        if self.peek().kind == "eof":
-            self.error(self.peek(), "unterminated collection")
+        kind, _, at = self.peek()
+        if kind == "eof":
+            raise _Fault(at, "unterminated collection")
 
     def collection_nodes(self, items: list[Term]) -> BlankNode:
         """The first node of the rdf:first/rdf:rest chain over ``items``;
@@ -688,7 +703,10 @@ class _TurtleParser:
 
 def parse_turtle(text: str, dataset_id: str = "") -> Dataset:
     """Parse a Turtle document into a dataset (document statement order)."""
-    triples = _TurtleParser(text).parse()
+    try:
+        triples = _TurtleParser(text).parse()
+    except _Fault as fault:
+        raise fault.located(text) from None
     return make_dataset(dataset_id, triples)
 
 
@@ -702,10 +720,10 @@ def _decode(data: bytes | str) -> str:
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
-        # the text before the bad byte decodes, and its last line gives the column
+        # the text before the bad byte decodes, and its end is the byte's place
         before = data[:exc.start].decode("utf-8-sig")
-        raise ParseError(before.count("\n") + 1, len(before) - before.rfind("\n"),
-                         f"invalid UTF-8 byte 0x{data[exc.start]:02X}") from None
+        fault = _Fault(len(before), f"invalid UTF-8 byte 0x{data[exc.start]:02X}")
+        raise fault.located(before) from None
     return text[1:] if text.startswith("\ufeff") else text
 
 

@@ -1,33 +1,22 @@
 """Statistical analysis over metric reports.
 
-Per-metric summaries (mean, sample standard deviation), before/after deltas,
-and Spearman rank correlation with average-rank tie handling. The two-sided
-p-value uses the Student-t approximation t = rho*sqrt((n-2)/(1-rho^2)) with
-n-2 degrees of freedom, computed as the regularized incomplete beta function
-I_x((n-2)/2, 1/2) by its continued fraction; an exact permutation mode is
-available for small n as a cross-check. A constant input vector makes the
-correlation undefined - a tagged result (None cell), not an exception -
-because a vector of identical values (typically all zeros) carries no rank
-information.
+Before/after deltas and Spearman rank correlation with average-rank tie
+handling. The two-sided p-value uses the Student-t approximation
+t = rho*sqrt((n-2)/(1-rho^2)) with n-2 degrees of freedom, computed as the
+regularized incomplete beta function I_x((n-2)/2, 1/2) by its continued
+fraction. A constant input vector makes the correlation undefined - a
+tagged result (None cell), not an exception - because a vector of identical
+values (typically all zeros) carries no rank information.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .metrics import MetricId, MetricReport
-
-
-@dataclass(frozen=True)
-class SummaryRow:
-    metric: MetricId
-    mean: float
-    stdev: float
 
 
 @dataclass(frozen=True)
@@ -60,21 +49,6 @@ class CorrelationMatrix:
 
 class MetricMismatch(Exception):
     """Reports do not cover the same metric selection."""
-
-
-def summarize(reports: Sequence[MetricReport]) -> list[SummaryRow]:
-    """Mean and sample standard deviation per metric over the report list."""
-    if not reports:
-        raise ValueError("summarize needs at least one report")
-    rows = []
-    for mid in MetricId:
-        values = [r.metrics[mid].value for r in reports if mid in r.metrics]
-        if not values:
-            continue
-        mean = statistics.fmean(values)
-        stdev = statistics.stdev(values) if len(values) > 1 else 0.0
-        rows.append(SummaryRow(metric=mid, mean=mean, stdev=stdev))
-    return rows
 
 
 def compute_delta(before: MetricReport, after: MetricReport) -> DeltaReport:
@@ -195,26 +169,6 @@ def _student_t_two_sided_p(t: float, df: int) -> float:
     ix = f / a * math.exp(_log_gamma_half_ratio(b if swap else a) - math.lgamma(0.5)
                           + a * log_x + b * log_y)
     return 1.0 - ix if swap else ix
-
-
-def spearman_exact_p(x: Sequence[float], y: Sequence[float]) -> float:
-    """Exact two-sided permutation p-value, for n <= 10 only."""
-    n = len(x)
-    if n > 10:
-        raise ValueError("exact permutation p-value is limited to n <= 10")
-    observed = spearman_rho(x, y)
-    if observed is None:
-        raise ValueError("undefined correlation (constant input)")
-    target = abs(observed.rho) - 1e-12
-    rx = average_ranks(x)
-    ry = average_ranks(y)
-    hits = 0
-    total = 0
-    for perm in itertools.permutations(ry):
-        total += 1
-        if abs(_pearson(rx, perm)) >= target:
-            hits += 1
-    return hits / total
 
 
 def correlation_matrix(reports: Sequence[MetricReport],

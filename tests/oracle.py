@@ -7,6 +7,8 @@ rank arithmetic) so it can serve as a genuinely independent cross-check of
 the package under test.
 """
 
+from itertools import permutations
+
 from rdfqa.core.model import BlankNode, Iri, Literal
 
 RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -477,3 +479,12 @@ def brute_force_spearman(x, y):
     var_x = sum((a - mean_x) ** 2 for a in rx)
     var_y = sum((b - mean_y) ** 2 for b in ry)
     return cov / (var_x ** 0.5 * var_y ** 0.5)
+
+
+def spearman_exact_p(x, y):
+    """Exact two-sided permutation p-value of Spearman's rho: the share of
+    the orderings of ``y`` whose |rho| reaches the observed one. It visits
+    all n! orderings, so it serves small n only."""
+    observed = abs(brute_force_spearman(x, y)) - 1e-12
+    orders = list(permutations(y))
+    return sum(abs(brute_force_spearman(x, order)) >= observed for order in orders) / len(orders)

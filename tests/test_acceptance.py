@@ -13,13 +13,13 @@ from rdfqa import (
     MetricId,
     Triple,
     assess,
-    contaminate,
     make_dataset,
     parse_dataset,
     replay_manifest,
     serialize_dataset,
     spearman_rho,
 )
+from rdfqa.contaminate import contaminate
 from rdfqa.core.model import OWL_CLASS, RDF_TYPE, XSD_INTEGER, XSD_STRING
 from rdfqa.fixtures import fixture_path
 from rdfqa.metrics import Dictionary

@@ -1,15 +1,16 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
+import rdfqa
 from rdfqa import (
     ContaminationPlan,
     HEURISTIC_TARGETS,
     HeuristicId,
     MetricId,
     assess,
-    contaminate,
     replay_manifest,
     serialize_dataset,
 )
@@ -18,6 +19,7 @@ from rdfqa.contaminate import (
     EditAction,
     EditLog,
     ReplayError,
+    contaminate,
     load_plan,
     manifest_from_dict,
     manifest_to_dict,
@@ -42,6 +44,11 @@ from rdfqa.fixtures import fixture_path
 from .test_acceptance import build_scale_document, build_wide_document
 
 SEED = 424242
+
+
+def test_the_package_attribute_contaminate_is_the_module():
+    # so that monkeypatch.setattr("rdfqa.contaminate.X", ...) reaches the module
+    assert rdfqa.contaminate is sys.modules["rdfqa.contaminate"]
 
 
 def plan_for(h, n=3, seed=SEED):

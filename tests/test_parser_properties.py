@@ -10,12 +10,11 @@ import re
 import tempfile
 from pathlib import Path
 
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from rdfqa import (Dataset, ParseError, assess, contaminate, load_dataset, parse_dataset,
-                   serialize_dataset)
+from rdfqa import Dataset, ParseError, assess, load_dataset, parse_dataset, serialize_dataset
 from rdfqa.cli import main
-from rdfqa.contaminate import load_plan, manifest_to_dict
+from rdfqa.contaminate import contaminate, load_plan, manifest_to_dict
 from rdfqa.core.parsing import _TOKEN_RE, parse_ntriples, parse_turtle
 from rdfqa.fixtures import fixture_path
 from rdfqa.metrics import Dictionary
@@ -80,6 +79,31 @@ def test_any_bytes_give_a_dataset_or_a_located_parse_error(data, fmt):
         assert err.line >= 1 and err.column >= 1
     else:
         assert isinstance(result, Dataset)
+
+
+def _parsed_or_located(data, fmt):
+    try:
+        return parse_dataset(data, fmt)
+    except ParseError as exc:
+        return exc.line, exc.column, exc.message
+
+
+# lines that hold only blanks or a comment, with LF or CRLF ends
+_SKIPPED_LINES = st.lists(st.sampled_from(["\n", "\r\n", " \t\n", "#\n", "# <x> \"y ;\r\n"]),
+                          min_size=1, max_size=4).map("".join)
+
+
+@given(data=_DOCUMENTS, lines=_SKIPPED_LINES)
+def test_blank_and_comment_lines_before_a_turtle_document_move_only_its_errors(data, lines):
+    # a byte order mark is read only at the very start of a document
+    assume(not data.startswith("\ufeff".encode()))
+    before = _parsed_or_located(data, "turtle")
+    after = _parsed_or_located(lines.encode() + data, "turtle")
+    if isinstance(before, tuple):
+        line, column, message = before
+        assert after == (line + lines.count("\n"), column, message)
+    else:
+        assert after == before
 
 
 @given(data=st.one_of(_DOCUMENTS, _RAW_LINES.map(str.encode),

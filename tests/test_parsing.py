@@ -265,6 +265,39 @@ def test_turtle_reports_a_bad_term_at_its_first_character(text, column, message)
     assert (err.value.line, err.value.column, err.value.message) == (1, column, message)
 
 
+# a comment line and a statement whose long string spans three lines, so
+# every row's fault stands on line 6 or below and a slip in counting lines
+# shows in the row's line number
+_TURTLE_PRELUDE = ('@prefix a: <http://a/> .\n# a comment: "no" <string> here\n'
+                   'a:s a:p """one\ntwo\nthree""" .\n')
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    ('  "x" a:p a:o .\n', 6, 3, "expected subject, found '\"x\"'"),
+    ('a:s "x" a:o .\n', 6, 5, "expected predicate, found '\"x\"'"),
+    ("a:s b:p a:o .\n", 6, 5, "undefined prefix 'b'"),
+    ("a:s a:p <rel> .\n", 6, 9, "relative IRI <rel> without a base"),
+    ("@base <rel> .\n", 6, 7, "base IRI must be absolute"),
+    ("@prefix a <http://b/> .\n", 6, 9, "expected prefix name ending in ':'"),
+    ('@prefix b: "x" .\n', 6, 12, "expected IRI in prefix directive"),
+    ('a:s a:p "x"^^"y" .\n', 6, 14, "expected datatype IRI"),
+    # the end of the file, after a comment and after the last token
+    ("a:s a:p ( a:o # open\n", 7, 1, "unterminated collection"),
+    ("a:s a:p ( a:o", 6, 14, "unterminated collection"),
+    # escapes on the third line of a long string; a backslash can stand last
+    # only in an IRI, since the string pattern reads a character after each
+    ('a:s a:p """x\ny\nz \\q""" .\n', 8, 3, "unknown escape \\q"),
+    ('a:s a:p """x\ny\nz \\u00G1""" .\n', 8, 3, "bad \\u escape"),
+    ('a:s a:p """x\ny\nz \\\n""" .\n', 6, 9, "unterminated string literal"),
+    ("a:s a:p <http://a/\\> .\n", 6, 19, "dangling backslash"),
+])
+def test_turtle_errors_are_located_past_comments_and_long_strings(text, line, column,
+                                                                  message):
+    with pytest.raises(ParseError) as err:
+        parse_dataset(_TURTLE_PRELUDE + text, "turtle")
+    assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+
 def test_crlf_line_endings_still_parse():
     text = "<http://e/s> <http://e/p> \"a\" .\r\n<http://e/s> <http://e/p> <http://e/o> .\r\n"
     assert parse_dataset(text, "ntriples").triples == parse_dataset(text, "turtle").triples
@@ -441,3 +474,22 @@ def test_a_document_of_unterminated_iris_fails_in_linear_time():
         parse_dataset(text, "ntriples")
     assert time.perf_counter() - start < 1.0
     assert (err.value.line, err.value.column, err.value.message) == (1, 1, "unterminated IRI")
+
+
+@pytest.mark.parametrize("blanks, line, column", [
+    (" " * 100_000, 1, 100_001),
+    ("# a comment\n" * 10_000, 10_001, 1),
+    # a comment that could give back the end of its line would try every
+    # way to split this run of '#' into comments, 2**9_999 of them
+    ("#" * 10_000 + "\n", 2, 1),
+], ids=["spaces", "comment-lines", "hashes"])
+def test_blanks_and_comments_before_a_bad_character_are_skipped_in_linear_time(blanks, line,
+                                                                               column):
+    # no token starts with '`', so the token pattern's leading skip of
+    # blanks and comments is retried at most once per skipped character
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_dataset(blanks + "`", "turtle")
+    assert time.perf_counter() - start < 1.0
+    assert (err.value.line, err.value.column, err.value.message) == (
+        line, column, "unexpected character '`'")

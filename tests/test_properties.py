@@ -1,7 +1,6 @@
 """Invariant checks over seeded random datasets."""
 
 import dataclasses
-import importlib
 from collections import Counter
 from itertools import combinations
 from random import Random
@@ -16,7 +15,6 @@ from rdfqa import (
     assess,
     build_instance_index,
     build_schema_index,
-    contaminate,
     merge_datasets,
     parse_dataset,
     replay_manifest,
@@ -24,7 +22,7 @@ from rdfqa import (
 )
 from rdfqa import metrics
 from rdfqa.contaminate import (Edit, EditAction, EditLog, _Contaminator, _fake_targets,
-                               manifest_to_json)
+                               contaminate, manifest_to_json)
 from rdfqa.core.indexing import PropertyKind
 from rdfqa.core.model import (AXIOM_PREDICATES, OWL_CLASS, OWL_COMPLEMENT_OF,
                               OWL_DATATYPE_PROPERTY, OWL_DISJOINT_WITH, OWL_OBJECT_PROPERTY,
@@ -394,8 +392,7 @@ def test_index_cache_never_changes_a_choice(monkeypatch):
     # the reference has no cache and no view: every read filters all current triples
     monkeypatch.setattr(EditLog, "schema",
                         lambda log: build_schema_index(make_dataset("", log.current())))
-    # the package exports the function contaminate, which hides the module's name
-    monkeypatch.setattr(importlib.import_module("rdfqa.contaminate"), "build_instance_index",
+    monkeypatch.setattr("rdfqa.contaminate.build_instance_index",
                         lambda log: build_instance_index(make_dataset("", log.current())))
 
     def of(log, predicates):

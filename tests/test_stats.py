@@ -14,13 +14,11 @@ from rdfqa import (
     assess,
     compute_delta,
     correlation_matrix,
-    spearman_exact_p,
     spearman_rho,
-    summarize,
 )
 from rdfqa.metrics import MetricReport, MetricValue, ReportCounts
 from rdfqa.stats import _student_t_two_sided_p, average_ranks, render_matrix
-from .oracle import brute_force_ranks, brute_force_spearman
+from .oracle import brute_force_ranks, brute_force_spearman, spearman_exact_p
 
 
 def fake_report(dataset_id, values):
@@ -161,24 +159,6 @@ def test_exact_permutation_agrees_in_direction():
     exact = spearman_exact_p(x, y)
     assert 0 < exact < 0.2
     assert abs(exact - approx) < 0.1
-
-
-def test_summarize_single_report():
-    report = fake_report("one", [0.5] * 10)
-    rows = summarize([report])
-    assert all(row.mean == 0.5 and row.stdev == 0.0 for row in rows)
-
-
-def test_summarize_reference_mean_and_two_point_stdev():
-    m1_values = [0.33, 0.74, 0.56, 0.41, 0.85, 0.38, 0.30, 0.33]
-    reports = [fake_report(f"d{i}", [v] * 10) for i, v in enumerate(m1_values)]
-    rows = summarize(reports)
-    assert abs(rows[0].mean - 0.49) <= 0.005
-    assert abs(rows[0].stdev - 0.21) <= 0.005
-    assert rows[0].stdev >= 0
-    two = summarize([fake_report("a", [0.0] * 10), fake_report("b", [1.0] * 10)])
-    assert two[0].mean == 0.5
-    assert abs(two[0].stdev - 0.7071067811865476) <= 1e-12
 
 
 def test_delta_zero_and_antisymmetry(family, words):
