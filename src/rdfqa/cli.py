@@ -4,41 +4,25 @@ Exit codes: 0 success, 1 an input that cannot be read or parsed or an
 output that cannot be written, 2 usage error. An error names the file it
 came from. Output files are written atomically; a failing command leaves no
 partial files behind. A command runs with the cyclic garbage collector off.
+
+Each command imports only the modules it runs: at module level this file
+imports what ``build_parser`` needs, and every rdfqa module is imported
+inside the function that uses it. So ``--help`` and a usage error load no
+rdfqa module but this one, and ``assess`` never loads the contaminator.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
-import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .contaminate import (
-    ALL_HEURISTICS,
-    HEURISTIC_TARGETS,
-    HeuristicId,
-    contaminate,
-    load_manifest,
-    load_plan,
-    manifest_to_json,
-)
-from .core.parsing import ParseError, load_dataset, merge_datasets, serialize_dataset
-from .metrics import Dictionary, MetricId, assess, default_dictionary, load_dictionary, metric_id
-from .reporting import load_report, render_report
-from .stats import (
-    MetricMismatch,
-    compute_delta,
-    correlation_matrix,
-    delta_to_csv,
-    delta_to_dict,
-    matrix_to_csv,
-    matrix_to_json,
-    render_delta_table,
-    render_matrix,
-)
+if TYPE_CHECKING:
+    from .contaminate import HeuristicId
+    from .metrics import Dictionary, MetricId
 
 DICTIONARY_ENV = "RDFQA_DICTIONARY"
 
@@ -56,11 +40,12 @@ class InputError(Exception):
     """An input file that does not decode or parse; the message names it."""
 
 
-def _read(load, path):
-    """``load(path)``; a parse, decode or JSON error becomes an InputError naming ``path``."""
+def _read(load, path, errors=ValueError):
+    """``load(path)``; one of ``errors``, by default a decode or JSON error,
+    becomes an InputError naming ``path``."""
     try:
         return load(path)
-    except (ParseError, ValueError) as exc:
+    except errors as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
@@ -89,19 +74,26 @@ def _emit(text: str, output_path: Path | None):
 
 
 def _resolve_dictionary(args: argparse.Namespace) -> Dictionary:
+    from .metrics import default_dictionary, load_dictionary
+
     # precedence: flag, then environment, then the packaged word list
     path = args.dictionary or os.environ.get(DICTIONARY_ENV)
     return _read(load_dictionary, path) if path else default_dictionary()
 
 
 def _load_input_dataset(args: argparse.Namespace):
-    dataset = _read(load_dataset, args.dataset)
+    from .core.parsing import ParseError, load_dataset, merge_datasets
+
+    errors = (ParseError, ValueError)
+    dataset = _read(load_dataset, args.dataset, errors)
     if args.schema is not None:
-        dataset = merge_datasets(dataset, _read(load_dataset, args.schema))
+        dataset = merge_datasets(dataset, _read(load_dataset, args.schema, errors))
     return dataset
 
 
 def _parse_metric_selection(raw: str) -> tuple[MetricId, ...]:
+    from .metrics import metric_id
+
     ids = []
     for token in raw.replace(",", " ").split():
         ids.append(metric_id(token))
@@ -111,6 +103,9 @@ def _parse_metric_selection(raw: str) -> tuple[MetricId, ...]:
 
 
 def cmd_assess(args: argparse.Namespace) -> int:
+    from .metrics import assess
+    from .reporting import render_report
+
     selection = None
     if args.metrics is not None:
         try:
@@ -124,6 +119,11 @@ def cmd_assess(args: argparse.Namespace) -> int:
 
 
 def cmd_contaminate(args: argparse.Namespace) -> int:
+    import dataclasses
+
+    from .contaminate import contaminate, load_plan, manifest_to_json
+    from .core.parsing import serialize_dataset
+
     dataset = _load_input_dataset(args)
     plan = _read(load_plan, args.plan)
     dictionary = _resolve_dictionary(args)
@@ -142,6 +142,9 @@ def cmd_contaminate(args: argparse.Namespace) -> int:
 def _trend_table(delta_report, manifest) -> str:
     """Requested/achieved heuristic counts next to the deltas of their
     target metrics, grouped the way the heuristics map onto the metrics."""
+    from .contaminate import ALL_HEURISTICS, HEURISTIC_TARGETS
+    from .metrics import MetricId
+
     groups: dict[MetricId, list[HeuristicId]] = {}
     for h in ALL_HEURISTICS:
         groups.setdefault(HEURISTIC_TARGETS[h], []).append(h)
@@ -159,9 +162,18 @@ def _trend_table(delta_report, manifest) -> str:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    import json
+
+    from .reporting import load_report
+    from .stats import MetricMismatch, compute_delta, delta_to_csv, delta_to_dict, render_delta_table
+
     before = _read(load_report, args.before)
     after = _read(load_report, args.after)
-    manifest = _read(load_manifest, args.manifest) if args.manifest else None
+    manifest = None
+    if args.manifest:
+        from .contaminate import ALL_HEURISTICS, HEURISTIC_TARGETS, load_manifest
+
+        manifest = _read(load_manifest, args.manifest)
     try:
         delta_report = compute_delta(before, after)
     except MetricMismatch as exc:
@@ -191,6 +203,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_correlate(args: argparse.Namespace) -> int:
     if len(args.reports) < 3:
         return _fail("correlate needs at least 3 report files", EXIT_USAGE)
+    from .reporting import load_report
+    from .stats import correlation_matrix, matrix_to_csv, matrix_to_json, render_matrix
+
     reports = [_read(load_report, p) for p in args.reports]
     matrix = correlation_matrix(reports, alpha=args.alpha)
     if args.format == "json":

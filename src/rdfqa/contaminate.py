@@ -46,7 +46,7 @@ from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping
 
-from .core.indexing import SchemaIndex, build_instance_index, build_schema_index
+from .core.indexing import SchemaIndex, build_schema_index
 from .core.model import (
     CLASS_TYPES,
     OWL_CLASS,
@@ -466,13 +466,21 @@ class _Contaminator:
                     self.apply(HeuristicId.H7, EditAction.REMOVE_AXIOM, before=t)
         self.record(HeuristicId.H7, n, len(chosen), "no used declared terms")
 
+    def _memberships(self, classes: frozenset[Iri]) -> list[tuple[Iri, Iri]]:
+        """``(instance, class)`` for each current ``rdf:type`` triple that
+        makes an IRI an instance of one of ``classes``, in document order."""
+        return [(t.subject, t.object) for t in self.log.of((RDF_TYPE,))
+                if t.object in classes and isinstance(t.subject, Iri)]
+
     def h8_make_disjoint(self, n: int):
         schema = self.log.schema()
+        classes_of: dict[Iri, set[Iri]] = {}
+        for instance, cls in self._memberships(schema.classes):
+            classes_of.setdefault(instance, set()).add(cls)
         # M5's shape: two declared classes share an instance only inside one
         # distinct asserted class set
-        shared = {pair for classes in set(build_instance_index(self.log).classes_of.values())
-                  for pair in combinations(sorted(classes & schema.classes,
-                                                  key=attrgetter("text")), 2)}
+        shared = {pair for classes in {frozenset(c) for c in classes_of.values()}
+                  for pair in combinations(sorted(classes, key=attrgetter("text")), 2)}
         candidates = sorted((pair for pair in shared if not schema.disjoint(*pair)),
                             key=lambda pair: (pair[0].text, pair[1].text))
         done = sum(self.apply(HeuristicId.H8, EditAction.ADD_AXIOM,
@@ -562,10 +570,10 @@ class _Contaminator:
         self.record(HeuristicId.H13, n, done, "no retaggable datatype-property literals")
 
     def h14_clone_classes(self, n: int):
-        schema = self.log.schema()
-        members_of = build_instance_index(self.log).members_of
-        candidates = sorted((c for c in schema.classes if members_of.get(c)),
-                            key=lambda c: c.text)
+        members_of: dict[Iri, set[Iri]] = {}
+        for instance, cls in self._memberships(self.log.schema().classes):
+            members_of.setdefault(cls, set()).add(instance)
+        candidates = sorted(members_of, key=attrgetter("text"))
         chosen = self._sample(candidates, n)
         for cls in chosen:
             clone = self.fresh_iri("h14-class")

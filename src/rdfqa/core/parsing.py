@@ -98,6 +98,13 @@ _LEXICAL_ERRORS = {
 }
 
 
+def _line_end(text: str, pos: int) -> int:
+    """The offset of the newline that ends the line holding ``text[pos]``,
+    or the length of ``text``."""
+    end = text.find("\n", pos)
+    return len(text) if end < 0 else end
+
+
 def _lexical_error(text: str, pos: int, starts: str) -> tuple[int, str]:
     """Why no term matches at ``text[pos]``, where a term whose first
     character is in ``starts`` may stand: the offset of the fault and a
@@ -111,15 +118,18 @@ def _lexical_error(text: str, pos: int, starts: str) -> tuple[int, str]:
     c = text[pos]
     if c not in starts or c not in _LEXICAL_ERRORS:
         return pos, f"unexpected character {c!r}"
-    if c == "<" and ">" in text[pos:].split("\n", 1)[0]:
+    if c == "<" and text.find(">", pos, _line_end(text, pos)) >= 0:
         return _IRI_BODY_RE.match(text, pos + 1).end(), "invalid character in IRI"
     return pos, _LEXICAL_ERRORS[c]
 
 
 # An N-Triples line as the pieces that _NT_LINE_RE joins and _nt_line_fault
 # walks. Each piece carries the lead characters of the terms it admits, for
-# _lexical_error, or the message for a line on which it fails. The literal
-# suffix piece matches nothing after an IRI or blank node object.
+# _lexical_error, or the message for a line on which it fails. A datatype or
+# a language tag stands only after the closing quote of a literal: the
+# suffix piece is bound to that quote, so no backtracking can read a suffix
+# after an IRI or a blank node object. It carries both, and its lead
+# characters diagnose it only after a closing quote.
 _IRIREF = rf"<({_IRI_BODY})>"
 _NT_PIECES = [(re.compile(piece), starts, message) for piece, starts, message in [
     (r"[ \t]*", "", None),
@@ -128,7 +138,8 @@ _NT_PIECES = [(re.compile(piece), starts, message) for piece, starts, message in
     (_IRIREF, "<", None),
     (r"[ \t]+", "", "expected whitespace"),
     (rf'(?:{_IRIREF}|({_BNODE_LABEL})|"({_STRING_BODY})")', '<_"', None),
-    (rf'(?:(?<!")|\^\^{_IRIREF}|@({_LANGTAG})|(?!@|\^\^))', "@^", None),
+    (rf'(?:(?!@|\^\^)|(?<=")(?:\^\^{_IRIREF}|@({_LANGTAG})))', "@^",
+     "a datatype or language tag may follow only a literal"),
     (r"[ \t]*", "", None),
     (r"\.", "", "expected '.' at end of triple"),
     (r"[ \t]*", "", None),
@@ -290,9 +301,7 @@ def _nt_line_fault(text: str, start: int) -> _Fault | None:
     """The fault of the line that starts at ``text[start]``, less one CR
     before its newline, at the first piece that fails; None if the line
     grammar accepts the line."""
-    end = text.find("\n", start)
-    if end < 0:
-        end = len(text)
+    end = _line_end(text, start)
     if end > start and text[end - 1] == "\r":
         end -= 1
     line = text[start:end]
@@ -302,7 +311,7 @@ def _nt_line_fault(text: str, start: int) -> _Fault | None:
     for piece, starts, message in _NT_PIECES:
         m = piece.match(line, pos)
         if m is None:
-            if message is None:
+            if starts and (message is None or line[pos - 1] == '"'):
                 pos, message = _lexical_error(line, pos, starts)
             return _Fault(start + pos, message)
         pos = m.end()

@@ -392,8 +392,6 @@ def test_index_cache_never_changes_a_choice(monkeypatch):
     # the reference has no cache and no view: every read filters all current triples
     monkeypatch.setattr(EditLog, "schema",
                         lambda log: build_schema_index(make_dataset("", log.current())))
-    monkeypatch.setattr("rdfqa.contaminate.build_instance_index",
-                        lambda log: build_instance_index(make_dataset("", log.current())))
 
     def of(log, predicates):
         predicates = set(predicates)
