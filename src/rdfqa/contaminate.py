@@ -490,8 +490,8 @@ class _Contaminator:
 
     def h9_disjoint_instances(self, n: int):
         schema = self.log.schema()
-        # every class in a disjoint pair is declared disjoint or has ancestors
-        related = sorted(schema.ancestors.keys() | schema.disjoint_with.keys(),
+        # every class in a disjoint pair is declared disjoint or has parents
+        related = sorted(schema.parents.keys() | schema.disjoint_with.keys(),
                          key=lambda c: c.text)
         pairs = [pair for pair in combinations(related, 2) if schema.disjoint(*pair)]
         done, why = self._capped(n) if pairs else (0, "no disjoint class pairs available")

@@ -9,12 +9,13 @@ the undefined-terms metric compare the two. Both builders read only their own
 predicates through ``of()``, and ``predicate_counts`` is read off the same
 by-predicate view. A ``Dataset`` and the contaminator's ``EditLog`` answer
 both reads alike, so an index of the log equals one of its current triples.
+Subclass links are kept as declared and walked for each class asked about.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .model import (
@@ -46,9 +47,10 @@ class PropertyKind(enum.Enum):
 class SchemaIndex:
     """Declared vocabulary of a dataset. Treat all fields as immutable.
 
-    Subclass links are kept only in their transitive closure, ``ancestors``;
-    disjointness only as declared, in ``disjoint_with``, and ``disjoint``
-    derives the rest. IRIs under ``BUILTIN_NAMESPACES`` never enter ``classes``.
+    Subclass links are kept as declared, in ``parents``, and ``ancestors``
+    walks them for each class that is asked about; disjointness only as
+    declared, in ``disjoint_with``, and ``disjoint`` derives the rest. IRIs
+    under ``BUILTIN_NAMESPACES`` never enter ``classes``.
     """
 
     classes: frozenset[Iri]
@@ -60,22 +62,37 @@ class SchemaIndex:
     inverse_functional: frozenset[Iri]
     #: per class, its ``owl:disjointWith``/``owl:complementOf`` partners, both ways
     disjoint_with: Mapping[Iri, frozenset[Iri]]
-    #: transitive superclasses per subclass subject (may include the class
-    #: itself when the declared hierarchy is cyclic)
-    ancestors: Mapping[Iri, frozenset[Iri]]
+    #: declared superclasses per subclass subject
+    parents: Mapping[Iri, frozenset[Iri]]
+    _ancestors: dict[Iri, frozenset[Iri]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def ancestors(self, cls: Iri) -> frozenset[Iri]:
+        """The transitive superclasses of ``cls``, walked on its first ask; with
+        ``cls`` itself when the declared hierarchy is cyclic."""
+        if (known := self._ancestors.get(cls)) is None:
+            parents, seen = self.parents, set()
+            stack = list(parents.get(cls, ()))
+            while stack:
+                node = stack.pop()
+                if node not in seen:
+                    seen.add(node)
+                    stack.extend(parents.get(node, ()))
+            known = self._ancestors[cls] = frozenset(seen)
+        return known
 
     def is_transitive_subclass(self, child: Iri, parent: Iri) -> bool:
-        return parent in self.ancestors.get(child, frozenset())
+        return parent in self.ancestors(child)
 
     def disjoint(self, a: Iri, b: Iri) -> bool:
         """Whether ``a != b`` and some class among ``a`` and its ancestors is
         declared disjoint with some class among ``b`` and its ancestors."""
         if a == b:
             return False
-        declared, up_a = self.disjoint_with, self.ancestors.get(a, frozenset())
+        declared, up_a = self.disjoint_with, self.ancestors(a)
         if len(up_a) > len(declared):  # visit only the declared ancestors
             up_a = up_a.intersection(declared)
-        up_b = self.ancestors.get(b, frozenset())
+        up_b = self.ancestors(b)
         for x in (a, *up_a):
             partners = declared.get(x)
             if partners and (b in partners or not partners.isdisjoint(up_b)):
@@ -97,21 +114,6 @@ class InstanceIndex:
     members_of: Mapping[Iri, frozenset[Iri]]
     #: number of triples per predicate, covering every triple
     predicate_counts: Mapping[Iri, int]
-
-
-def _transitive_parents(subclass_of: dict[Iri, set[Iri]]) -> dict[Iri, frozenset[Iri]]:
-    out = {}
-    for start in subclass_of:
-        seen: set[Iri] = set()
-        stack = list(subclass_of[start])
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(subclass_of.get(node, ()))
-        out[start] = frozenset(seen)
-    return out
 
 
 def build_schema_index(store) -> SchemaIndex:
@@ -199,7 +201,7 @@ def build_schema_index(store) -> SchemaIndex:
         functional=functional,
         inverse_functional=inverse_functional,
         disjoint_with={c: frozenset(v) for c, v in disjoint_with.items()},
-        ancestors=_transitive_parents(subclass_of),
+        parents={c: frozenset(v) for c, v in subclass_of.items()},
     )
 
 

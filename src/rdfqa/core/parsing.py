@@ -123,8 +123,9 @@ def _lexical_error(text: str, pos: int, starts: str) -> tuple[int, str]:
     return pos, _LEXICAL_ERRORS[c]
 
 
-# An N-Triples line as the pieces that _NT_LINE_RE joins and _nt_line_fault
-# walks. Each piece carries the lead characters of the terms it admits, for
+# An N-Triples line as the pieces that _nt_line_fault walks, the one
+# definition of a good line; _NT_DOCUMENT_RE joins all but the last. Each
+# piece carries the lead characters of the terms it admits, for
 # _lexical_error, or the message for a line on which it fails. A datatype or
 # a language tag stands only after the closing quote of a literal: the
 # suffix piece is bound to that quote, so no backtracking can read a suffix
@@ -145,7 +146,6 @@ _NT_PIECES = [(re.compile(piece), starts, message) for piece, starts, message in
     (r"[ \t]*", "", None),
     (r"(?:#.*)?$", "", "trailing content after '.'"),
 ]]
-_NT_LINE_RE = re.compile("".join(piece.pattern for piece, _, _ in _NT_PIECES))
 
 # A whole N-Triples document as one pattern, one match per line: a triple
 # (the pieces up to the comment), a blank line, or a comment, then one CR
@@ -299,14 +299,12 @@ def parse_ntriples(text: str, dataset_id: str = "") -> Dataset:
 
 def _nt_line_fault(text: str, start: int) -> _Fault | None:
     """The fault of the line that starts at ``text[start]``, less one CR
-    before its newline, at the first piece that fails; None if the line
-    grammar accepts the line."""
+    before its newline, at the first piece that fails; None if every piece
+    matches."""
     end = _line_end(text, start)
     if end > start and text[end - 1] == "\r":
         end -= 1
     line = text[start:end]
-    if _NT_LINE_RE.match(line):
-        return None
     pos = 0
     for piece, starts, message in _NT_PIECES:
         m = piece.match(line, pos)
@@ -315,7 +313,7 @@ def _nt_line_fault(text: str, start: int) -> _Fault | None:
                 pos, message = _lexical_error(line, pos, starts)
             return _Fault(start + pos, message)
         pos = m.end()
-    raise AssertionError("the pieces accept a line that _NT_LINE_RE rejects")
+    return None
 
 
 # ---------------------------------------------------------------------------

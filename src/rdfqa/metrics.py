@@ -362,18 +362,14 @@ def m2_out_of_range_values(dataset: Dataset, schema: SchemaIndex,
     """
     class_ranges = {p: frozenset(r for r in schema.range_of.get(p, ()) if r in schema.classes)
                     for p, kind in schema.properties.items() if kind is PropertyKind.OBJECT}
-    # the asserted classes each object property admits: a class range, or a
-    # class that transitively specializes one
-    admitted = {p: ranges | {c for c, sup in schema.ancestors.items()
-                             if not sup.isdisjoint(ranges)}
-                for p, ranges in class_ranges.items() if ranges}
     classes_of, by_predicate = instances.classes_of, dataset.by_predicate
-    class_sets = set(classes_of.values())
+    # each distinct asserted class set with all their superclasses: a set is
+    # in range when its lift meets a class range; only IRIs have one
+    lifted = {s: s.union(*map(schema.ancestors, s)) for s in set(classes_of.values())}
     flagged: list[int] = []
-    for p, classes in admitted.items():
-        # the asserted class sets out of range; only IRIs have one
-        out = {asserted for asserted in class_sets if asserted.isdisjoint(classes)}
-        if out and (idx := by_predicate.get(p)):
+    for p, ranges in class_ranges.items():
+        out = {asserted for asserted, lift in lifted.items() if lift.isdisjoint(ranges)}
+        if ranges and out and (idx := by_predicate.get(p)):
             flagged += compress(idx, map(out.__contains__,
                                          map(classes_of.get, _objects(dataset, idx))))
     for p, ranges in schema.xsd_ranges.items():

@@ -76,9 +76,12 @@ def report_from_dict(data: Mapping) -> MetricReport:
         metrics = {}
         for key, entry in data["metrics"].items():
             mid = metric_id(key)
+            value = float(typed(entry["value"], int, float))
+            if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
+                raise ValueError(f"malformed report: {key} value {value!r} is not in [0, 1]")
             metrics[mid] = MetricValue(
                 id=mid,
-                value=float(typed(entry["value"], int, float)),
+                value=value,
                 numerator=typed(entry["numerator"], int),
                 denominator=typed(entry["denominator"], int),
                 clamped=typed(entry.get("clamped", False), bool),

@@ -484,6 +484,23 @@ def test_console_entry_point_runs():
         assert proc.stdout.startswith("dataset,M1"), proc.stderr
 
 
+@pytest.mark.parametrize("command", ["compare", "correlate"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "1.5"])
+def test_a_metric_value_outside_0_1_is_a_malformed_report(tmp_path, command, value):
+    # Python's json reads NaN and Infinity; no assessment gives them or a
+    # value outside [0, 1], and rho over them would read as significant
+    good = tmp_path / "good.json"
+    assert run_cli(["assess", ZOO, "--format", "json", "-o", str(good)]) == 0
+    data = json.loads(good.read_text())
+    data["metrics"]["M1"]["value"] = float(value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))  # writes NaN and Infinity as such
+    reports = [good, bad] if command == "compare" else [good, good, bad]
+    proc = _rdfqa(command, *reports, "-o", tmp_path / "out")
+    _assert_input_error(proc, f"{bad}: malformed report")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "good.json"]
+
+
 def test_assess_turtle_input(capsys):
     assert run_cli(["assess", str(fixture_path("family.ttl")), "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -19,6 +19,7 @@ from rdfqa.core.model import (
 )
 from rdfqa.metrics import m5_disjoint_membership
 
+from .oracle import _superclasses
 from .test_acceptance import build_wide_document
 
 EX = "http://example.org/x#"
@@ -82,6 +83,26 @@ def test_subclass_cycles_terminate():
     assert schema.is_transitive_subclass(a, b)
     assert schema.is_transitive_subclass(b, a)
     assert schema.is_transitive_subclass(a, a)
+
+
+def test_ancestors_walk_cycles_self_loops_and_diamonds():
+    a, b, c, d, e = (iri(x) for x in "ABCDE")
+    hierarchies = {
+        "two-cycle": [(a, b), (b, a), (c, a)],
+        "self-loop": [(a, a), (b, a)],
+        "diamond": [(a, b), (a, c), (b, d), (c, d), (d, e)],
+    }
+    for name, links in hierarchies.items():
+        ds = make_dataset(name, [Triple(x, RDFS_SUBCLASSOF, y) for x, y in links]
+                          + [Triple(iri("F"), RDF_TYPE, OWL_CLASS)])
+        schema = build_schema_index(ds)
+        for cls in (a, b, c, d, e, iri("F")):
+            assert schema.ancestors(cls) == _superclasses(ds.triples, cls), (name, cls)
+        # a class with no rdfs:subClassOf has none, and asking leaves the
+        # index equal to a fresh one
+        assert schema.ancestors(iri("F")) == frozenset()
+        assert schema == build_schema_index(ds)
+    assert schema.ancestors(a) == {b, c, d, e}  # the diamond's foot reaches every class
 
 
 def test_kind_inferred_from_range():

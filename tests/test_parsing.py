@@ -1,6 +1,8 @@
 import hashlib
+import re
 import time
 import tracemalloc
+from random import Random
 
 import pytest
 
@@ -16,7 +18,14 @@ from rdfqa import (
     serialize_dataset,
 )
 from rdfqa.core.model import RDF_TYPE, XSD_INTEGER, is_declaration_triple, make_dataset
-from rdfqa.core.parsing import _IRI_ESCAPED, _IRI_ESCAPES, _LITERAL_ESCAPED, _LITERAL_ESCAPES
+from rdfqa.core.parsing import (
+    _IRI_ESCAPED,
+    _IRI_ESCAPES,
+    _LITERAL_ESCAPED,
+    _LITERAL_ESCAPES,
+    _NT_PIECES,
+    _nt_line_fault,
+)
 from rdfqa.fixtures import fixture_path
 
 EX = "http://example.org/t#"
@@ -533,3 +542,32 @@ def test_blanks_and_comments_before_a_bad_character_are_skipped_in_linear_time(b
     assert time.perf_counter() - start < 1.0
     assert (err.value.line, err.value.column, err.value.message) == (
         line, column, "unexpected character '`'")
+
+
+# the pieces joined into one pattern, which backtracks across them where the
+# walk does not; the walk alone decides whether a line is good
+_JOINED_LINE_RE = re.compile("".join(piece.pattern for piece, _, _ in _NT_PIECES))
+_GOOD_TERMS = ["<http://e/s>", "<http://e/p>", "<http://e/o>", "_:b1", '"x"', '""', '"a\\"b"']
+_BAD_TERMS = ["<http://e/a b>", "<>", "<http://e/o", "<rel>", "_:", "_:b.", '"x', '"\\q"', "e:s",
+              "a", ".", "\\", "@", "^^"]
+_LINE_BLANKS = [" ", " ", "\t", " \t ", ""]
+_LINE_TAILS = ["@en", "@en-US", "@", "@1", "^^<http://e/d>", "^^", "^^e:d", "<http://e/o>"]
+_LINE_ENDS = [".", ".", " .", ". # c", ".#c", "", "..", ". x", "#c", " . \t"]
+
+
+def test_the_walk_of_the_pieces_accepts_the_lines_their_joined_pattern_does():
+    rng = Random(19)
+    good = 0
+    for _ in range(30_000):
+        parts = [rng.choice(_LINE_BLANKS)]
+        for _ in range(rng.choice([3, 3, 3, 2, 4])):
+            terms = _GOOD_TERMS if rng.random() < 0.85 else _BAD_TERMS
+            parts += [rng.choice(terms), rng.choice(_LINE_BLANKS)]
+        if rng.random() < 0.3:
+            parts[-2] += rng.choice(_LINE_TAILS)
+        parts += [rng.choice(_LINE_ENDS), rng.choice(_LINE_BLANKS)]
+        line = "".join(parts)
+        accepted = _JOINED_LINE_RE.match(line) is not None
+        assert (_nt_line_fault(line, 0) is None) == accepted, line
+        good += accepted
+    assert 500 <= good <= 29_000  # both kinds of line are met
