@@ -18,7 +18,7 @@ import gc
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from .contaminate import HeuristicId
@@ -49,14 +49,17 @@ def _read(load, path, errors=ValueError):
         raise InputError(f"{path}: {exc}") from None
 
 
-def _write_atomic(*files: tuple[Path, bytes]):
-    """Write every ``(path, data)`` pair or none: each goes to a temporary
-    file first, and the temporaries are renamed once all are written."""
+def _write_atomic(*files: tuple[Path, Iterable[bytes]]):
+    """Write every ``(path, blocks)`` pair or none: each file's blocks of
+    bytes go to a temporary file first, and the temporaries are renamed once
+    all are written. A block is written as it comes, so a writer need never
+    hold a whole file's bytes."""
     tmps = [p.with_name(f"{p.name}.tmp{os.getpid()}-{k}") for k, (p, _) in enumerate(files)]
     renamed = []
     try:
-        for tmp, (_, data) in zip(tmps, files):
-            tmp.write_bytes(data)
+        for tmp, (_, blocks) in zip(tmps, files):
+            with open(tmp, "wb") as fh:
+                fh.writelines(blocks)
         for tmp, (path, _) in zip(tmps, files):
             os.replace(tmp, path)
             renamed.append(path)
@@ -70,7 +73,7 @@ def _emit(text: str, output_path: Path | None):
     if output_path is None:
         sys.stdout.write(text)
     else:
-        _write_atomic((output_path, text.encode("utf-8")))
+        _write_atomic((output_path, (text.encode("utf-8"),)))
 
 
 def _resolve_dictionary(args: argparse.Namespace) -> Dictionary:
@@ -122,7 +125,7 @@ def cmd_contaminate(args: argparse.Namespace) -> int:
     import dataclasses
 
     from .contaminate import contaminate, load_plan, manifest_to_json
-    from .core.parsing import serialize_dataset
+    from .core.parsing import serialize_blocks
 
     dataset = _load_input_dataset(args)
     plan = _read(load_plan, args.plan)
@@ -130,10 +133,9 @@ def cmd_contaminate(args: argparse.Namespace) -> int:
     plan = dataclasses.replace(plan, seed=plan.seed if args.seed is None else args.seed,
                                dataset_id=plan.dataset_id or dataset.id)
     contaminated, manifest = contaminate(dataset, plan, dictionary)
-    out_bytes = serialize_dataset(contaminated)
-    manifest_json = manifest_to_json(manifest)
     manifest_path = args.manifest or args.output.with_suffix(".manifest.json")
-    _write_atomic((args.output, out_bytes), (manifest_path, manifest_json.encode("utf-8")))
+    _write_atomic((args.output, serialize_blocks(contaminated)),
+                  (manifest_path, (manifest_to_json(manifest).encode("utf-8"),)))
     for warning in manifest.warnings:
         print(f"rdfqa: warning: {warning}", file=sys.stderr)
     return EXIT_OK

@@ -40,7 +40,7 @@ import json
 import string
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, compress
+from itertools import chain, combinations, compress, count
 from operator import attrgetter, itemgetter, not_
 from pathlib import Path
 from random import Random
@@ -76,7 +76,7 @@ from .core.parsing import ParseError, parse_ntriples, triple_to_ntriples
 from .metrics import (CHECKABLE_DATATYPES, Dictionary, MetricId, checkable_mask,
                       default_dictionary, has_unknown_token, improper_datatype,
                       token_flags)
-from .reporting import malformed, read_json, typed, typed_items
+from .reporting import counted, malformed, read_json, typed, typed_items
 
 
 class HeuristicId(str, enum.Enum):
@@ -123,6 +123,9 @@ HEURISTIC_TARGETS: dict[HeuristicId, MetricId] = {
 #: H1 and H9 make one edit per unit of intensity, but at most this many per
 #: triple of the input, so a huge intensity cannot exhaust time and memory
 EDITS_PER_INPUT_TRIPLE = 10
+
+#: the reserved scheme of every IRI the contaminator mints
+FRESH_IRI_PREFIX = "contam:"
 
 
 class EditAction(str, enum.Enum):
@@ -217,9 +220,11 @@ class EditLog:
 
     def __init__(self, triples: Iterable[Triple]):
         self.slots: list[Triple | None] = list(triples)
-        self.pos: dict[Triple, int] = {t: i for i, t in enumerate(self.slots)}
+        # the triples are duplicate-free, so ``pos`` lists them in slot order,
+        # and both indexes share one int object per slot
+        self.pos: dict[Triple, int] = dict(zip(self.slots, count()))
         self.by_predicate: dict[Iri, dict[int, None]] = {}
-        for i, t in enumerate(self.slots):
+        for t, i in self.pos.items():
             self.by_predicate.setdefault(t.predicate, {})[i] = None
         self.edits: list[Edit] = []
         self._schema: SchemaIndex | None = None
@@ -290,7 +295,9 @@ class _Contaminator:
         self.edit_cap = EDITS_PER_INPUT_TRIPLE * len(dataset.triples)
         self.achieved: dict[HeuristicId, int] = {}
         self.warnings: list[str] = []
-        self.input_terms = set(chain.from_iterable(dataset.triples))
+        # the input IRIs that ``fresh_iri`` could mint, the only ones it must skip
+        self.input_terms = {t for t in set(chain.from_iterable(dataset.triples))
+                            if isinstance(t, Iri) and t.text.startswith(FRESH_IRI_PREFIX)}
         self.fresh_counter = 0
         self.value_counter = 0
 
@@ -310,7 +317,7 @@ class _Contaminator:
     def fresh_iri(self, tag: str) -> Iri:
         # the counter never repeats a text, so only the input's terms can collide
         while True:
-            iri = Iri(f"contam:{tag}-{self.fresh_counter}")
+            iri = Iri(f"{FRESH_IRI_PREFIX}{tag}-{self.fresh_counter}")
             self.fresh_counter += 1
             if iri not in self.input_terms:
                 return iri
@@ -698,7 +705,8 @@ def manifest_from_dict(data: Mapping) -> ContaminationManifest:
         return ContaminationManifest(
             plan=plan,
             edits=tuple(edits),
-            achieved={HeuristicId(k): typed(v, int) for k, v in data.get("achieved", {}).items()},
+            achieved={HeuristicId(k): counted(v, "manifest", f"achieved {k}")
+                      for k, v in data.get("achieved", {}).items()},
             warnings=typed_items(data.get("warnings", []), str),
         )
 

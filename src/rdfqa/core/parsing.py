@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator
 from urllib.parse import urljoin
 
 from .model import (
@@ -361,16 +362,28 @@ def triple_to_ntriples(t: Triple) -> str:
     return f"{term_to_ntriples(t.subject)} {term_to_ntriples(t.predicate)} {term_to_ntriples(t.object)} ."
 
 
-def serialize_dataset(dataset: Dataset) -> bytes:
-    """Serialize to canonical N-Triples (the only output syntax).
+# Triples per block of serialized output: a writer holds one block's text
+# and bytes at a time, never the whole document's.
+SERIALIZE_BLOCK_TRIPLES = 4096
 
-    The lines go straight into one joined text, which is then encoded; no
-    list of lines is kept. A term is escaped only where the check of its
-    table finds a character to escape; all other text is written as it is.
+
+def serialize_blocks(dataset: Dataset) -> Iterator[bytes]:
+    """Canonical N-Triples (the only output syntax), as UTF-8 blocks of
+    ``SERIALIZE_BLOCK_TRIPLES`` lines, each line ending in a newline.
+
+    A term is escaped only where the check of its table finds a character to
+    escape; all other text is written as it is.
     """
-    if not dataset.triples:
-        return b""
-    return ("\n".join(map(triple_to_ntriples, dataset.triples)) + "\n").encode("utf-8")
+    triples = dataset.triples
+    for start in range(0, len(triples), SERIALIZE_BLOCK_TRIPLES):
+        block = triples[start:start + SERIALIZE_BLOCK_TRIPLES]
+        yield ("\n".join(map(triple_to_ntriples, block)) + "\n").encode("utf-8")
+
+
+def serialize_dataset(dataset: Dataset) -> bytes:
+    """The whole canonical N-Triples document: the blocks of
+    ``serialize_blocks``, joined."""
+    return b"".join(serialize_blocks(dataset))
 
 
 # ---------------------------------------------------------------------------

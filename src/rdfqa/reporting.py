@@ -64,6 +64,14 @@ def typed(value, *kinds: type):
     return value
 
 
+def counted(value, what: str, name: str) -> int:
+    """``value`` if it is a JSON integer of at least 0, as every count rdfqa
+    writes is; a negative ``name`` makes a malformed ``what``."""
+    if typed(value, int) < 0:
+        raise ValueError(f"malformed {what}: {name} {value} is below 0")
+    return value
+
+
 def typed_items(value, *kinds: type) -> tuple:
     """The items of the JSON list ``value``, each exactly one of ``kinds``:
     a string is no list of flags."""
@@ -82,14 +90,15 @@ def report_from_dict(data: Mapping) -> MetricReport:
             metrics[mid] = MetricValue(
                 id=mid,
                 value=value,
-                numerator=typed(entry["numerator"], int),
-                denominator=typed(entry["denominator"], int),
+                numerator=counted(entry["numerator"], "report", f"{key} numerator"),
+                denominator=counted(entry["denominator"], "report", f"{key} denominator"),
                 clamped=typed(entry.get("clamped", False), bool),
                 offenders=typed_items(entry.get("offenders", []), int, str),
             )
         return MetricReport(
             dataset_id=typed(data.get("dataset", ""), str),
-            counts=ReportCounts(**{f.name: typed(counts.get(f.name, 0), int)
+            counts=ReportCounts(**{f.name: counted(counts.get(f.name, 0), "report",
+                                                   f"counts {f.name}")
                                    for f in dataclasses.fields(ReportCounts)}),
             metrics=metrics,
             dictionary_id=data.get("dictionary"),

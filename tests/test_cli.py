@@ -5,11 +5,14 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import rdfqa.contaminate
 from rdfqa.cli import main
+from rdfqa.core import parsing
 from rdfqa.core.model import is_declaration_triple
 from rdfqa.core.parsing import serialize_dataset
 from rdfqa.core.model import make_dataset
@@ -220,6 +223,50 @@ def test_unwritable_manifest_leaves_no_contaminated_output(tmp_path):
     _assert_input_error(proc, "")
     assert str(manifest.parent) in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_write_failing_after_its_first_block_leaves_no_file(tmp_path, monkeypatch):
+    serialize_blocks = parsing.serialize_blocks
+
+    def first_block_then_fail(dataset):
+        yield next(serialize_blocks(dataset))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(parsing, "serialize_blocks", first_block_then_fail)
+    out = tmp_path / "dirty.nt"
+    assert run_cli(["contaminate", ZOO, "--plan", PLAN, "-o", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+# tracemalloc rise of the contaminate CLI from the return of contaminate()
+# to its end, on 30k triples with H1 at 1: 1.3 MB measured on a 2-core VM
+# with Python 3.11.7. Serializing the whole output at once rose 8.9 MB.
+WRITE_RISE_BUDGET = 3_000_000
+
+
+def test_contaminate_writes_the_returned_dataset_in_blocks_within_budget(tmp_path, monkeypatch):
+    doc = tmp_path / "c7_30k.nt"
+    doc.write_bytes(build_scale_document(30_000))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"seed": 1, "intensities": {"H1": 1}}))
+    contaminate, returned, current = rdfqa.contaminate.contaminate, [], []
+
+    def contaminate_then_reset_peak(*args):
+        returned.append(contaminate(*args))
+        tracemalloc.reset_peak()
+        current.append(tracemalloc.get_traced_memory()[0])
+        return returned[-1]
+
+    monkeypatch.setattr(rdfqa.contaminate, "contaminate", contaminate_then_reset_peak)
+    out = tmp_path / "dirty.nt"
+    tracemalloc.start()
+    try:
+        assert run_cli(["contaminate", str(doc), "--plan", str(plan), "-o", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - current[0] < WRITE_RISE_BUDGET
+    assert out.read_bytes() == serialize_dataset(returned[0][0])
 
 
 @pytest.mark.parametrize("command", ["assess", "contaminate"])
@@ -550,6 +597,13 @@ def test_contaminate_bad_plan_exits_1(tmp_path, capsys):
                   '"offenders": [1.5]}}}'),
     ("correlate", '{"flags": "abc", "metrics": {}}'),
     ("correlate", '{"flags": [1], "metrics": {}}'),
+    # every count rdfqa writes is at least 0
+    ("compare to itself",
+     '{"metrics": {"M1": {"value": 0.5, "numerator": -3, "denominator": -1}}}'),
+    ("correlate", '{"metrics": {"M1": {"value": 0.5, "numerator": 1, "denominator": -2}}}'),
+    ("compare to itself", '{"counts": {"triples": -5}, "metrics": {}}'),
+    ("correlate", '{"counts": {"classes": -1}, "metrics": {}}'),
+    ("compare --manifest", '{"seed": 1, "requested": {"H1": 2}, "achieved": {"H1": -1}}'),
     ("compare --manifest", '{"seed": 1, "warnings": "abc"}'),
     ("compare --manifest", '{"seed": 1, "warnings": [null]}'),
     # nesting too deep for the JSON decoder
@@ -564,15 +618,14 @@ def test_malformed_plan_manifest_or_report_exits_1_without_traceback(tmp_path, c
     args = {
         "contaminate": ["contaminate", ZOO, "--plan", str(path)],
         "compare": ["compare", str(good), str(path)],
+        "compare to itself": ["compare", str(path), str(path)],
         "compare --manifest": ["compare", str(good), str(good), "--manifest", str(path)],
         "correlate": ["correlate", str(path), str(path), str(path)],
     }[command]
     proc = subprocess.run(
         [sys.executable, "-m", "rdfqa", *args, "-o", str(tmp_path / "out")],
         capture_output=True, text=True)
-    assert proc.returncode == 1, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("rdfqa: error: ")
+    _assert_input_error(proc, f"{path}: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "good.json"]
 
 

@@ -24,9 +24,14 @@ from rdfqa.core.parsing import (
     _LITERAL_ESCAPED,
     _LITERAL_ESCAPES,
     _NT_PIECES,
+    SERIALIZE_BLOCK_TRIPLES,
     _nt_line_fault,
+    serialize_blocks,
+    triple_to_ntriples,
 )
 from rdfqa.fixtures import fixture_path
+
+from .datagen import make_random_dataset
 
 EX = "http://example.org/t#"
 
@@ -99,6 +104,31 @@ def test_roundtrip_and_determinism(family):
     again = parse_dataset(ser, "ntriples", family.id)
     assert again.triples == family.triples
     assert serialize_dataset(family) == ser
+
+
+def one_shot_serialization(dataset):
+    """The writer before it wrote in blocks, kept as the reference."""
+    if not dataset.triples:
+        return b""
+    return ("\n".join(map(triple_to_ntriples, dataset.triples)) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("n", [0, 1, SERIALIZE_BLOCK_TRIPLES - 1, SERIALIZE_BLOCK_TRIPLES,
+                               SERIALIZE_BLOCK_TRIPLES + 1, 2 * SERIALIZE_BLOCK_TRIPLES + 1])
+def test_blocks_give_the_bytes_of_the_one_shot_writer(n):
+    # an escaped newline in every literal: a block's lines are counted by its newlines
+    ds = make_dataset("b", [Triple(Iri(f"{EX}s{i}"), Iri(f"{EX}p{i % 7}"), Literal(f"\u00e9\n{i}"))
+                            for i in range(n)])
+    blocks = list(serialize_blocks(ds))
+    assert len(blocks) == -(-n // SERIALIZE_BLOCK_TRIPLES)
+    assert [b.count(b"\n") for b in blocks[:-1]] == [SERIALIZE_BLOCK_TRIPLES] * (len(blocks) - 1)
+    assert serialize_dataset(ds) == b"".join(blocks) == one_shot_serialization(ds)
+
+
+def test_blocks_give_the_bytes_of_the_one_shot_writer_on_generated_datasets(family, zoo):
+    rng = Random(20)
+    for ds in [family, zoo, *(make_random_dataset(rng) for _ in range(300))]:
+        assert serialize_dataset(ds) == one_shot_serialization(ds)
 
 
 def test_turtle_matches_ntriples_fixture(family):
