@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
-    from .contaminate import HeuristicId
     from .metrics import Dictionary, MetricId
 
 DICTIONARY_ENV = "RDFQA_DICTIONARY"
@@ -141,25 +140,44 @@ def cmd_contaminate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _trend_table(delta_report, manifest) -> str:
-    """Requested/achieved heuristic counts next to the deltas of their
-    target metrics, grouped the way the heuristics map onto the metrics."""
+def _trend_rows(delta_report, manifest) -> list[dict]:
+    """The heuristic trend, one row per heuristic in H1..H14 order: the
+    intensity the plan requested (None if it names no such heuristic), the
+    edits achieved, the target metric and its delta (None if not compared)."""
     from .contaminate import ALL_HEURISTICS, HEURISTIC_TARGETS
-    from .metrics import MetricId
 
-    groups: dict[MetricId, list[HeuristicId]] = {}
-    for h in ALL_HEURISTICS:
-        groups.setdefault(HEURISTIC_TARGETS[h], []).append(h)
+    return [{"heuristic": h.value, "requested": manifest.plan.intensities.get(h),
+             "achieved": manifest.achieved.get(h, 0), "metric": HEURISTIC_TARGETS[h].value,
+             "delta": delta_report.delta.get(HEURISTIC_TARGETS[h])}
+            for h in ALL_HEURISTICS]
+
+
+def _requested(rows: list[dict]) -> list[dict]:
+    return [row for row in rows if row["requested"] is not None]
+
+
+def _trend_table(rows: list[dict]) -> str:
+    """One line per metric that a requested heuristic targets, naming every
+    heuristic that targets it; H1..H14 meet the metrics in M1..M10 order."""
+    from itertools import groupby
+
     lines = ["heuristics  applied   metric  delta"]
-    for mid in MetricId:
-        hs = groups[mid]
-        if not any(h in manifest.plan.intensities for h in hs):
-            continue
-        label = "+".join(h.value for h in hs)
-        applied = "+".join(str(manifest.achieved.get(h, 0)) for h in hs)
-        delta = delta_report.delta.get(mid)
-        delta_txt = f"{delta:+.2f}" if delta is not None else "n/a"
-        lines.append(f"{label:<10}  {applied:<8}  {mid.value:<6}  {delta_txt}")
+    for metric, group in groupby(rows, key=lambda row: row["metric"]):
+        group = list(group)
+        if _requested(group):
+            label = "+".join(row["heuristic"] for row in group)
+            applied = "+".join(str(row["achieved"]) for row in group)
+            delta = group[0]["delta"]
+            delta_txt = f"{delta:+.2f}" if delta is not None else "n/a"
+            lines.append(f"{label:<10}  {applied:<8}  {metric:<6}  {delta_txt}")
+    return "\n".join(lines) + "\n"
+
+
+def _trend_csv(rows: list[dict]) -> str:
+    """The requested heuristics' rows; an n/a delta is an empty cell."""
+    lines = ["heuristic,requested,achieved,metric,delta"]
+    lines += [f"{r['heuristic']},{r['requested']},{r['achieved']},{r['metric']},"
+              f"{'' if r['delta'] is None else repr(r['delta'])}" for r in _requested(rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -173,31 +191,27 @@ def cmd_compare(args: argparse.Namespace) -> int:
     after = _read(load_report, args.after)
     manifest = None
     if args.manifest:
-        from .contaminate import ALL_HEURISTICS, HEURISTIC_TARGETS, load_manifest
+        from .contaminate import load_manifest
 
         manifest = _read(load_manifest, args.manifest)
     try:
         delta_report = compute_delta(before, after)
     except MetricMismatch as exc:
         return _fail(str(exc), EXIT_USAGE)
+    rows = None if manifest is None else _trend_rows(delta_report, manifest)
     if args.format == "json":
         payload = delta_to_dict(delta_report)
-        if manifest is not None:
-            payload["trend"] = [
-                {"heuristic": h.value,
-                 "requested": int(manifest.plan.intensities.get(h, 0)),
-                 "achieved": int(manifest.achieved.get(h, 0)),
-                 "metric": HEURISTIC_TARGETS[h].value,
-                 "delta": delta_report.delta.get(HEURISTIC_TARGETS[h])}
-                for h in ALL_HEURISTICS if h in manifest.plan.intensities
-            ]
+        if rows is not None:
+            payload["trend"] = _requested(rows)
         text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
         text = delta_to_csv(delta_report)
+        if rows is not None:
+            text += "\n" + _trend_csv(rows)
     else:
         text = render_delta_table(delta_report)
-        if manifest is not None:
-            text += "\n" + _trend_table(delta_report, manifest)
+        if rows is not None:
+            text += "\n" + _trend_table(rows)
     _emit(text, args.output)
     return EXIT_OK
 

@@ -79,7 +79,7 @@ from .metrics import (CHECKABLE_DATATYPES, Dictionary, MetricId, checkable_mask,
 from .reporting import counted, malformed, read_json, typed, typed_items
 
 
-class HeuristicId(str, enum.Enum):
+class HeuristicId(enum.StrEnum):
     H1 = "H1"
     H2 = "H2"
     H3 = "H3"
@@ -94,9 +94,6 @@ class HeuristicId(str, enum.Enum):
     H12 = "H12"
     H13 = "H13"
     H14 = "H14"
-
-    def __str__(self):
-        return self.value
 
 
 ALL_HEURISTICS: tuple[HeuristicId, ...] = tuple(HeuristicId)
@@ -128,7 +125,7 @@ EDITS_PER_INPUT_TRIPLE = 10
 FRESH_IRI_PREFIX = "contam:"
 
 
-class EditAction(str, enum.Enum):
+class EditAction(enum.StrEnum):
     ADD_TRIPLE = "add_triple"
     REMOVE_TRIPLE = "remove_triple"
     REWRITE_TRIPLE = "rewrite_triple"

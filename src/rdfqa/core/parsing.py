@@ -79,14 +79,14 @@ _BNODE_LABEL = r"_:[A-Za-z0-9_](?:[A-Za-z0-9_\-]|\.(?=[A-Za-z0-9_.\-]))*"
 _LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 # The bodies of the four string forms, unrolled (Friedl, Mastering Regular
 # Expressions, ch. 6): a run of plain characters, then escapes each followed
-# by such a run, with no alternation per character. A raw CR or LF ends the
-# line, so neither may occur in a short string. In a long string a quote
-# stands unless two more follow it; each character reads one way only, so a
-# body that never closes fails in linear time.
-_STRING_BODY = r'[^"\\\n\r]*(?:\\.[^"\\\n\r]*)*'
-_SINGLE_BODY = r"[^'\\\n\r]*(?:\\.[^'\\\n\r]*)*"
-_LONG_DOUBLE_BODY = r'[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*'
-_LONG_SINGLE_BODY = r"[^'\\]*(?:(?:\\.|'(?!''))[^'\\]*)*"
+# by such a run. A raw CR or LF ends the line, so neither may occur in a
+# short string; in a long string a quote stands unless two more follow it.
+# Every loop is possessive and gives back no character, so a body that
+# never closes fails in linear time.
+_STRING_BODY = r'[^"\\\n\r]*+(?:\\.[^"\\\n\r]*+)*+'
+_SINGLE_BODY = r"[^'\\\n\r]*+(?:\\.[^'\\\n\r]*+)*+"
+_LONG_DOUBLE_BODY = r'[^"\\]*+(?:(?:\\.|"(?!""))[^"\\]*+)*+'
+_LONG_SINGLE_BODY = r"[^'\\]*+(?:(?:\\.|'(?!''))[^'\\]*+)*+"
 _IRI_BODY_RE = re.compile(_IRI_BODY)
 
 #: what is wrong when no term matches at a character that may start one
@@ -167,42 +167,37 @@ _STRING_ESCAPES = {
 }
 
 
+#: one escape: a valid \u or \U escape, or else the one character after the
+#: backslash, none when the backslash ends the text
+_ESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.?)", re.DOTALL)
+
+
 def _unescape(raw: str, at: int, allow_echar: bool) -> str:
     """Decode \\uXXXX / \\UXXXXXXXX and (for literals) ECHAR escapes.
 
     ``raw`` stands at offset ``at`` of the document, so a fault is raised
     at the offending escape's own offset.
     """
-    out = []
-    i = 0
-    n = len(raw)
-    while i < n:
-        c = raw[i]
-        if c != "\\":
-            out.append(c)
-            i += 1
-            continue
-        if i + 1 >= n:
-            raise _Fault(at + i, "dangling backslash")
-        e = raw[i + 1]
-        if e == "u" or e == "U":
-            width = 4 if e == "u" else 8
-            hexpart = raw[i + 2:i + 2 + width]
-            if len(hexpart) != width or any(h not in "0123456789abcdefABCDEF" for h in hexpart):
-                raise _Fault(at + i, f"bad \\{e} escape")
-            code = int(hexpart, 16)
+    def decode(m: re.Match) -> str:
+        e = m[1]
+        if len(e) > 1:
+            code = int(e[1:], 16)
             # a lone surrogate cannot be encoded as UTF-8 and chr() refuses
             # anything past U+10FFFF
-            if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
-                raise _Fault(at + i, f"\\{e}{hexpart} is not a Unicode scalar value")
-            out.append(chr(code))
-            i += 2 + width
+            if not (0xD800 <= code <= 0xDFFF or code > 0x10FFFF):
+                return chr(code)
+            message = f"\\{e} is not a Unicode scalar value"
         elif allow_echar and e in _STRING_ESCAPES:
-            out.append(_STRING_ESCAPES[e])
-            i += 2
+            return _STRING_ESCAPES[e]
+        elif not e:
+            message = "dangling backslash"
+        elif e in "uU":
+            message = f"bad \\{e} escape"
         else:
-            raise _Fault(at + i, f"unknown escape \\{e}")
-    return "".join(out)
+            message = f"unknown escape \\{e}"
+        raise _Fault(at + m.start(), message)
+
+    return _ESCAPE_RE.sub(decode, raw)
 
 
 class _TermCache:
@@ -392,14 +387,10 @@ def serialize_dataset(dataset: Dataset) -> bytes:
 
 _PN_LOCAL = r"(?:[A-Za-z0-9_:%\-]|\.(?=[A-Za-z0-9_:%\-.\\])|\\[_~.\-!$&'()*+,;=/?\#@%])*"
 
-# Whitespace and comments, skipped before each token; unrolled, so each
-# character reads one way only. A comment cannot give back the end of its
-# line, and no token starts with a blank or '#', so when no token follows,
-# the match is retried once per skipped character. The nested form
-# (?:[ \t\r\n]+|\#[^\n]*)* retries every way to split a run of blanks, and a
-# comment that could give back its end would retry every way to split a run
-# of '#', and read tokens inside it.
-_SKIP = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*"
+# Whitespace and comments, skipped before each token, unrolled like the
+# string bodies and as possessive. No token starts with a blank or '#', so
+# a skip is never retried and never reads a token inside a comment.
+_SKIP = r"[ \t\r\n]*+(?:\#[^\n]*+[ \t\r\n]*+)*+"
 _SKIP_RE = re.compile(_SKIP)
 
 _TOKEN_RE = re.compile(

@@ -75,7 +75,7 @@ from .fixtures import fixture_path
 OFFENDER_CAP = 50
 
 
-class MetricId(str, enum.Enum):
+class MetricId(enum.StrEnum):
     """The ten metrics, keyed M1..M10 in reports, CSV columns and the CLI."""
 
     MISSING_VALUES = "M1"
@@ -88,9 +88,6 @@ class MetricId(str, enum.Enum):
     INVERSE_FUNCTIONAL_CONFLICTS = "M8"
     IMPROPER_DATATYPE = "M9"
     SIMILAR_CLASSES = "M10"
-
-    def __str__(self):
-        return self.value
 
 
 ALL_METRICS: tuple[MetricId, ...] = tuple(MetricId)

@@ -4,7 +4,9 @@ Produces small, messy datasets (<= 30 triples) that exercise every metric
 path: partial declarations, subclass chains (including cycles), disjointness
 and complements, domain/range axioms over classes, XSD datatypes and unknown
 datatypes, blank nodes, duplicate subject/predicate groups, empty literals,
-language tags, and lexical forms that sit on the edge of validity.
+language tags, lexical forms that sit on the edge of validity (dates and
+times at each bound of their fields among them), and a blank node declared
+as a property.
 """
 
 from random import Random
@@ -39,6 +41,11 @@ LEXICALS = [
     "0042", "1996-05-07", "1996-13-40", "2001-02-29", "2000-02-29",
     "1996-05-07T10:30:00", "1996-05-07T25:00:00", "not a date", "", "x",
     "Ali", "café",
+    # each bound of the date and time checks, on it and past it
+    "2023-04-30", "2023-04-31", "2023-12-31", "2023-12-32", "2023-02-28",
+    "2024-02-29", "1900-02-29", "2023-00-10", "2023-01-01", "2023-13-01",
+    "2023-01-00", "1996-05-07T23:59:59", "1996-05-07T24:00:00",
+    "1996-05-07T12:60:00", "1996-05-07T12:00:60", "2024-02-29T00:00:00",
 ]
 
 LANGS = [None, "en", "en-US", "fr"]
@@ -91,7 +98,8 @@ def make_random_dataset(rng: Random, max_triples: int = 30) -> Dataset:
         if roll < 0.2:
             triples.append(Triple(rng.choice(CLASSES), TYPE, rng.choice(DECL_CLASS)))
         elif roll < 0.45:
-            triples.append(Triple(rng.choice(PROPS), TYPE, rng.choice(DECL_PROP)))
+            # a blank node declared as a property declares nothing
+            triples.append(Triple(rng.choice(PROPS + BNODES[:1]), TYPE, rng.choice(DECL_PROP)))
         elif roll < 0.6:
             triples.append(Triple(rng.choice(CLASSES), Iri(RDFS + "subClassOf"),
                                   rng.choice(CLASSES + BUILTIN_CLASSES)))

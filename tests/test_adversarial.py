@@ -1,14 +1,16 @@
 """Adversarial inputs with budgets.
 
 Each input runs through the CLI, which must exit 0 with no traceback, and
-an in-process run of the same command must stay under a stated budget. A
-budget is set from a measured run, with headroom; an input that misses its
-budget stays out of this corpus until the program is fixed.
+stay under a stated budget: the tracemalloc peak of an in-process run of
+the same command, or the wall time of the CLI process. A budget is set from
+a measured run, with headroom; an input that misses its budget stays out of
+this corpus until the program is fixed.
 """
 
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -71,3 +73,47 @@ def test_assess_on_a_deep_or_wide_hierarchy_exits_cleanly_within_budget(tmp_path
     assert peak < ASSESS_PEAK_BUDGET
     assert report.metrics[MetricId.DISJOINT_MEMBERSHIP].offenders == (disjoint_member,)
     assert json.loads(proc.stdout)["metrics"] == report_to_dict(report)["metrics"]
+
+
+def build_blank_node_document(n_labels):
+    """A chain of ``n_labels`` distinct blank nodes, each label with an inner dot."""
+    return "".join(f"_:b.{i} <http://e/p> _:b.{i + 1} .\n"
+                   for i in range(n_labels - 1)).encode()
+
+
+def build_long_iri_document(size):
+    """Three triples whose IRIs take ``size`` characters, or up to five
+    fewer: one written plainly in every position and as a datatype, one as
+    \\u escapes."""
+    plain = "http://e/" + "a" * (size - 9)
+    escaped = "http://e/" + "\\u0061" * ((size - 9) // 6)
+    return (f"<{plain}> <{plain}> <{plain}> .\n"
+            f'<http://e/s> <http://e/p> "x"^^<{plain}> .\n'
+            f"<{escaped}> <http://e/p> <http://e/o> .\n").encode()
+
+
+LARGE_TERMS = {
+    "blank-node-labels": (lambda: build_blank_node_document(100_000), 99_999),
+    "long-iri": (lambda: build_long_iri_document(64 * 1024), 3),
+}
+# wall time of one `rdfqa assess` child process: at most 0.8 s (N-Triples)
+# and 1.9 s (Turtle) on the blank-node labels, and 0.2 s on the long IRIs,
+# measured on a 2-core VM with Python 3.11.7
+ASSESS_WALL_BUDGET_S = 8.0
+
+
+@pytest.mark.parametrize("suffix", [".nt", ".ttl"])
+@pytest.mark.parametrize("name", LARGE_TERMS)
+def test_assess_on_many_or_long_terms_exits_cleanly_within_budget(tmp_path, name, suffix):
+    # N-Triples is Turtle too, so the same bytes go through both parsers
+    build, triples = LARGE_TERMS[name]
+    path = tmp_path / f"{name}{suffix}"
+    path.write_bytes(build())
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "rdfqa", "assess", str(path), "--format",
+                           "json"], capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["counts"]["triples"] == triples
+    assert wall < ASSESS_WALL_BUDGET_S

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tomllib
 import tracemalloc
 from pathlib import Path
 
@@ -479,6 +480,49 @@ def test_compare_with_manifest_renders_trend(tmp_path, capsys):
     assert "H14" in out
 
 
+@pytest.mark.parametrize("metrics, manifest", [
+    (None, None),
+    ("M1,M3", None),
+    (None, {"seed": 1, "requested": {"H2": 1, "H13": 0}, "achieved": {"H2": 1}}),
+])
+def test_compare_trend_has_the_same_rows_in_every_format(tmp_path, capsys, metrics, manifest):
+    # the trend of the bundled zoo_dirty.manifest.json, or of a plan that
+    # names two heuristics, one at intensity 0; M1,M3 leaves the other
+    # metrics' deltas n/a
+    clean = _write_report(tmp_path, "clean.json", ZOO, metrics)
+    dirty = _write_report(tmp_path, "dirty.json", str(fixture_path("zoo_dirty.nt")), metrics)
+    path = str(fixture_path("zoo_dirty.manifest.json"))
+    if manifest is not None:
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+    out = {}
+    for fmt in ("json", "csv", "table"):
+        assert run_cli(["compare", str(clean), str(dirty), "--manifest", str(path),
+                        "--format", fmt]) == 0
+        out[fmt] = capsys.readouterr().out
+    trend = json.loads(out["json"])["trend"]
+    requested = (manifest or json.loads(Path(path).read_text()))["requested"]
+    assert [row["heuristic"] for row in trend] == sorted(requested, key=lambda h: int(h[1:]))
+    # CSV: the delta table, an empty line, then one line per trend row
+    _, csv_trend = out["csv"].split("\n\n")
+    assert csv_trend.splitlines() == ["heuristic,requested,achieved,metric,delta"] + [
+        f"{r['heuristic']},{r['requested']},{r['achieved']},{r['metric']},"
+        + ("" if r["delta"] is None else repr(r["delta"])) for r in trend]
+    # table: one line per metric a requested heuristic targets, naming every
+    # heuristic that targets it
+    groups = {"M1": "H1+H2", "M2": "H3", "M3": "H4+H5", "M4": "H6+H7", "M5": "H8+H9",
+              "M6": "H10", "M7": "H11", "M8": "H12", "M9": "H13", "M10": "H14"}
+    achieved = {r["heuristic"]: r["achieved"] for r in trend}
+    delta = {r["metric"]: r["delta"] for r in trend}
+    expected = ["heuristics  applied   metric  delta"]
+    for metric, label in groups.items():
+        if metric in delta:
+            applied = "+".join(str(achieved.get(h, 0)) for h in label.split("+"))
+            d = "n/a" if delta[metric] is None else f"{delta[metric]:+.2f}"
+            expected.append(f"{label:<10}  {applied:<8}  {metric:<6}  {d}")
+    assert out["table"].split("\n\n")[-1].splitlines() == expected
+
+
 def test_correlate_requires_three_reports(tmp_path, capsys):
     r = _write_report(tmp_path, "r.json")
     assert run_cli(["correlate", str(r), str(r)]) == 2
@@ -515,7 +559,6 @@ def test_console_entry_point_runs():
     # the installed `rdfqa` script is generated from [project.scripts], so
     # check that mapping, run its uninstalled equivalent `python -m rdfqa`,
     # and run the script itself wherever one is on PATH
-    tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     with pyproject.open("rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]

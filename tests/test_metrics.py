@@ -13,6 +13,8 @@ from rdfqa.core.model import (
     OWL_OBJECT_PROPERTY,
     RDF_TYPE,
     RDFS_RANGE,
+    XSD_DATE,
+    XSD_DATETIME,
     XSD_INTEGER,
     XSD_STRING,
 )
@@ -148,6 +150,44 @@ def test_m2_untyped_objects_are_not_flagged():
 def test_m2_integer_lexical_space(lexical, ok):
     ds = make_dataset("m2e", [
         Triple(iri("q"), RDFS_RANGE, XSD_INTEGER),
+        Triple(iri("x"), iri("q"), Literal(lexical)),
+    ])
+    schema, inst = indices(ds)
+    assert m2_out_of_range_values(ds, schema, inst).numerator == (0 if ok else 1)
+
+
+_LAST_DAYS = ("01-31", "02-28", "03-31", "04-30", "05-31", "06-30",
+              "07-31", "08-31", "09-30", "10-31", "11-30", "12-31")
+_DAYS_AFTER = ("01-32", "02-29", "03-32", "04-31", "05-32", "06-31",
+               "07-32", "08-32", "09-31", "10-32", "11-31", "12-32")
+
+# today's verdicts at each bound of the xsd:date and xsd:dateTime checks
+_DATE_BOUNDS = [
+    *((f"2023-{d}", True) for d in _LAST_DAYS),
+    *((f"2023-{d}", False) for d in _DAYS_AFTER),
+    ("2023-05-00", False), ("2023-05-01", True),
+    # 29 February: a leap year, a century that is not one, and one that is
+    ("2024-02-29", True), ("1900-02-29", False), ("2000-02-29", True),
+    ("2024-02-30", False), ("2000-02-30", False),
+    ("2023-00-15", False), ("2023-01-15", True), ("2023-12-15", True),
+    ("2023-13-15", False),
+]
+_TIME_BOUNDS = [
+    ("00:00:00", True), ("23:00:00", True), ("24:00:00", False),
+    ("12:59:00", True), ("12:60:00", False), ("12:00:59", True), ("12:00:60", False),
+    ("23:59:59", True), ("23:59:59.999", True),
+]
+
+
+@pytest.mark.parametrize("datatype, lexical, ok", [
+    *((XSD_DATE, date, ok) for date, ok in _DATE_BOUNDS),
+    *((XSD_DATETIME, f"{date}T12:00:00", ok) for date, ok in _DATE_BOUNDS),
+    *((XSD_DATETIME, f"2024-02-29T{time}", ok) for time, ok in _TIME_BOUNDS),
+    *((XSD_DATETIME, f"2023-02-29T{time}", False) for time, _ in _TIME_BOUNDS),
+])
+def test_m2_date_and_time_bounds(datatype, lexical, ok):
+    ds = make_dataset("m2f", [
+        Triple(iri("q"), RDFS_RANGE, datatype),
         Triple(iri("x"), iri("q"), Literal(lexical)),
     ])
     schema, inst = indices(ds)

@@ -24,8 +24,11 @@ from rdfqa.core.parsing import (
     _LITERAL_ESCAPED,
     _LITERAL_ESCAPES,
     _NT_PIECES,
+    _STRING_ESCAPES,
     SERIALIZE_BLOCK_TRIPLES,
+    _Fault,
     _nt_line_fault,
+    _unescape,
     serialize_blocks,
     triple_to_ntriples,
 )
@@ -245,6 +248,72 @@ def test_escapes_at_the_edges_of_the_scalar_values_parse():
     ds = parse_dataset(f'<{EX}s> <{EX}p> "\\uD7FF\\uE000\\U0010FFFF" .\n', "ntriples")
     assert ds.triples[0].object == Literal("\uD7FF\uE000\U0010FFFF")
     assert parse_dataset(serialize_dataset(ds), "ntriples").triples == ds.triples
+
+
+def _unescape_by_character(raw: str, at: int, allow_echar: bool) -> str:
+    """The escape decoder as a walk over each character, which one
+    substitution over an escape pattern replaced; kept as its reference."""
+    out = []
+    i = 0
+    n = len(raw)
+    while i < n:
+        c = raw[i]
+        if c != "\\":
+            out.append(c)
+            i += 1
+            continue
+        if i + 1 >= n:
+            raise _Fault(at + i, "dangling backslash")
+        e = raw[i + 1]
+        if e == "u" or e == "U":
+            width = 4 if e == "u" else 8
+            hexpart = raw[i + 2:i + 2 + width]
+            if len(hexpart) != width or any(h not in "0123456789abcdefABCDEF" for h in hexpart):
+                raise _Fault(at + i, f"bad \\{e} escape")
+            code = int(hexpart, 16)
+            if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+                raise _Fault(at + i, f"\\{e}{hexpart} is not a Unicode scalar value")
+            out.append(chr(code))
+            i += 2 + width
+        elif allow_echar and e in _STRING_ESCAPES:
+            out.append(_STRING_ESCAPES[e])
+            i += 2
+        else:
+            raise _Fault(at + i, f"unknown escape \\{e}")
+    return "".join(out)
+
+
+_ESCAPE_PIECES = [
+    # plain text, quotes and line ends among it
+    "a", "xyz", "\u00e9", "\n", "\r", '"', "'", "u", "U", "0041",
+    # valid escapes, in either case of hex
+    "\\t", "\\b", "\\n", "\\r", "\\f", '\\"', "\\'", "\\\\", "\\u0041", "\\u00e9",
+    "\\U0001F600", "\\U0010ffff", "\\uD7FF", "\\uE000",
+    # bad hex: a non-hex digit, too few digits, a non-ASCII digit
+    "\\u00G1", "\\u12", "\\U0010FFF", "\\u", "\\U", "\\u\u0661\u0662\u0663\u0664",
+    # surrogates and code points past U+10FFFF
+    "\\uD800", "\\uDFFF", "\\U0000DC00", "\\U00110000", "\\UFFFFFFFF",
+    # unknown escapes, a line end among them
+    "\\q", "\\x", "\\a", "\\\n", "\\ ", "\\\u00e9",
+]
+
+
+@pytest.mark.parametrize("allow_echar", [True, False])
+def test_unescape_agrees_with_the_walk_over_each_character(allow_echar):
+    rng = Random(22)
+    for _ in range(3000):
+        raw = "".join(rng.choice(_ESCAPE_PIECES) for _ in range(rng.randrange(7)))
+        if rng.random() < 0.2:
+            raw += "\\"  # a backslash that ends the body
+        at = rng.randrange(100)
+        try:
+            expected = _unescape_by_character(raw, at, allow_echar)
+        except _Fault as fault:
+            with pytest.raises(_Fault) as err:
+                _unescape(raw, at, allow_echar)
+            assert err.value.args == fault.args, raw
+        else:
+            assert _unescape(raw, at, allow_echar) == expected, raw
 
 
 @pytest.mark.parametrize("text, subject", [

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 from random import Random
 
@@ -125,7 +126,6 @@ def test_p_value_matches_scipy_student_t():
 
 
 def test_runtime_needs_no_scipy():
-    tomllib = pytest.importorskip("tomllib")
     root = Path(__file__).resolve().parent.parent
     with (root / "pyproject.toml").open("rb") as fh:
         assert tomllib.load(fh)["project"]["dependencies"] == []
@@ -142,7 +142,6 @@ def test_runtime_needs_no_scipy():
 def test_ci_installs_exactly_the_test_extra():
     # the CI step installs the extra's packages by name, so the two lists
     # must agree, or a test that needs one of them is skipped in CI or locally
-    tomllib = pytest.importorskip("tomllib")
     root = Path(__file__).resolve().parent.parent
     with (root / "pyproject.toml").open("rb") as fh:
         extra = tomllib.load(fh)["project"]["optional-dependencies"]["test"]
