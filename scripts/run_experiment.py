@@ -23,7 +23,7 @@ from pathlib import Path
 
 from rdfqa import assess, default_dictionary, load_dataset, serialize_dataset
 from rdfqa.contaminate import contaminate, load_plan, manifest_to_json
-from rdfqa.reporting import report_to_json
+from rdfqa.reporting import render_report
 from rdfqa.stats import compute_delta, correlation_matrix, render_delta_table, render_matrix
 
 
@@ -55,10 +55,10 @@ def main(argv=None) -> int:
         dirty, manifest = contaminate(dataset, plan, words)
         dirty_report = assess(dirty, words)
 
-        (args.out_dir / f"{stem}.clean.json").write_text(report_to_json(clean_report))
+        (args.out_dir / f"{stem}.clean.json").write_text(render_report(clean_report, "json"))
         (args.out_dir / f"{stem}.dirty.nt").write_bytes(serialize_dataset(dirty))
         (args.out_dir / f"{stem}.dirty.manifest.json").write_text(manifest_to_json(manifest))
-        (args.out_dir / f"{stem}.dirty.json").write_text(report_to_json(dirty_report))
+        (args.out_dir / f"{stem}.dirty.json").write_text(render_report(dirty_report, "json"))
 
         print(f"== {stem}")
         print(render_delta_table(compute_delta(clean_report, dirty_report)))

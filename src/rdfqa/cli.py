@@ -121,6 +121,9 @@ def cmd_assess(args: argparse.Namespace) -> int:
 
 
 def cmd_contaminate(args: argparse.Namespace) -> int:
+    manifest_path = args.manifest or args.output.with_suffix(".manifest.json")
+    if os.path.realpath(manifest_path) == os.path.realpath(args.output):
+        return _fail(f"--manifest and -o/--output name the same file: {args.output}", EXIT_USAGE)
     import dataclasses
 
     from .contaminate import contaminate, load_plan, manifest_to_json
@@ -132,7 +135,6 @@ def cmd_contaminate(args: argparse.Namespace) -> int:
     plan = dataclasses.replace(plan, seed=plan.seed if args.seed is None else args.seed,
                                dataset_id=plan.dataset_id or dataset.id)
     contaminated, manifest = contaminate(dataset, plan, dictionary)
-    manifest_path = args.manifest or args.output.with_suffix(".manifest.json")
     _write_atomic((args.output, serialize_blocks(contaminated)),
                   (manifest_path, (manifest_to_json(manifest).encode("utf-8"),)))
     for warning in manifest.warnings:
@@ -173,18 +175,8 @@ def _trend_table(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _trend_csv(rows: list[dict]) -> str:
-    """The requested heuristics' rows; an n/a delta is an empty cell."""
-    lines = ["heuristic,requested,achieved,metric,delta"]
-    lines += [f"{r['heuristic']},{r['requested']},{r['achieved']},{r['metric']},"
-              f"{'' if r['delta'] is None else repr(r['delta'])}" for r in _requested(rows)]
-    return "\n".join(lines) + "\n"
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
-    import json
-
-    from .reporting import load_report
+    from .reporting import load_report, to_csv, to_json
     from .stats import MetricMismatch, compute_delta, delta_to_csv, delta_to_dict, render_delta_table
 
     before = _read(load_report, args.before)
@@ -203,11 +195,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         payload = delta_to_dict(delta_report)
         if rows is not None:
             payload["trend"] = _requested(rows)
-        text = json.dumps(payload, indent=2) + "\n"
+        text = to_json(payload)
     elif args.format == "csv":
         text = delta_to_csv(delta_report)
-        if rows is not None:
-            text += "\n" + _trend_csv(rows)
+        if rows is not None:  # headed by the JSON keys; an n/a delta is an empty cell
+            text += "\n" + to_csv([rows[0].keys(), *(row.values() for row in _requested(rows))])
     else:
         text = render_delta_table(delta_report)
         if rows is not None:
@@ -219,13 +211,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_correlate(args: argparse.Namespace) -> int:
     if len(args.reports) < 3:
         return _fail("correlate needs at least 3 report files", EXIT_USAGE)
-    from .reporting import load_report
-    from .stats import correlation_matrix, matrix_to_csv, matrix_to_json, render_matrix
+    from .reporting import load_report, to_json
+    from .stats import correlation_matrix, matrix_to_csv, matrix_to_dict, render_matrix
 
     reports = [_read(load_report, p) for p in args.reports]
     matrix = correlation_matrix(reports, alpha=args.alpha)
     if args.format == "json":
-        text = matrix_to_json(matrix)
+        text = to_json(matrix_to_dict(matrix))
     elif args.format == "csv":
         text = matrix_to_csv(matrix)
     else:
@@ -245,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_assess.add_argument("--schema", type=Path, help="separate schema file merged before indexing")
     p_assess.add_argument("--dictionary", type=Path, help="word list for the misspelling metric")
     p_assess.add_argument("--metrics", help="subset to compute, e.g. M1,M7")
-    p_assess.add_argument("--format", choices=("json", "csv", "table"), default="table")
-    p_assess.add_argument("-o", "--output", type=Path)
 
     p_cont = sub.add_parser("contaminate", help="inject quality defects per a plan file")
     p_cont.add_argument("dataset", type=Path)
@@ -262,15 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("after", type=Path)
     p_cmp.add_argument("--manifest", type=Path,
                        help="contamination manifest; adds the heuristic trend table")
-    p_cmp.add_argument("--format", choices=("json", "csv", "table"), default="table")
-    p_cmp.add_argument("-o", "--output", type=Path)
 
     p_corr = sub.add_parser("correlate", help="inter-metric rank correlation over reports")
     p_corr.add_argument("reports", type=Path, nargs="+")
     p_corr.add_argument("--alpha", type=float, default=0.05)
-    p_corr.add_argument("--format", choices=("json", "csv", "table"), default="table")
-    p_corr.add_argument("-o", "--output", type=Path)
 
+    # last in each command, so its help and usage text keep their order
+    for p in (p_assess, p_cmp, p_corr):
+        p.add_argument("--format", choices=("json", "csv", "table"), default="table")
+        p.add_argument("-o", "--output", type=Path)
     return parser
 
 

@@ -36,7 +36,6 @@ earlier heuristics' output.
 from __future__ import annotations
 
 import enum
-import json
 import string
 from collections import Counter
 from dataclasses import dataclass
@@ -46,7 +45,7 @@ from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping
 
-from .core.indexing import SchemaIndex, build_schema_index
+from .core.indexing import SchemaIndex, build_instance_index, build_schema_index
 from .core.model import (
     CLASS_TYPES,
     OWL_CLASS,
@@ -76,7 +75,7 @@ from .core.parsing import ParseError, parse_ntriples, triple_to_ntriples
 from .metrics import (CHECKABLE_DATATYPES, Dictionary, MetricId, checkable_mask,
                       default_dictionary, has_unknown_token, improper_datatype,
                       token_flags)
-from .reporting import counted, malformed, read_json, typed, typed_items
+from .reporting import counted, malformed, read_json, to_json, typed, typed_items
 
 
 class HeuristicId(enum.StrEnum):
@@ -205,21 +204,22 @@ _REMOVE_ACTIONS = frozenset({EditAction.REMOVE_TRIPLE, EditAction.REMOVE_AXIOM})
 class EditLog:
     """The edit engine shared by the contaminator and manifest replay.
 
-    Triples sit in a slot list with ``None`` holes, and a position map finds
+    ``triples`` is a slot list with ``None`` holes, and a position map finds
     a triple's slot, so every edit is O(1) and a rewrite keeps its triple's
     place in document order. One view maps each predicate to the ids of its
     filled slots; ``of()`` reads it, so a heuristic visits only the triples
-    of its own predicates. ``of()`` and ``by_predicate`` read as a
-    ``Dataset``'s do, so ``build_schema_index`` and ``build_instance_index``
-    take the log itself. The one cached index is ``schema()``, built on
-    first use and dropped after an edit to a declaration triple.
+    of its own predicates. ``of()`` is a ``Dataset``'s own, and
+    ``by_predicate`` reads as a ``Dataset``'s does, so ``build_schema_index``
+    and ``build_instance_index`` take the log itself. The one cached index
+    is ``schema()``, built on first use and dropped after an edit to a
+    declaration triple.
     """
 
     def __init__(self, triples: Iterable[Triple]):
-        self.slots: list[Triple | None] = list(triples)
+        self.triples: list[Triple | None] = list(triples)
         # the triples are duplicate-free, so ``pos`` lists them in slot order,
         # and both indexes share one int object per slot
-        self.pos: dict[Triple, int] = dict(zip(self.slots, count()))
+        self.pos: dict[Triple, int] = dict(zip(self.triples, count()))
         self.by_predicate: dict[Iri, dict[int, None]] = {}
         for t, i in self.pos.items():
             self.by_predicate.setdefault(t.predicate, {})[i] = None
@@ -230,12 +230,10 @@ class EditLog:
         return t in self.pos
 
     def current(self) -> list[Triple]:
-        return [t for t in self.slots if t is not None]
+        return [t for t in self.triples if t is not None]
 
-    def of(self, predicates: Iterable[Iri]) -> list[Triple]:
-        """The current triples of ``predicates``, in document order."""
-        ids = sorted(i for p in set(predicates) for i in self.by_predicate.get(p, ()))
-        return [self.slots[i] for i in ids]
+    # the view lists filled slots only, so of() never meets a hole
+    of = Dataset.of
 
     def dataset(self, dataset_id: str) -> Dataset:
         return Dataset(id=dataset_id, triples=tuple(self.current()))
@@ -245,8 +243,8 @@ class EditLog:
         if edit.action in _ADD_ACTIONS:
             if after is None or after in self.pos:
                 _reject(edit, after, "is already present")
-            before, i = None, len(self.slots)
-            self.slots.append(None)
+            before, i = None, len(self.triples)
+            self.triples.append(None)
         elif edit.action in _REMOVE_ACTIONS:
             if before is None or before not in self.pos:
                 _reject(edit, before, "is absent")
@@ -259,10 +257,10 @@ class EditLog:
         # a before frees its slot and an after fills it
         if before is not None:
             i = self.pos.pop(before)
-            self.slots[i] = None
+            self.triples[i] = None
             del self.by_predicate[before.predicate][i]
         if after is not None:
-            self.slots[i] = after
+            self.triples[i] = after
             self.pos[after] = i
             self.by_predicate.setdefault(after.predicate, {})[i] = None
         self.edits.append(edit)
@@ -470,20 +468,13 @@ class _Contaminator:
                     self.apply(HeuristicId.H7, EditAction.REMOVE_AXIOM, before=t)
         self.record(HeuristicId.H7, n, len(chosen), "no used declared terms")
 
-    def _memberships(self, classes: frozenset[Iri]) -> list[tuple[Iri, Iri]]:
-        """``(instance, class)`` for each current ``rdf:type`` triple that
-        makes an IRI an instance of one of ``classes``, in document order."""
-        return [(t.subject, t.object) for t in self.log.of((RDF_TYPE,))
-                if t.object in classes and isinstance(t.subject, Iri)]
-
     def h8_make_disjoint(self, n: int):
         schema = self.log.schema()
-        classes_of: dict[Iri, set[Iri]] = {}
-        for instance, cls in self._memberships(schema.classes):
-            classes_of.setdefault(instance, set()).add(cls)
         # M5's shape: two declared classes share an instance only inside one
         # distinct asserted class set
-        shared = {pair for classes in {frozenset(c) for c in classes_of.values()}
+        asserted = {classes & schema.classes
+                    for classes in set(build_instance_index(self.log).classes_of.values())}
+        shared = {pair for classes in asserted
                   for pair in combinations(sorted(classes, key=attrgetter("text")), 2)}
         candidates = sorted((pair for pair in shared if not schema.disjoint(*pair)),
                             key=lambda pair: (pair[0].text, pair[1].text))
@@ -574,9 +565,9 @@ class _Contaminator:
         self.record(HeuristicId.H13, n, done, "no retaggable datatype-property literals")
 
     def h14_clone_classes(self, n: int):
-        members_of: dict[Iri, set[Iri]] = {}
-        for instance, cls in self._memberships(self.log.schema().classes):
-            members_of.setdefault(cls, set()).add(instance)
+        classes = self.log.schema().classes
+        members_of = {cls: members for cls, members
+                      in build_instance_index(self.log).members_of.items() if cls in classes}
         candidates = sorted(members_of, key=attrgetter("text"))
         chosen = self._sample(candidates, n)
         for cls in chosen:
@@ -709,7 +700,7 @@ def manifest_from_dict(data: Mapping) -> ContaminationManifest:
 
 
 def manifest_to_json(manifest: ContaminationManifest) -> str:
-    return json.dumps(manifest_to_dict(manifest), indent=2) + "\n"
+    return to_json(manifest_to_dict(manifest))
 
 
 def load_manifest(path: str | Path) -> ContaminationManifest:

@@ -219,9 +219,12 @@ def build_instance_index(store) -> InstanceIndex:
             classes_of.setdefault(t.subject, set()).add(t.object)
             members_of.setdefault(t.object, set()).add(t.subject)
 
+    for groups in (classes_of, members_of):
+        for key, values in groups.items():  # in place: each set is freed as it goes
+            groups[key] = frozenset(values)
     return InstanceIndex(
-        classes_of={i: frozenset(v) for i, v in classes_of.items()},
-        members_of={c: frozenset(v) for c, v in members_of.items()},
+        classes_of=classes_of,
+        members_of=members_of,
         # a log keeps the entry of a predicate whose triples were all removed
         predicate_counts={p: len(ix) for p, ix in store.by_predicate.items() if ix},
     )

@@ -104,7 +104,8 @@ class Dataset:
     first use, not fields: ``==``, ``hash``, ``repr`` and
     ``dataclasses.replace`` ignore them.
     ``of()`` and the sizes of the ``by_predicate`` entries are what the index
-    builders read, and the contaminator's ``EditLog`` answers both the same way.
+    builders read; the contaminator's ``EditLog`` shares ``of()`` and keeps
+    a ``by_predicate`` of its own.
     """
 
     id: str

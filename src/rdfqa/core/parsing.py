@@ -74,8 +74,9 @@ _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 # escapes each of them. Backslash is admitted so \u escapes can be decoded.
 _IRI_EXCLUDED = '<>"{}|^`'
 _IRI_BODY = rf"[^\x00-\x20{re.escape(_IRI_EXCLUDED)}]*"
-# Label may contain inner dots but cannot end with one.
-_BNODE_LABEL = r"_:[A-Za-z0-9_](?:[A-Za-z0-9_\-]|\.(?=[A-Za-z0-9_.\-]))*"
+# Label may contain inner dots but cannot end with one: a run of dots
+# stands only before another label character.
+_BNODE_LABEL = r"_:[A-Za-z0-9_](?:[A-Za-z0-9_\-]|\.++(?=[A-Za-z0-9_\-]))*"
 _LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 # The bodies of the four string forms, unrolled (Friedl, Mastering Regular
 # Expressions, ch. 6): a run of plain characters, then escapes each followed
@@ -357,6 +358,14 @@ def triple_to_ntriples(t: Triple) -> str:
     return f"{term_to_ntriples(t.subject)} {term_to_ntriples(t.predicate)} {term_to_ntriples(t.object)} ."
 
 
+class _NodeTexts(dict):
+    """The N-Triples text of each IRI or blank node asked for, kept once made."""
+
+    def __missing__(self, term):
+        text = self[term] = term_to_ntriples(term)
+        return text
+
+
 # Triples per block of serialized output: a writer holds one block's text
 # and bytes at a time, never the whole document's.
 SERIALIZE_BLOCK_TRIPLES = 4096
@@ -367,12 +376,17 @@ def serialize_blocks(dataset: Dataset) -> Iterator[bytes]:
     ``SERIALIZE_BLOCK_TRIPLES`` lines, each line ending in a newline.
 
     A term is escaped only where the check of its table finds a character to
-    escape; all other text is written as it is.
+    escape; all other text is written as it is. Each IRI and blank node is
+    formatted once per block, through a memo as short-lived as the block;
+    a literal is formatted where it stands, as ``triple_to_ntriples`` does.
     """
     triples = dataset.triples
     for start in range(0, len(triples), SERIALIZE_BLOCK_TRIPLES):
         block = triples[start:start + SERIALIZE_BLOCK_TRIPLES]
-        yield ("\n".join(map(triple_to_ntriples, block)) + "\n").encode("utf-8")
+        nodes = _NodeTexts()
+        yield "".join([f"{nodes[s]} {nodes[p]} "
+                       f"{term_to_ntriples(o) if o[0] == 2 else nodes[o]} .\n"
+                       for s, p, o in block]).encode("utf-8")
 
 
 def serialize_dataset(dataset: Dataset) -> bytes:

@@ -1,10 +1,13 @@
 """Report serialization: JSON, CSV (one row per dataset) and a plain table.
 
 JSON and CSV carry full-precision values; the table view rounds to 0.01.
+``to_json`` and ``to_csv`` are the one encoding of each format that every
+rdfqa output file uses: reports, deltas, trends, matrices and manifests.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import io
 import json
@@ -12,6 +15,21 @@ from contextlib import contextmanager
 from typing import Mapping
 
 from .metrics import MetricId, MetricReport, MetricValue, ReportCounts, metric_id
+
+
+def to_json(data) -> str:
+    """``data`` as JSON text: indented by two spaces, ending in a newline."""
+    return json.dumps(data, indent=2) + "\n"
+
+
+def to_csv(rows) -> str:
+    """``rows`` as CSV text (RFC 4180), one line per row, each ending in a
+    newline. A cell that holds a comma, a quote or a newline is quoted, a
+    quote inside it doubled; ``None`` is an empty cell, and a float is
+    written in full precision."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def report_to_dict(report: MetricReport) -> dict:
@@ -107,22 +125,8 @@ def report_from_dict(data: Mapping) -> MetricReport:
         )
 
 
-def report_to_json(report: MetricReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
-
-
 def load_report(path) -> MetricReport:
     return report_from_dict(read_json(path, "report"))
-
-
-def report_to_csv(report: MetricReport) -> str:
-    """One header line and one row: dataset, then the metric columns in order."""
-    ids = [mid for mid in MetricId if mid in report.metrics]
-    out = io.StringIO()
-    out.write("dataset," + ",".join(m.value for m in ids) + "\n")
-    out.write(report.dataset_id + ","
-              + ",".join(repr(report.metrics[m].value) for m in ids) + "\n")
-    return out.getvalue()
 
 
 def report_to_table(report: MetricReport) -> str:
@@ -152,9 +156,11 @@ def report_to_table(report: MetricReport) -> str:
 
 def render_report(report: MetricReport, fmt: str) -> str:
     if fmt == "json":
-        return report_to_json(report)
-    if fmt == "csv":
-        return report_to_csv(report)
+        return to_json(report_to_dict(report))
+    if fmt == "csv":  # one header line and one row
+        ids = [mid for mid in MetricId if mid in report.metrics]
+        return to_csv([["dataset", *ids],
+                       [report.dataset_id, *(report.metrics[m].value for m in ids)]])
     if fmt == "table":
         return report_to_table(report)
     raise ValueError(f"unknown report format: {fmt!r}")

@@ -11,12 +11,12 @@ values (typically all zeros) carries no rank information.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .metrics import MetricId, MetricReport
+from .reporting import to_csv
 
 
 @dataclass(frozen=True)
@@ -217,12 +217,9 @@ def delta_to_dict(report: DeltaReport) -> dict:
 
 
 def delta_to_csv(report: DeltaReport) -> str:
-    lines = ["metric,before,after,delta"]
-    for mid in MetricId:
-        if mid in report.delta:
-            lines.append(f"{mid.value},{report.before.metrics[mid].value!r},"
-                         f"{report.after.metrics[mid].value!r},{report.delta[mid]!r}")
-    return "\n".join(lines) + "\n"
+    return to_csv([("metric", "before", "after", "delta"),
+                   *((mid, report.before.metrics[mid].value, report.after.metrics[mid].value,
+                      report.delta[mid]) for mid in MetricId if mid in report.delta)])
 
 
 def render_matrix(matrix: CorrelationMatrix) -> str:
@@ -246,7 +243,7 @@ def render_matrix(matrix: CorrelationMatrix) -> str:
                 sig_cells.append(f"{'-':>{width}}")
             else:
                 rho_cells.append(f"{cell.rho:>{width}.2f}")
-                sig_cells.append(f"{'*' if cell.p_value <= matrix.alpha else '-':>{width}}")
+                sig_cells.append(f"{'*' if matrix.significant(a, b) else '-':>{width}}")
         lines.append(f"{a.value:<9}" + "".join(rho_cells))
         lines.append(f"{'p value':<9}" + "".join(sig_cells))
     lines.append("")
@@ -263,22 +260,15 @@ def matrix_to_dict(matrix: CorrelationMatrix) -> dict:
             entry["undefined"] = True
         else:
             entry.update(rho=cell.rho, p_value=cell.p_value,
-                         significant=cell.p_value <= matrix.alpha)
+                         significant=matrix.significant(a, b))
         pairs.append(entry)
     return {"alpha": matrix.alpha, "n": matrix.n,
             "metrics": [m.value for m in matrix.metric_ids], "pairs": pairs}
 
 
 def matrix_to_csv(matrix: CorrelationMatrix) -> str:
-    lines = ["a,b,rho,p_value,significant"]
-    for (a, b), cell in matrix.cells.items():
-        if cell is None:
-            lines.append(f"{a.value},{b.value},,,")
-        else:
-            lines.append(f"{a.value},{b.value},{cell.rho!r},{cell.p_value!r},"
-                         f"{str(cell.p_value <= matrix.alpha).lower()}")
-    return "\n".join(lines) + "\n"
-
-
-def matrix_to_json(matrix: CorrelationMatrix) -> str:
-    return json.dumps(matrix_to_dict(matrix), indent=2) + "\n"
+    """One row per pair; an undefined pair has empty rho, p value and significance."""
+    return to_csv([("a", "b", "rho", "p_value", "significant"),
+                   *((a, b, None, None, None) if cell is None else
+                     (a, b, cell.rho, cell.p_value, str(matrix.significant(a, b)).lower())
+                     for (a, b), cell in matrix.cells.items())])

@@ -226,6 +226,19 @@ def test_unwritable_manifest_leaves_no_contaminated_output(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_manifest_and_output_naming_one_file_exit_2_before_reading_input(
+        tmp_path, capsys, monkeypatch):
+    # the dataset and the plan do not exist: a read of either would exit 1
+    (tmp_path / "link").symlink_to(tmp_path / "x.nt")
+    monkeypatch.chdir(tmp_path)
+    for manifest in ["x.nt", str(tmp_path / "x.nt"), "sub/../x.nt", "link"]:
+        assert run_cli(["contaminate", "missing.nt", "--plan", "missing.json",
+                        "--manifest", manifest, "-o", "x.nt"]) == 2
+        err = capsys.readouterr().err
+        assert "--manifest and -o/--output name the same file" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["link"]
+
+
 def test_a_write_failing_after_its_first_block_leaves_no_file(tmp_path, monkeypatch):
     serialize_blocks = parsing.serialize_blocks
 

@@ -41,9 +41,28 @@ _FRAGMENTS = st.sampled_from([
     "[", "]", "(", ")", "a", "e:", "@prefix e: <http://e/> .", "@base <http://e/> .",
     "\\", "\\u00", "\\U0001F600", "`", "{", "1", "1.5e3", "true", "é", " ", "﻿",
 ]).map(lambda s: s.encode("utf-8"))
+# Turtle objects nested to any depth: blank-node property lists and
+# collections, each holding leaves or further nesting. Each is its text and
+# the number of triples it adds: one per predicate of a property list, two
+# per collection item, and those of what they hold.
+_TURTLE_OBJECTS = st.recursive(
+    st.sampled_from(["e:o", "<http://e/o>", "_:b", '"x"', '"y"@en', "1", "true", "[]", "()"]
+                    ).map(lambda leaf: (leaf, 0)),
+    lambda inner: st.one_of(
+        st.lists(st.tuples(st.sampled_from(["e:p", "e:q", "a"]), inner), min_size=1, max_size=3)
+        .map(lambda pairs: ("[ " + " ; ".join(f"{p} {o}" for p, (o, _) in pairs) + " ]",
+                            sum(1 + n for _, (_, n) in pairs))),
+        st.lists(inner, max_size=3).map(lambda items: ("( " + " ".join(o for o, _ in items) + " )",
+                                                       sum(2 + n for _, n in items)))),
+    max_leaves=12)
+_PREFIX = "@prefix e: <http://e/> .\n"
+# a nested document cut at any character, for errors met at any depth
+_CUT_NESTED_DOCUMENTS = _TURTLE_OBJECTS.map(lambda obj: f"{_PREFIX}e:s e:p {obj[0]} .\n").flatmap(
+    lambda doc: st.integers(0, len(doc)).map(lambda k: doc[:k].encode()))
 _DOCUMENTS = st.one_of(
     st.binary(max_size=60),
-    st.lists(st.one_of(_FRAGMENTS, st.binary(max_size=2)), max_size=25).map(b"".join))
+    st.lists(st.one_of(_FRAGMENTS, st.binary(max_size=2)), max_size=25).map(b"".join),
+    _CUT_NESTED_DOCUMENTS)
 
 
 def _body(*extra):
@@ -112,6 +131,32 @@ def test_blank_and_comment_lines_before_a_turtle_document_move_only_its_errors(d
 def test_every_document_that_parses_round_trips(data, fmt):
     try:
         dataset = parse_dataset(data, fmt)
+    except ParseError:
+        return
+    assert parse_dataset(serialize_dataset(dataset)).triples == dataset.triples
+
+
+@given(obj=_TURTLE_OBJECTS, as_subject=st.booleans())
+def test_nested_turtle_gives_its_triples_and_round_trips(obj, as_subject):
+    text, nested = obj
+    # a literal is no subject
+    assume(not (as_subject and text[0] in '"1t'))
+    statement = f"{text} e:p e:o ." if as_subject else f"e:s e:p {text} ."
+    dataset = parse_dataset(f"{_PREFIX}{statement}\n", "turtle")
+    assert len(dataset.triples) + dataset.duplicate_count == 1 + nested
+    assert parse_dataset(serialize_dataset(dataset)).triples == dataset.triples
+
+
+@given(label=st.text("a1_-.", min_size=1, max_size=6), fmt=_FORMATS, as_subject=st.booleans())
+# the label grammar ends a label at a label character, never at a dot
+@example(label="a.", fmt="ntriples", as_subject=False)
+@example(label="a..", fmt="turtle", as_subject=False)
+def test_every_dotted_blank_node_label_that_parses_round_trips(label, fmt, as_subject):
+    prefix = "" if fmt == "ntriples" else _PREFIX
+    line = (f"_:{label} <http://e/p> <http://e/o> .\n" if as_subject
+            else f"<http://e/s> <http://e/p> _:{label}.\n")
+    try:
+        dataset = parse_dataset(f"{prefix}{line}", fmt)
     except ParseError:
         return
     assert parse_dataset(serialize_dataset(dataset)).triples == dataset.triples

@@ -119,9 +119,17 @@ def one_shot_serialization(dataset):
 @pytest.mark.parametrize("n", [0, 1, SERIALIZE_BLOCK_TRIPLES - 1, SERIALIZE_BLOCK_TRIPLES,
                                SERIALIZE_BLOCK_TRIPLES + 1, 2 * SERIALIZE_BLOCK_TRIPLES + 1])
 def test_blocks_give_the_bytes_of_the_one_shot_writer(n):
-    # an escaped newline in every literal: a block's lines are counted by its newlines
-    ds = make_dataset("b", [Triple(Iri(f"{EX}s{i}"), Iri(f"{EX}p{i % 7}"), Literal(f"\u00e9\n{i}"))
-                            for i in range(n)])
+    # an escaped newline in every literal: a block's lines are counted by its
+    # newlines. Subjects, IRI and blank-node objects recur across blocks, and
+    # some IRIs need escapes, so a node's text is reused within a block and
+    # made again in the next
+    def node(k):
+        return (Iri(f"{EX}n{k % 5}"), BlankNode(f"b{k % 4}"), Iri(f"{EX}sp ce{k % 2}"))[k % 3]
+
+    ds = make_dataset("b", [
+        Triple(node(i), Iri(f"{EX}p{i % 7}"), Literal(f"\u00e9\n{i}")) if i % 2 else
+        Triple(Iri(f"{EX}s{i}"), Iri(f"{EX}p{i % 7}"), node(i))
+        for i in range(n)])
     blocks = list(serialize_blocks(ds))
     assert len(blocks) == -(-n // SERIALIZE_BLOCK_TRIPLES)
     assert [b.count(b"\n") for b in blocks[:-1]] == [SERIALIZE_BLOCK_TRIPLES] * (len(blocks) - 1)
