@@ -40,7 +40,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, count
-from operator import attrgetter, itemgetter, not_
+from operator import itemgetter, not_
 from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping
@@ -54,8 +54,6 @@ from .core.model import (
     RDF_TYPE,
     RDFS_DOMAIN,
     RDFS_RANGE,
-    RDFS_SUBCLASSOF,
-    OWL_COMPLEMENT_OF,
     XSD_DATE,
     XSD_DATETIME,
     XSD_DECIMAL,
@@ -169,7 +167,7 @@ class ReplayError(Exception):
 
 #: datatypes whose lexical space admits generated-invalid values
 _FAKEABLE = tuple(d for d in CHECKABLE_DATATYPES if d != XSD_STRING)
-_CLASS_AXIOM_PREDICATES = frozenset({RDFS_SUBCLASSOF, OWL_DISJOINT_WITH, OWL_COMPLEMENT_OF})
+_CLASS_AXIOM_PREDICATES = AXIOM_PREDICATES - {RDFS_DOMAIN, RDFS_RANGE}
 
 
 def _fake_targets(schema: SchemaIndex) -> dict[Iri, Iri]:
@@ -421,8 +419,7 @@ class _Contaminator:
 
     def h6_rename_terms(self, n: int):
         schema = self.log.schema()
-        candidates = [t for t in self.log.of((RDF_TYPE,))
-                      if isinstance(t.object, Iri) and t.object in schema.classes]
+        candidates = [t for t in self.log.of((RDF_TYPE,)) if t.object in schema.classes]
         done = sum(self.apply(HeuristicId.H6, EditAction.REWRITE_TRIPLE, t,
                               Triple(t.subject, RDF_TYPE, self.fresh_iri("h6-class")))
                    for t in self._sample(candidates, n))
@@ -437,12 +434,9 @@ class _Contaminator:
 
     def h7_remove_declarations(self, n: int):
         schema = self.log.schema()
-        used_classes = sorted(
-            {t.object for t in self.log.of((RDF_TYPE,))
-             if isinstance(t.object, Iri) and t.object in schema.classes},
-            key=lambda c: c.text)
-        used_props = sorted((p for p in schema.properties if self.log.by_predicate.get(p)),
-                            key=lambda p: p.text)
+        used_classes = sorted({t.object for t in self.log.of((RDF_TYPE,))
+                               if t.object in schema.classes})
+        used_props = sorted(p for p in schema.properties if self.log.by_predicate.get(p))
         pool = [("class", c) for c in used_classes] + [("property", p) for p in used_props]
         chosen = self._sample(pool, n)
         # one pass groups the declaration triples by the (kind, term) they
@@ -475,9 +469,8 @@ class _Contaminator:
         asserted = {classes & schema.classes
                     for classes in set(build_instance_index(self.log).classes_of.values())}
         shared = {pair for classes in asserted
-                  for pair in combinations(sorted(classes, key=attrgetter("text")), 2)}
-        candidates = sorted((pair for pair in shared if not schema.disjoint(*pair)),
-                            key=lambda pair: (pair[0].text, pair[1].text))
+                  for pair in combinations(sorted(classes), 2)}
+        candidates = sorted(pair for pair in shared if not schema.disjoint(*pair))
         done = sum(self.apply(HeuristicId.H8, EditAction.ADD_AXIOM,
                               after=Triple(a, OWL_DISJOINT_WITH, b))
                    for a, b in self._sample(candidates, n))
@@ -486,8 +479,7 @@ class _Contaminator:
     def h9_disjoint_instances(self, n: int):
         schema = self.log.schema()
         # every class in a disjoint pair is declared disjoint or has parents
-        related = sorted(schema.parents.keys() | schema.disjoint_with.keys(),
-                         key=lambda c: c.text)
+        related = sorted(schema.parents.keys() | schema.disjoint_with.keys())
         pairs = [pair for pair in combinations(related, 2) if schema.disjoint(*pair)]
         done, why = self._capped(n) if pairs else (0, "no disjoint class pairs available")
         for _ in range(done):
@@ -568,13 +560,13 @@ class _Contaminator:
         classes = self.log.schema().classes
         members_of = {cls: members for cls, members
                       in build_instance_index(self.log).members_of.items() if cls in classes}
-        candidates = sorted(members_of, key=attrgetter("text"))
+        candidates = sorted(members_of)
         chosen = self._sample(candidates, n)
         for cls in chosen:
             clone = self.fresh_iri("h14-class")
             self.apply(HeuristicId.H14, EditAction.ADD_AXIOM,
                        after=Triple(clone, RDF_TYPE, OWL_CLASS))
-            for member in sorted(members_of[cls], key=lambda m: m.text):
+            for member in sorted(members_of[cls]):
                 self.apply(HeuristicId.H14, EditAction.ADD_TRIPLE,
                            after=Triple(member, RDF_TYPE, clone))
         self.record(HeuristicId.H14, n, len(chosen), "no classes with instances")

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .model import (
+    AXIOM_PREDICATES,
     CLASS_TYPES,
     OWL_COMPLEMENT_OF,
     OWL_DATATYPE_PROPERTY,
@@ -134,8 +135,7 @@ def build_schema_index(store) -> SchemaIndex:
         if isinstance(term, Iri) and not is_builtin(term):
             classes.add(term)
 
-    for t in store.of((RDF_TYPE, RDFS_SUBCLASSOF, OWL_DISJOINT_WITH, OWL_COMPLEMENT_OF,
-                       RDFS_DOMAIN, RDFS_RANGE)):
+    for t in store.of((RDF_TYPE, *AXIOM_PREDICATES)):
         p = t.predicate
         if p == RDF_TYPE:
             if not isinstance(t.subject, Iri) or not isinstance(t.object, Iri):

@@ -6,6 +6,8 @@ tuple of three terms. So dedup, every index dict and every grouping key hash
 and compare in C. The tag keeps the kinds apart: ``Iri("x")`` and
 ``BlankNode("x")`` differ. A term also compares equal to its plain tuple
 (``Iri("x") == (0, "x")``); the named attributes are the public view.
+So IRIs sort by their text, and a blank node or a literal is never a
+member of a set of IRIs.
 
 A dataset keeps its triples in document order and never contains exact
 duplicates; both properties are load-bearing for deterministic reports and
@@ -189,4 +191,4 @@ def is_declaration_triple(t: Triple) -> bool:
     """True for schema-level triples (declarations and axioms)."""
     if t.predicate in AXIOM_PREDICATES:
         return True
-    return t.predicate == RDF_TYPE and isinstance(t.object, Iri) and t.object in DECLARATION_TYPES
+    return t.predicate == RDF_TYPE and t.object in DECLARATION_TYPES

@@ -74,9 +74,19 @@ _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 # escapes each of them. Backslash is admitted so \u escapes can be decoded.
 _IRI_EXCLUDED = '<>"{}|^`'
 _IRI_BODY = rf"[^\x00-\x20{re.escape(_IRI_EXCLUDED)}]*"
-# Label may contain inner dots but cannot end with one: a run of dots
-# stands only before another label character.
-_BNODE_LABEL = r"_:[A-Za-z0-9_](?:[A-Za-z0-9_\-]|\.++(?=[A-Za-z0-9_\-]))*"
+
+
+def _dotted(first: str, rest: str) -> str:
+    """A name of one ``first`` then ``rest`` characters, which may hold dots
+    inside but cannot end with one: a run of dots stands only before another
+    ``rest`` character, and gives back no dot. ``rest`` may be an
+    alternation; left ungrouped, it is one more branch of the loop."""
+    return rf"{first}(?:{rest}|\.++(?={rest}))*"
+
+
+# PN_CHARS, the ASCII part: the characters that may follow a name's first.
+_PN_CHARS = r"[A-Za-z0-9_\-]"
+_BNODE_LABEL = "_:" + _dotted("[A-Za-z0-9_]", _PN_CHARS)
 _LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 # The bodies of the four string forms, unrolled (Friedl, Mastering Regular
 # Expressions, ch. 6): a run of plain characters, then escapes each followed
@@ -399,7 +409,14 @@ def serialize_dataset(dataset: Dataset) -> bytes:
 # Turtle
 
 
-_PN_LOCAL = r"(?:[A-Za-z0-9_:%\-]|\.(?=[A-Za-z0-9_:%\-.\\])|\\[_~.\-!$&'()*+,;=/?\#@%])*"
+# PN_PREFIX and PN_LOCAL of the W3C grammar, the ASCII part. PLX is a
+# percent-encoded byte or a backslash escape (PN_LOCAL_ESC).
+_PLX = r"%[0-9A-Fa-f]{2}|\\[_~.\-!$&'()*+,;=/?\#@%]"
+_PN_PREFIX = _dotted("[A-Za-z]", _PN_CHARS)
+_PN_LOCAL = _dotted(f"(?:[A-Za-z0-9_:]|{_PLX})", f"[A-Za-z0-9_:\\-]|{_PLX}")
+# A keyword ends where no name character follows. It is tried after a
+# prefixed name, so ``a:b``, ``a.b:`` and ``true:`` are names.
+_KEYWORD_END = f"(?!{_PN_CHARS})"
 
 # Whitespace and comments, skipped before each token, unrolled like the
 # string bodies and as possessive. No token starts with a blank or '#', so
@@ -424,9 +441,9 @@ _TOKEN_RE = re.compile(
     | (?P<integer>[+-]?[0-9]+)
     | (?P<dtype>\^\^)
     | (?P<punct>[.;,\[\]()])
-    | (?P<boolean>(?:true|false)(?![A-Za-z0-9_:\-]))
-    | (?P<kw_a>a(?![A-Za-z0-9_:\-]))
-    | (?P<pname>(?:[A-Za-z][A-Za-z0-9_\-.]*)?:{_PN_LOCAL})
+    | (?P<pname>(?:{_PN_PREFIX})?:(?:{_PN_LOCAL})?)
+    | (?P<boolean>(?:true|false){_KEYWORD_END})
+    | (?P<kw_a>a{_KEYWORD_END})
     )""",
     re.VERBOSE,
 )

@@ -523,7 +523,7 @@ def m10_similar_classes(schema: SchemaIndex, instances: InstanceIndex) -> Metric
     Both members of a similar pair count; classes without instances never do.
     """
     by_members: dict[frozenset[Iri], list[Iri]] = {}
-    for cls in sorted(schema.classes, key=lambda c: c.text):
+    for cls in sorted(schema.classes):
         members = instances.members_of.get(cls)
         if members:
             by_members.setdefault(members, []).append(cls)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import json
 from contextlib import contextmanager
 from typing import Mapping
@@ -22,14 +21,22 @@ def to_json(data) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
+class _Lines(list):
+    """A file for ``csv.writer`` that keeps each line written: one per row."""
+
+    write = list.append
+
+
 def to_csv(rows) -> str:
     """``rows`` as CSV text (RFC 4180), one line per row, each ending in a
-    newline. A cell that holds a comma, a quote or a newline is quoted, a
+    newline. A cell that holds a comma, a quote, a CR or an LF is quoted, a
     quote inside it doubled; ``None`` is an empty cell, and a float is
     written in full precision."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()
+    # Before Python 3.13 the writer quotes a line break only if it is in
+    # its line terminator, so it is given both, and each row ends in "\n".
+    lines = _Lines()
+    csv.writer(lines, lineterminator="\r\n").writerows(rows)
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def report_to_dict(report: MetricReport) -> dict:

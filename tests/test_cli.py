@@ -719,4 +719,7 @@ def test_run_experiment_script_on_bundled_fixtures(tmp_path):
     for stem in ("family", "zoo_clean"):
         for suffix in (".clean.json", ".dirty.nt", ".dirty.manifest.json", ".dirty.json"):
             assert (tmp_path / (stem + suffix)).stat().st_size > 0
+        # the manifest names its dataset, as `rdfqa contaminate` writes it
+        manifest = json.loads((tmp_path / f"{stem}.dirty.manifest.json").read_text())
+        assert manifest["dataset"] == stem
     assert "== pooled correlation over" in proc.stdout

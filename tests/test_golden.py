@@ -62,13 +62,20 @@ def test_every_golden_file_is_checked():
         f"{case}.{fmt}" for case in CASES for fmt in FORMATS)
 
 
-def test_a_dataset_id_holding_a_comma_and_quotes_is_one_quoted_csv_cell(tmp_path):
+@pytest.mark.parametrize("stem, cell", [
+    ('a,b "c"', '"a,b ""c"""'),
+    # RFC 4180 readers take a bare CR for a line break; it is quoted on every
+    # Python version, where the stdlib writer quotes it only from 3.13
+    ("a\rb", '"a\rb"'),
+])
+def test_a_dataset_id_that_needs_quoting_is_one_quoted_csv_cell(tmp_path, stem, cell):
     # RFC 4180: the cell is quoted and each quote in it doubled, so the row
     # keeps the header's eleven cells
-    dataset = tmp_path / 'a,b "c".nt'
+    dataset = tmp_path / f"{stem}.nt"
     dataset.write_bytes(fixture_path("family.nt").read_bytes())
     out = tmp_path / "out.csv"
     assert main(["assess", str(dataset), "--format", "csv", "-o", str(out)]) == 0
     header, row = (GOLDEN / "assess-family_nt.csv").read_text().splitlines()
-    assert out.read_text() == f'{header}\n"a,b ""c""",{row.split(",", 1)[1]}\n'
-    assert [len(r) for r in csv.reader(io.StringIO(out.read_text()))] == [11, 11]
+    text = out.read_bytes().decode()
+    assert text == f'{header}\n{cell},{row.split(",", 1)[1]}\n'
+    assert [len(r) for r in csv.reader(io.StringIO(text))] == [11, 11]

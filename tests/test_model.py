@@ -4,6 +4,7 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rdfqa.core.model import XSD_INTEGER, BlankNode, Iri, Literal, Triple
 
@@ -91,3 +92,23 @@ def test_hash_and_eq_are_tuples_own(cls):
 def test_no_instance_carries_a_dict():
     for value in [*TERMS, *TRIPLES]:
         assert not hasattr(value, "__dict__")
+
+
+# texts over a few characters share prefixes often; the rest reach any
+# code point, non-ASCII ones included
+_TEXTS = st.one_of(st.text("a/é\u4e2d\U0001f600", min_size=1, max_size=6),
+                   st.text(min_size=1, max_size=4))
+
+
+@given(texts=st.lists(_TEXTS, max_size=12), pairs=st.lists(st.tuples(_TEXTS, _TEXTS), max_size=12))
+def test_iris_sort_by_their_text_and_hold_no_other_kind(texts, pairs):
+    iris = [Iri(text) for text in texts]
+    assert sorted(iris) == sorted(iris, key=lambda iri: iri.text)
+    iri_pairs = [(Iri(a), Iri(b)) for a, b in pairs]
+    assert sorted(iri_pairs) == sorted(iri_pairs, key=lambda p: (p[0].text, p[1].text))
+    members = frozenset(iris)
+    for text in texts:
+        assert Iri(text) in members
+        for other in (BlankNode(text), Literal(text), Literal(text, datatype=Iri(text)),
+                      Literal(text, language="en")):
+            assert other not in members

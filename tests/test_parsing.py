@@ -17,7 +17,8 @@ from rdfqa import (
     parse_dataset,
     serialize_dataset,
 )
-from rdfqa.core.model import RDF_TYPE, XSD_INTEGER, is_declaration_triple, make_dataset
+from rdfqa.core.model import (RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, is_declaration_triple,
+                              make_dataset)
 from rdfqa.core.parsing import (
     _IRI_ESCAPED,
     _IRI_ESCAPES,
@@ -393,6 +394,50 @@ def test_turtle_reports_a_bad_term_at_its_first_character(text, column, message)
     with pytest.raises(ParseError) as err:
         parse_dataset(text + "\n", "turtle")
     assert (err.value.line, err.value.column, err.value.message) == (1, column, message)
+
+
+_NAMES_PREFIX = "@prefix e: <http://e/> .\n"
+# Prefixed names of the Turtle grammar (PN_PREFIX, PN_LOCAL and PLX, the
+# ASCII part), each with the object it gives or None for a ParseError
+_NAMES_KEPT = [
+    ("e:s e:p e:a.b .", Iri("http://e/a.b")),
+    ("e:s e:p e:a..b .", Iri("http://e/a..b")),
+    ("e:s e:p e:a%41 .", Iri("http://e/a%41")),
+    ("e:s e:p e:a\\. .", Iri("http://e/a.")),
+    ("e:s e:p e:a\\~ .", Iri("http://e/a~")),
+    ("e:s e:p e:_a .", Iri("http://e/_a")),
+    ("e:s e:p e: .", Iri("http://e/")),
+    ("e:s e:p e:a:b .", Iri("http://e/a:b")),
+    ("e:s e:p e:9 .", Iri("http://e/9")),
+    ("e:s e:p e:a.- .", Iri("http://e/a.-")),
+    ("e:s e:p e:C.", Iri("http://e/C")),
+    ("e:s a e:C.", Iri("http://e/C")),
+    ("e:s e:p true.", Literal("true", datatype=XSD_BOOLEAN)),
+    ("@prefix true: <http://t/> .\ne:s e:p true:x .", Iri("http://t/x")),
+    ("PREFIX f: <http://f/>\ne:s e:p f:o .", Iri("http://f/o")),
+    ("@prefix a.: <http://f/> .\ne:s e:p a.:o .", None),
+]
+# the rows whose verdict was wrong while the prefixed-name pattern restated
+# the dotted-name rule by hand and the keywords were tried before it
+_NAMES_MENDED = [
+    ("e:s e:p e:a..", None),  # a local name cannot end in a dot
+    ("e:s e:p e:.a .", None),  # nor start with one
+    ("e:s e:p e:-a .", None),  # nor with '-'
+    ("e:s e:p e:a%4 .", None),  # PERCENT is '%' and two hex digits
+    ("e:s e:p e:a%4g .", None),
+    ("@prefix b.: <http://f/> .\ne:s e:p b.:o .", None),  # PN_PREFIX cannot end in a dot
+    ("@prefix a.b: <http://f/> .\ne:s e:p a.b:o .", Iri("http://f/o")),  # no keyword 'a'
+]
+
+
+@pytest.mark.parametrize("text, expected", _NAMES_KEPT + _NAMES_MENDED)
+def test_turtle_names_follow_the_grammar(text, expected):
+    if expected is None:
+        with pytest.raises(ParseError):
+            parse_dataset(_NAMES_PREFIX + text + "\n", "turtle")
+    else:
+        dataset = parse_dataset(_NAMES_PREFIX + text + "\n", "turtle")
+        assert [t.object for t in dataset.triples] == [expected]
 
 
 # a comment line and a statement whose long string spans three lines, so
