@@ -18,7 +18,6 @@ The bundled fixtures work as a demo:
 """
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -52,7 +51,6 @@ def main(argv=None) -> int:
             continue
         dataset = load_dataset(dataset_path)
         plan = load_plan(plan_path)
-        plan = dataclasses.replace(plan, dataset_id=plan.dataset_id or dataset.id)
         clean_report = assess(dataset, words)
         dirty, manifest = contaminate(dataset, plan, words)
         dirty_report = assess(dirty, words)

@@ -132,8 +132,7 @@ def cmd_contaminate(args: argparse.Namespace) -> int:
     dataset = _load_input_dataset(args)
     plan = _read(load_plan, args.plan)
     dictionary = _resolve_dictionary(args)
-    plan = dataclasses.replace(plan, seed=plan.seed if args.seed is None else args.seed,
-                               dataset_id=plan.dataset_id or dataset.id)
+    plan = dataclasses.replace(plan, seed=plan.seed if args.seed is None else args.seed)
     contaminated, manifest = contaminate(dataset, plan, dictionary)
     _write_atomic((args.output, serialize_blocks(contaminated)),
                   (manifest_path, (manifest_to_json(manifest).encode("utf-8"),)))

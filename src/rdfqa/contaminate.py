@@ -14,10 +14,11 @@ its slots, so a heuristic reads only the triples of its own predicates, in
 document order. The index builders read the log itself, as they read a
 ``Dataset``; the schema index is cached and rebuilt only after an edit to a
 declaration triple. Every heuristic picks its candidates with one
-sample step, through the rule of the metric it raises (H4, H5 and H13 ask
-M3's ``token_flags``; H8 pairs classes within each asserted class set, as M5
-reads them), and makes every edit through one apply rule, which skips an
-edit whose resulting triple is already present.
+sample step, through the rule of the metric it raises (H3 fakes a range in
+the order of M2's ``LEXICAL_CHECKS``; H4, H5 and H13 ask M3's
+``token_flags``, and H13 M9's ``improper_tag``; H8 pairs classes within each
+asserted class set, as M5 reads them), and makes every edit through one
+apply rule, which skips an edit whose resulting triple is already present.
 
 Injected terms live under the reserved ``contam:`` IRI scheme so they are
 recognizable, and a minted IRI skips any term the input already holds, so it
@@ -38,7 +39,7 @@ from __future__ import annotations
 import enum
 import string
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, combinations, compress, count
 from operator import itemgetter, not_
 from pathlib import Path
@@ -62,7 +63,7 @@ from .core.model import (
     XSD_INTEGER,
     XSD_STRING,
     AXIOM_PREDICATES,
-    DECLARATION_TYPES,
+    PROPERTY_TYPES,
     Dataset,
     Iri,
     Literal,
@@ -70,9 +71,8 @@ from .core.model import (
     is_declaration_triple,
 )
 from .core.parsing import ParseError, parse_ntriples, triple_to_ntriples
-from .metrics import (CHECKABLE_DATATYPES, Dictionary, MetricId, checkable_mask,
-                      default_dictionary, has_unknown_token, improper_datatype,
-                      token_flags)
+from .metrics import (LEXICAL_CHECKS, Dictionary, MetricId, checkable_mask,
+                      default_dictionary, has_unknown_token, improper_tag, token_flags)
 from .reporting import counted, malformed, read_json, to_json, typed, typed_items
 
 
@@ -166,7 +166,7 @@ class ReplayError(Exception):
 
 
 #: datatypes whose lexical space admits generated-invalid values
-_FAKEABLE = tuple(d for d in CHECKABLE_DATATYPES if d != XSD_STRING)
+_FAKEABLE = tuple(LEXICAL_CHECKS)
 _CLASS_AXIOM_PREDICATES = AXIOM_PREDICATES - {RDFS_DOMAIN, RDFS_RANGE}
 
 
@@ -280,7 +280,8 @@ def _reject(edit: Edit, t: Triple | None, why: str):
 class _Contaminator:
     def __init__(self, dataset: Dataset, plan: ContaminationPlan, dictionary: Dictionary):
         self.dataset_id = dataset.id
-        self.plan = plan
+        # the manifest names the dataset its edits apply to
+        self.plan = replace(plan, dataset_id=plan.dataset_id or dataset.id)
         self.dictionary = dictionary
         self.rng = Random(plan.seed)
         self.log = EditLog(dataset.triples)
@@ -341,9 +342,11 @@ class _Contaminator:
 
     def h3_out_of_range(self, n: int):
         schema = self.log.schema()
-        # every fakeable range is an XSD range; H3 rewrites datatype-kind properties only
+        xsd_ranges = schema.xsd_ranges
+        # every fakeable range is an XSD range; M2 checks the lexical forms of
+        # a datatype-kind property unless one of its ranges is xsd:string
         targets = {p: target for p, target in _fake_targets(schema).items()
-                   if p in schema.xsd_ranges}
+                   if p in xsd_ranges and XSD_STRING not in xsd_ranges[p]}
         candidates = [(t, targets[t.predicate]) for t in self.log.of(targets)
                       if isinstance(t.object, Literal)]
         done = sum(self.apply(HeuristicId.H3, EditAction.REWRITE_TRIPLE, t,
@@ -356,7 +359,7 @@ class _Contaminator:
         # digit-bearing token: invalid for every fakeable datatype, and the
         # spell checker skips it
         self.value_counter += 1
-        return f"contamvalue{self.value_counter}"
+        return _IN_RANGE_LEXICAL[None](self.value_counter)
 
     def _spellable_candidates(self, schema):
         current = self.log.current()
@@ -387,9 +390,8 @@ class _Contaminator:
                 ch = self.rng.choice(string.ascii_lowercase)
                 mutated = lexical[:pos] + ch + lexical[pos:]
             else:
+                # a candidate holds a checked token, so it holds a letter
                 alpha_positions = [i for i, c in enumerate(lexical) if c.isalpha()]
-                if not alpha_positions:
-                    continue
                 pos = self.rng.choice(alpha_positions)
                 mutated = lexical[:pos] + lexical[pos + 1:]
             if mutated != lexical and has_unknown_token(mutated, self.dictionary):
@@ -449,7 +451,7 @@ class _Contaminator:
             if p == RDF_TYPE:
                 if o in CLASS_TYPES:
                     declaring.setdefault(("class", s), []).append(t)
-                if o in DECLARATION_TYPES:
+                elif o in PROPERTY_TYPES:
                     declaring.setdefault(("property", s), []).append(t)
             elif p in _CLASS_AXIOM_PREDICATES:
                 declaring.setdefault(("class", s), []).append(t)
@@ -540,13 +542,15 @@ class _Contaminator:
         group_sizes = Counter((t.subject, t.predicate) for t in typed_values)
         candidates = []
         for t in typed_values:
-            xsd_ranges = schema.xsd_ranges[t.predicate]
-            if not isinstance(t.object, Literal) or improper_datatype(t, schema.xsd_ranges):
+            ranges = schema.xsd_ranges[t.predicate]
+            if not isinstance(t.object, Literal) or improper_tag(t.object.datatype, ranges):
                 continue
             if group_sizes[t.subject, t.predicate] != 1:
                 continue
-            new_tag = XSD_STRING if XSD_STRING not in xsd_ranges else XSD_INTEGER
-            candidates.append((t, new_tag))
+            # M9 flags the new tag only when no range declares it
+            new_tag = XSD_STRING if XSD_STRING not in ranges else XSD_INTEGER
+            if improper_tag(new_tag, ranges):
+                candidates.append((t, new_tag))
         # only a literal with no checked token is retagged
         _, checked = token_flags([t.object.lexical for t, _ in candidates], self.dictionary)
         candidates = list(compress(candidates, map(not_, checked)))

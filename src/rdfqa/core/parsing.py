@@ -417,6 +417,10 @@ _PN_LOCAL = _dotted(f"(?:[A-Za-z0-9_:]|{_PLX})", f"[A-Za-z0-9_:\\-]|{_PLX}")
 # A keyword ends where no name character follows. It is tried after a
 # prefixed name, so ``a:b``, ``a.b:`` and ``true:`` are names.
 _KEYWORD_END = f"(?!{_PN_CHARS})"
+# The SPARQL forms PREFIX and BASE are tried before a prefixed name, so they
+# end only where no name could go on: before no name character, no ':' and
+# no dots that a name character follows. ``PREFIX:`` and ``base.x:`` are names.
+_SPARQL_KEYWORD_END = rf"(?!{_PN_CHARS}|:|\.++{_PN_CHARS})"
 
 # Whitespace and comments, skipped before each token, unrolled like the
 # string bodies and as possessive. No token starts with a blank or '#', so
@@ -432,8 +436,8 @@ _TOKEN_RE = re.compile(
         |'(?!''){_SINGLE_BODY}'
         |"(?!""){_STRING_BODY}")
     | (?P<prefix_kw>@prefix(?![A-Za-z0-9_\-])|@base(?![A-Za-z0-9_\-])
-        |[Pp][Rr][Ee][Ff][Ii][Xx](?![A-Za-z0-9_:\-])
-        |[Bb][Aa][Ss][Ee](?![A-Za-z0-9_:\-]))
+        |[Pp][Rr][Ee][Ff][Ii][Xx]{_SPARQL_KEYWORD_END}
+        |[Bb][Aa][Ss][Ee]{_SPARQL_KEYWORD_END})
     | (?P<langtag>@{_LANGTAG})
     | (?P<blank>{_BNODE_LABEL})
     | (?P<double>[+-]?(?:[0-9]+\.[0-9]*|\.?[0-9]+)[eE][+-]?[0-9]+)

@@ -217,15 +217,6 @@ def has_unknown_token(text: str, dictionary: Dictionary) -> bool:
 # Lexical validity per XSD datatype (used by the out-of-range metric)
 
 
-_LEXICAL_RES = {
-    XSD_INTEGER: re.compile(r"[+-]?[0-9]+\Z"),
-    XSD_DECIMAL: re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)\Z"),
-    XSD_DOUBLE: re.compile(
-        r"(?:[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[+-]?INF|NaN)\Z"),
-    XSD_BOOLEAN: re.compile(r"(?:true|false|1|0)\Z"),
-    XSD_GYEAR: re.compile(r"-?[0-9]{4,}(?:Z|[+-](?:0[0-9]|1[0-4]):[0-5][0-9])?\Z"),
-}
-
 _DATE_RE = re.compile(
     r"(-?)([0-9]{4,})-([0-9]{2})-([0-9]{2})(?:Z|[+-](?:0[0-9]|1[0-4]):[0-5][0-9])?\Z")
 _DATETIME_RE = re.compile(
@@ -260,23 +251,20 @@ def _valid_datetime(lexical: str) -> bool:
     return int(m.group(5)) <= 23 and int(m.group(6)) <= 59 and int(m.group(7)) <= 59
 
 
-#: a truthy result for a valid lexical form, per checkable datatype but
-#: xsd:string, for which every form is valid; only xsd:date and xsd:dateTime
-#: need Python past the pattern
-_LEXICAL_CHECKS: dict[Iri, Callable[[str], object]] = {
-    **{d: pattern.match for d, pattern in _LEXICAL_RES.items()},
+#: A truthy result for a valid lexical form, per datatype whose lexical forms
+#: are checked, in the order the contaminator picks a fake target from a
+#: property's declared ranges. xsd:string is absent: every lexical form is
+#: valid for it. Only xsd:date and xsd:dateTime need Python past the pattern.
+LEXICAL_CHECKS: dict[Iri, Callable[[str], object]] = {
+    XSD_INTEGER: re.compile(r"[+-]?[0-9]+\Z").match,
+    XSD_DECIMAL: re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)\Z").match,
+    XSD_DOUBLE: re.compile(
+        r"(?:[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[+-]?INF|NaN)\Z").match,
+    XSD_BOOLEAN: re.compile(r"(?:true|false|1|0)\Z").match,
     XSD_DATE: _valid_date,
     XSD_DATETIME: _valid_datetime,
+    XSD_GYEAR: re.compile(r"-?[0-9]{4,}(?:Z|[+-](?:0[0-9]|1[0-4]):[0-5][0-9])?\Z").match,
 }
-
-
-#: Datatypes whose lexical forms are checked, in the order the contaminator
-#: picks a target from a property's declared ranges; xsd:string comes last
-#: because every lexical form is valid for it.
-CHECKABLE_DATATYPES: tuple[Iri, ...] = (
-    XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE, XSD_BOOLEAN,
-    XSD_DATE, XSD_DATETIME, XSD_GYEAR, XSD_STRING,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +358,7 @@ def m2_out_of_range_values(dataset: Dataset, schema: SchemaIndex,
             flagged += compress(idx, map(out.__contains__,
                                          map(classes_of.get, _objects(dataset, idx))))
     for p, ranges in schema.xsd_ranges.items():
-        checks = [_LEXICAL_CHECKS[r] for r in ranges if r in _LEXICAL_CHECKS]
+        checks = [LEXICAL_CHECKS[r] for r in ranges if r in LEXICAL_CHECKS]
         # every lexical form is valid for xsd:string
         if not checks or XSD_STRING in ranges or not (idx := by_predicate.get(p)):
             continue
@@ -486,16 +474,10 @@ def m8_inverse_functional_conflicts(dataset: Dataset, schema: SchemaIndex) -> Me
         excess=lambda group: len({t.subject for t in group}) - 1)
 
 
-def _improper_tag(datatype: Iri | None, ranges: frozenset[Iri]) -> bool:
+def improper_tag(datatype: Iri | None, ranges: frozenset[Iri]) -> bool:
+    """The improper-datatype rule: a literal's datatype tag, xsd:string when
+    untagged, is not among its predicate's XSD ``ranges``."""
     return (XSD_STRING if datatype is None else datatype) not in ranges
-
-
-def improper_datatype(t: Triple, xsd_ranges: Mapping[Iri, frozenset[Iri]]) -> bool:
-    """The improper-datatype rule: ``t``'s object is a literal whose datatype
-    tag, xsd:string when untagged, is not among its predicate's ``xsd_ranges``."""
-    ranges = xsd_ranges.get(t.predicate)
-    return bool(ranges) and isinstance(t.object, Literal) and _improper_tag(
-        t.object.datatype, ranges)
 
 
 def m9_improper_datatype(dataset: Dataset, schema: SchemaIndex) -> MetricValue:
@@ -511,7 +493,7 @@ def m9_improper_datatype(dataset: Dataset, schema: SchemaIndex) -> MetricValue:
             # an IRI or blank node object is never flagged
             idx, literals = _literal_objects(dataset, idx)
             datatypes = list(map(itemgetter(2), literals))
-            improper = {d for d in set(datatypes) if _improper_tag(d, ranges)}
+            improper = {d for d in set(datatypes) if improper_tag(d, ranges)}
             if improper:
                 flagged += compress(idx, map(improper.__contains__, datatypes))
     return _flagged(MetricId.IMPROPER_DATATYPE, dataset, flagged)

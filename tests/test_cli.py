@@ -662,6 +662,8 @@ def test_contaminate_bad_plan_exits_1(tmp_path, capsys):
     ("compare --manifest", '{"seed": 1, "requested": {"H1": 2}, "achieved": {"H1": -1}}'),
     ("compare --manifest", '{"seed": 1, "warnings": "abc"}'),
     ("compare --manifest", '{"seed": 1, "warnings": [null]}'),
+    ("compare --manifest", '{"seed": 1, "edits": [{"heuristic": "H1", '
+                           '"action": "add_axiom", "after": "garbage"}]}'),
     # nesting too deep for the JSON decoder
     *(pytest.param(command, "[" * 100_000, id=f"{command}-nested")
       for command in ("contaminate", "compare --manifest", "compare", "correlate")),

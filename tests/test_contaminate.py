@@ -28,9 +28,15 @@ from rdfqa.contaminate import (
 )
 from rdfqa.core.indexing import SchemaIndex
 from rdfqa.core.model import (
+    OWL_CLASS,
     OWL_DATATYPE_PROPERTY,
+    OWL_FUNCTIONAL_PROPERTY,
+    OWL_OBJECT_PROPERTY,
     RDF_TYPE,
     RDFS_RANGE,
+    XSD_BOOLEAN,
+    XSD_INTEGER,
+    XSD_STRING,
     BlankNode,
     Iri,
     Literal,
@@ -67,13 +73,17 @@ def test_h2_count_arithmetic(zoo, words):
     assert manifest.achieved[HeuristicId.H2] == 5
 
 
-_FAKE_ORDER = ("integer", "decimal", "double", "boolean", "date", "dateTime", "gYear", "string")
+_FAKE_ORDER = ("integer", "decimal", "double", "boolean", "date", "dateTime", "gYear")
 
 
-@pytest.mark.parametrize("first, second", zip(_FAKE_ORDER, _FAKE_ORDER[1:]))
-def test_h3_targets_the_first_checkable_datatype_among_the_ranges(words, first, second):
-    # the order of CHECKABLE_DATATYPES decides which declared range H3 fakes;
-    # one case per adjacent pair pins the whole order (xsd:string is never faked)
+@pytest.mark.parametrize("first, second, faked", [
+    *(pytest.param(a, b, a, id=f"{a}-{b}") for a, b in zip(_FAKE_ORDER, _FAKE_ORDER[1:])),
+    # M2 never checks a property with an xsd:string range, so H3 fakes none
+    pytest.param("gYear", "string", None, id="gYear-string"),
+])
+def test_h3_targets_the_first_checkable_datatype_among_the_ranges(words, first, second, faked):
+    # the order of LEXICAL_CHECKS decides which declared range H3 fakes;
+    # one case per adjacent pair pins the whole order
     xsd = "http://www.w3.org/2001/XMLSchema#"
     p = Iri("http://ex/p")
     triples = [Triple(p, RDF_TYPE, OWL_DATATYPE_PROPERTY)]
@@ -81,8 +91,73 @@ def test_h3_targets_the_first_checkable_datatype_among_the_ranges(words, first, 
     triples.append(Triple(Iri("http://ex/s"), p, Literal("7")))
     plan = ContaminationPlan(intensities={HeuristicId.H3: 1}, seed=1)
     _, manifest = contaminate(make_dataset("ranges", triples), plan, words)
-    (edit,) = manifest.edits
-    assert edit.after.object.datatype == Iri(xsd + first)
+    if faked is None:
+        assert manifest.edits == ()
+        assert manifest.warnings == (
+            "H3: requested 1, achieved 0 (no rewritable datatype-property triples)",)
+    else:
+        (edit,) = manifest.edits
+        assert edit.after.object.datatype == Iri(xsd + faked)
+
+
+def _one_value_of(ranges, literal, *types):
+    """``ex:p``, a datatype property of ``ranges`` and of each of ``types``,
+    and one triple ``ex:s ex:p literal``."""
+    p = Iri("http://ex/p")
+    return make_dataset("one", [
+        Triple(p, RDF_TYPE, OWL_DATATYPE_PROPERTY),
+        *(Triple(p, RDF_TYPE, t) for t in types),
+        *(Triple(p, RDFS_RANGE, r) for r in ranges),
+        Triple(Iri("http://ex/s"), p, literal),
+    ])
+
+
+@pytest.mark.parametrize("h, ranges, literal", [
+    (HeuristicId.H3, (XSD_INTEGER,), Literal("5", datatype=XSD_INTEGER)),
+    (HeuristicId.H3, (XSD_INTEGER, XSD_STRING), Literal("5", datatype=XSD_INTEGER)),
+    (HeuristicId.H13, (XSD_INTEGER,), Literal("12", datatype=XSD_INTEGER)),
+    (HeuristicId.H13, (XSD_INTEGER, XSD_STRING), Literal("12", datatype=XSD_STRING)),
+])
+def test_each_edit_a_heuristic_counts_raises_its_metric(words, h, ranges, literal):
+    # with an xsd:string range, M2 checks no lexical form and M9 flags no
+    # retag to xsd:integer, so neither H3 nor H13 has an edit to make
+    dataset = _one_value_of(ranges, literal)
+    dirty, manifest = contaminate(dataset, ContaminationPlan({h: 1}, 0), words)
+    target = HEURISTIC_TARGETS[h]
+    before, after = (assess(d, words).metrics[target].numerator for d in (dataset, dirty))
+    assert after - before == manifest.achieved[h] == (XSD_STRING not in ranges)
+
+
+def test_h3_counts_no_rewrite_onto_the_triple_itself(words):
+    # the first fresh value is contamvalue1, so H3 would rewrite the triple
+    # onto itself: the apply rule skips it and records no edit
+    dataset = _one_value_of((XSD_INTEGER,), Literal("contamvalue1", datatype=XSD_INTEGER))
+    dirty, manifest = contaminate(dataset, ContaminationPlan({HeuristicId.H3: 1}, 0), words)
+    assert manifest.achieved[HeuristicId.H3] == 0
+    assert manifest.edits == ()
+    assert dirty.triples == dataset.triples
+
+
+def test_h11_makes_no_copy_of_a_boolean_value(words):
+    # xsd:boolean has no unbounded distinct values to stay inside the range with
+    dataset = _one_value_of((XSD_BOOLEAN,), Literal("true", datatype=XSD_BOOLEAN),
+                            OWL_FUNCTIONAL_PROPERTY)
+    _, manifest = contaminate(dataset, ContaminationPlan({HeuristicId.H11: 1}, 0), words)
+    assert manifest.achieved[HeuristicId.H11] == 0
+    assert manifest.warnings == (
+        "H11: requested 1, achieved 0 (no functional-property triples to copy)",)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_h7_removes_only_the_declarations_of_the_role_it_picks(words, seed):
+    # P is both a class and a property; each role owns its own declaration
+    P, i = Iri("http://ex/P"), Iri("http://ex/i")
+    as_class = Triple(P, RDF_TYPE, OWL_CLASS)
+    as_property = Triple(P, RDF_TYPE, OWL_OBJECT_PROPERTY)
+    dataset = make_dataset("both", [as_class, as_property, Triple(i, RDF_TYPE, P),
+                                    Triple(i, P, Iri("http://ex/o"))])
+    _, manifest = contaminate(dataset, ContaminationPlan({HeuristicId.H7: 1}, seed), words)
+    assert [e.before for e in manifest.edits] in ([as_class], [as_property])
 
 
 def test_h9_adds_instance_into_disjoint_pair(zoo, words):
@@ -194,6 +269,17 @@ def test_edit_log_rejects_edits_that_cannot_apply():
     log.apply(rewrite)
     assert log.current() == [b]
     assert log.edits == [rewrite]  # rejected edits leave no trace
+
+
+def test_replay_rejects_a_rewrite_onto_a_present_triple():
+    a, b = (Triple(Iri("http://ex/s"), Iri("http://ex/p"), Iri(f"http://ex/{o}"))
+            for o in "ab")
+    manifest = manifest_from_dict({"edits": [{
+        "heuristic": "H3", "action": "rewrite_triple",
+        "before": triple_to_ntriples(a), "after": triple_to_ntriples(b)}]})
+    with pytest.raises(ReplayError) as err:
+        replay_manifest(make_dataset("d", [a, b]), manifest)
+    assert str(err.value).endswith("triple is already present: " + triple_to_ntriples(b))
 
 
 # sha256 of the serialized output and of the manifest JSON for every
@@ -422,6 +508,13 @@ def test_achieved_never_exceeds_requested(zoo, words):
     _, manifest = contaminate(zoo, plan, words)
     for h, requested in plan.intensities.items():
         assert manifest.achieved[h] <= requested
+
+
+def test_the_manifest_names_the_dataset_unless_the_plan_does(zoo, words):
+    _, manifest = contaminate(zoo, ContaminationPlan({HeuristicId.H1: 1}, 0), words)
+    assert manifest_to_dict(manifest)["dataset"] == zoo.id == "zoo_clean"
+    _, manifest = contaminate(zoo, ContaminationPlan({HeuristicId.H1: 1}, 0, "named"), words)
+    assert manifest_to_dict(manifest)["dataset"] == "named"
 
 
 def test_plan_json_roundtrip():

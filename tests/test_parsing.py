@@ -389,6 +389,10 @@ def test_a_datatype_or_language_tag_after_a_non_literal_is_rejected(fmt, text, c
 @pytest.mark.parametrize("text, column, message", [
     ('a:s a:p """abc .', 9, "unterminated string literal"),
     ("a:s a:p 'abc .", 9, "unterminated string literal"),
+    ("@base <urn:x:> . <a> <http://e/p> <http://e/o> .", 18,
+     "cannot resolve <a> to an absolute IRI"),
+    # the SPARQL keyword ends before ':', so this is a statement, not a directive
+    ("PREFIX: <http://e/>", 1, "undefined prefix 'PREFIX'"),
 ])
 def test_turtle_reports_a_bad_term_at_its_first_character(text, column, message):
     with pytest.raises(ParseError) as err:
@@ -428,9 +432,19 @@ _NAMES_MENDED = [
     ("@prefix b.: <http://f/> .\ne:s e:p b.:o .", None),  # PN_PREFIX cannot end in a dot
     ("@prefix a.b: <http://f/> .\ne:s e:p a.b:o .", Iri("http://f/o")),  # no keyword 'a'
 ]
+# where a directive keyword ends; the last two rows were rejected while the
+# SPARQL keywords PREFIX and BASE, tried before a prefixed name, could end before a dot
+_NAMES_KEYWORDS = [
+    ("prefix f: <http://f/>\ne:s e:p f:o .", Iri("http://f/o")),
+    ("BASE <http://f/>\ne:s e:p <o> .", Iri("http://f/o")),
+    ("@prefix: <http://f/> .\ne:s e:p :o .", Iri("http://f/o")),
+    ("@prefix PREFIX: <http://f/> .\ne:s e:p PREFIX:o .", Iri("http://f/o")),
+    ("@prefix PREFIX.x: <http://f/> .\ne:s e:p PREFIX.x:o .", Iri("http://f/o")),
+    ("@prefix base.x: <http://f/> .\ne:s e:p base.x:o .", Iri("http://f/o")),
+]
 
 
-@pytest.mark.parametrize("text, expected", _NAMES_KEPT + _NAMES_MENDED)
+@pytest.mark.parametrize("text, expected", _NAMES_KEPT + _NAMES_MENDED + _NAMES_KEYWORDS)
 def test_turtle_names_follow_the_grammar(text, expected):
     if expected is None:
         with pytest.raises(ParseError):
