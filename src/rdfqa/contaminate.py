@@ -16,9 +16,11 @@ document order. The index builders read the log itself, as they read a
 declaration triple. Every heuristic picks its candidates with one
 sample step, through the rule of the metric it raises (H3 fakes a range in
 the order of M2's ``LEXICAL_CHECKS``; H4, H5 and H13 ask M3's
-``token_flags``, and H13 M9's ``improper_tag``; H8 pairs classes within each
-asserted class set, as M5 reads them), and makes every edit through one
-apply rule, which skips an edit whose resulting triple is already present.
+``token_flags``, and H13 M9's ``improper_tag``; H7 removes the triples that
+``SchemaIndex.declared_by`` records for a term, what M4 reads as declared;
+H8 pairs classes within each asserted class set, as M5 reads them), and
+makes every edit through one apply rule, which skips an edit whose
+resulting triple is already present.
 
 Injected terms live under the reserved ``contam:`` IRI scheme so they are
 recognizable, and a minted IRI skips any term the input already holds, so it
@@ -48,13 +50,10 @@ from typing import Iterable, Mapping
 
 from .core.indexing import SchemaIndex, build_instance_index, build_schema_index
 from .core.model import (
-    CLASS_TYPES,
     OWL_CLASS,
     OWL_DISJOINT_WITH,
     RDF_PROPERTY,
     RDF_TYPE,
-    RDFS_DOMAIN,
-    RDFS_RANGE,
     XSD_DATE,
     XSD_DATETIME,
     XSD_DECIMAL,
@@ -62,8 +61,6 @@ from .core.model import (
     XSD_GYEAR,
     XSD_INTEGER,
     XSD_STRING,
-    AXIOM_PREDICATES,
-    PROPERTY_TYPES,
     Dataset,
     Iri,
     Literal,
@@ -167,7 +164,8 @@ class ReplayError(Exception):
 
 #: datatypes whose lexical space admits generated-invalid values
 _FAKEABLE = tuple(LEXICAL_CHECKS)
-_CLASS_AXIOM_PREDICATES = AXIOM_PREDICATES - {RDFS_DOMAIN, RDFS_RANGE}
+#: the tags H13 may write, in the order it tries them
+_RETAGS = (XSD_STRING, *LEXICAL_CHECKS)
 
 
 def _fake_targets(schema: SchemaIndex) -> dict[Iri, Iri]:
@@ -441,25 +439,9 @@ class _Contaminator:
         used_props = sorted(p for p in schema.properties if self.log.by_predicate.get(p))
         pool = [("class", c) for c in used_classes] + [("property", p) for p in used_props]
         chosen = self._sample(pool, n)
-        # one pass groups the declaration triples by the (kind, term) they
-        # declare, in document order; an instance's rdf:type triple has no
-        # declaration type as its object, so it joins no group. A triple an
-        # earlier term removed is skipped
-        declaring: dict[tuple[str, object], list[Triple]] = {}
-        for t in self.log.of((RDF_TYPE, *AXIOM_PREDICATES)):
-            s, p, o = t
-            if p == RDF_TYPE:
-                if o in CLASS_TYPES:
-                    declaring.setdefault(("class", s), []).append(t)
-                elif o in PROPERTY_TYPES:
-                    declaring.setdefault(("property", s), []).append(t)
-            elif p in _CLASS_AXIOM_PREDICATES:
-                declaring.setdefault(("class", s), []).append(t)
-            elif p == RDFS_DOMAIN or p == RDFS_RANGE:
-                declaring.setdefault(("class", o), []).append(t)
-                declaring.setdefault(("property", s), []).append(t)
+        # a triple that declares two chosen terms is removed once
         for key in chosen:
-            for t in declaring.get(key, ()):
+            for t in schema.declared_by[key]:
                 if t in self.log:
                     self.apply(HeuristicId.H7, EditAction.REMOVE_AXIOM, before=t)
         self.record(HeuristicId.H7, n, len(chosen), "no used declared terms")
@@ -538,19 +520,15 @@ class _Contaminator:
 
     def h13_retag_literals(self, n: int):
         schema = self.log.schema()
-        typed_values = self.log.of(p for p in schema.xsd_ranges if p != RDF_TYPE)
+        # M9 flags the new tag only when no range declares it
+        new_tags = {p: tag for p, ranges in schema.xsd_ranges.items() if p != RDF_TYPE and
+                    (tag := next((x for x in _RETAGS if improper_tag(x, ranges)), None)) is not None}
+        typed_values = self.log.of(new_tags)
         group_sizes = Counter((t.subject, t.predicate) for t in typed_values)
-        candidates = []
-        for t in typed_values:
-            ranges = schema.xsd_ranges[t.predicate]
-            if not isinstance(t.object, Literal) or improper_tag(t.object.datatype, ranges):
-                continue
-            if group_sizes[t.subject, t.predicate] != 1:
-                continue
-            # M9 flags the new tag only when no range declares it
-            new_tag = XSD_STRING if XSD_STRING not in ranges else XSD_INTEGER
-            if improper_tag(new_tag, ranges):
-                candidates.append((t, new_tag))
+        candidates = [(t, new_tags[t.predicate]) for t in typed_values
+                      if isinstance(t.object, Literal)
+                      and not improper_tag(t.object.datatype, schema.xsd_ranges[t.predicate])
+                      and group_sizes[t.subject, t.predicate] == 1]
         # only a literal with no checked token is retagged
         _, checked = token_flags([t.object.lexical for t, _ in candidates], self.dictionary)
         candidates = list(compress(candidates, map(not_, checked)))

@@ -2,9 +2,11 @@
 
 The schema index holds what the document *declares* (classes, properties and
 their kinds, domain/range axioms, functional/inverse-functional markers, the
-declared disjoint pairs; ``SchemaIndex.disjoint`` derives the rest). The
-instance index holds what the document *uses* (instance/class memberships and
-per-predicate triple counts). Keeping declaration and usage apart is what lets
+declared disjoint pairs; ``SchemaIndex.disjoint`` derives the rest), and in
+``declared_by`` the triples that declare each term in each role, so the
+contaminator's H7 removes declarations by the same rule. The instance index
+holds what the document *uses* (instance/class memberships and per-predicate
+triple counts). Keeping declaration and usage apart is what lets
 the undefined-terms metric compare the two. Both builders read only their own
 predicates through ``of()``, and ``predicate_counts`` is read off the same
 by-predicate view. A ``Dataset`` and the contaminator's ``EditLog`` answer
@@ -21,9 +23,7 @@ from typing import Mapping
 from .model import (
     AXIOM_PREDICATES,
     CLASS_TYPES,
-    OWL_COMPLEMENT_OF,
     OWL_DATATYPE_PROPERTY,
-    OWL_DISJOINT_WITH,
     OWL_FUNCTIONAL_PROPERTY,
     OWL_INVERSE_FUNCTIONAL_PROPERTY,
     OWL_OBJECT_PROPERTY,
@@ -34,6 +34,7 @@ from .model import (
     RDFS_SUBCLASSOF,
     XSD_NS,
     Iri,
+    Triple,
     is_builtin,
 )
 
@@ -50,8 +51,14 @@ class SchemaIndex:
 
     Subclass links are kept as declared, in ``parents``, and ``ancestors``
     walks them for each class that is asked about; disjointness only as
-    declared, in ``disjoint_with``, and ``disjoint`` derives the rest. IRIs
-    under ``BUILTIN_NAMESPACES`` never enter ``classes``.
+    declared, in ``disjoint_with``, and ``disjoint`` derives the rest.
+
+    ``declared_by`` is the one record of what declares what: it maps
+    ``("class", term)`` and ``("property", term)``, in first-mention order,
+    to the triples that declare ``term`` in that role, in document order;
+    ``classes`` and the order of ``properties`` are its keys. Only a triple
+    with an IRI subject declares, and IRIs under ``BUILTIN_NAMESPACES`` are
+    never classes.
     """
 
     classes: frozenset[Iri]
@@ -65,6 +72,7 @@ class SchemaIndex:
     disjoint_with: Mapping[Iri, frozenset[Iri]]
     #: declared superclasses per subclass subject
     parents: Mapping[Iri, frozenset[Iri]]
+    declared_by: Mapping[tuple[str, Iri], list[Triple]]
     _ancestors: dict[Iri, frozenset[Iri]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -123,54 +131,50 @@ def build_schema_index(store) -> SchemaIndex:
 
     An empty or schema-free dataset yields an empty index.
     """
-    classes: set[Iri] = set()
+    # first-mention document order, so downstream iteration is deterministic
+    declared_by: dict[tuple[str, Iri], list[Triple]] = {}
     prop_types: dict[Iri, set[Iri]] = {}
     range_of: dict[Iri, set[Iri]] = {}
     disjoint_with: dict[Iri, set[Iri]] = {}
     subclass_of: dict[Iri, set[Iri]] = {}
-    # first-mention document order, so downstream iteration is deterministic
-    prop_order: dict[Iri, None] = {}
 
-    def note_class(term):
-        if isinstance(term, Iri) and not is_builtin(term):
-            classes.add(term)
+    def declare(role, term, t):
+        # an IRI under BUILTIN_NAMESPACES never becomes a declared class
+        if role == "property" or not is_builtin(term):
+            declared_by.setdefault((role, term), []).append(t)
 
     for t in store.of((RDF_TYPE, *AXIOM_PREDICATES)):
-        p = t.predicate
+        s, p, o = t
+        if not isinstance(s, Iri):
+            continue
         if p == RDF_TYPE:
-            if not isinstance(t.subject, Iri) or not isinstance(t.object, Iri):
-                continue
-            if t.object in CLASS_TYPES:
-                note_class(t.subject)
-            elif t.object in PROPERTY_TYPES:
-                prop_types.setdefault(t.subject, set()).add(t.object)
-                prop_order.setdefault(t.subject)
-        elif p == RDFS_SUBCLASSOF:
-            if isinstance(t.subject, Iri) and isinstance(t.object, Iri):
-                note_class(t.subject)
-                subclass_of.setdefault(t.subject, set()).add(t.object)
-        elif p == OWL_DISJOINT_WITH or p == OWL_COMPLEMENT_OF:
-            if isinstance(t.subject, Iri) and isinstance(t.object, Iri):
-                note_class(t.subject)
-                if t.subject != t.object:
-                    disjoint_with.setdefault(t.subject, set()).add(t.object)
-                    disjoint_with.setdefault(t.object, set()).add(t.subject)
+            if o in CLASS_TYPES:
+                declare("class", s, t)
+            elif o in PROPERTY_TYPES:
+                prop_types.setdefault(s, set()).add(o)
+                declare("property", s, t)
         elif p == RDFS_DOMAIN:
-            if isinstance(t.subject, Iri):
-                prop_order.setdefault(t.subject)
-                note_class(t.object)
+            declare("property", s, t)
+            if isinstance(o, Iri):
+                declare("class", o, t)
         elif p == RDFS_RANGE:
-            if isinstance(t.subject, Iri):
-                range_of.setdefault(t.subject, set())
-                prop_order.setdefault(t.subject)
-                if isinstance(t.object, Iri):
-                    range_of[t.subject].add(t.object)
-                    if not t.object.text.startswith(XSD_NS):
-                        note_class(t.object)
+            declare("property", s, t)
+            ranges = range_of.setdefault(s, set())
+            if isinstance(o, Iri):
+                ranges.add(o)
+                declare("class", o, t)
+        elif isinstance(o, Iri):
+            declare("class", s, t)
+            if p == RDFS_SUBCLASSOF:
+                subclass_of.setdefault(s, set()).add(o)
+            elif s != o:  # the rest: owl:disjointWith and owl:complementOf
+                disjoint_with.setdefault(s, set()).add(o)
+                disjoint_with.setdefault(o, set()).add(s)
 
+    classes = frozenset(term for role, term in declared_by if role == "class")
     properties: dict[Iri, PropertyKind] = {}
     xsd_ranges: dict[Iri, frozenset[Iri]] = {}
-    for prop in prop_order:
+    for prop in (term for role, term in declared_by if role == "property"):
         types = prop_types.get(prop, frozenset())
         ranges = range_of.get(prop, set())
         xsd = frozenset(r for r in ranges if r.text.startswith(XSD_NS))
@@ -194,7 +198,7 @@ def build_schema_index(store) -> SchemaIndex:
                                    if OWL_INVERSE_FUNCTIONAL_PROPERTY in types)
 
     return SchemaIndex(
-        classes=frozenset(classes),
+        classes=classes,
         properties=properties,
         range_of={p: frozenset(v) for p, v in range_of.items()},
         xsd_ranges=xsd_ranges,
@@ -202,6 +206,7 @@ def build_schema_index(store) -> SchemaIndex:
         inverse_functional=inverse_functional,
         disjoint_with={c: frozenset(v) for c, v in disjoint_with.items()},
         parents={c: frozenset(v) for c, v in subclass_of.items()},
+        declared_by=declared_by,
     )
 
 

@@ -78,10 +78,10 @@ _IRI_BODY = rf"[^\x00-\x20{re.escape(_IRI_EXCLUDED)}]*"
 
 def _dotted(first: str, rest: str) -> str:
     """A name of one ``first`` then ``rest`` characters, which may hold dots
-    inside but cannot end with one: a run of dots stands only before another
-    ``rest`` character, and gives back no dot. ``rest`` may be an
-    alternation; left ungrouped, it is one more branch of the loop."""
-    return rf"{first}(?:{rest}|\.++(?={rest}))*"
+    inside but cannot end with one: each run of dots stands before at least
+    one more ``rest`` character. Every loop is possessive, so the name gives
+    back no character. ``rest`` may be an alternation; it is grouped."""
+    return rf"{first}(?:{rest})*+(?:\.++(?:{rest})++)*+"
 
 
 # PN_CHARS, the ASCII part: the characters that may follow a name's first.

@@ -126,8 +126,8 @@ def report_from_dict(data: Mapping) -> MetricReport:
                                                    f"counts {f.name}")
                                    for f in dataclasses.fields(ReportCounts)}),
             metrics=metrics,
-            dictionary_id=data.get("dictionary"),
-            tool_version=data.get("version", ""),
+            dictionary_id=typed(data.get("dictionary"), str, type(None)),
+            tool_version=typed(data.get("version", ""), str),
             flags=typed_items(data.get("flags", []), str),
         )
 

@@ -653,6 +653,9 @@ def test_contaminate_bad_plan_exits_1(tmp_path, capsys):
                   '"offenders": [1.5]}}}'),
     ("correlate", '{"flags": "abc", "metrics": {}}'),
     ("correlate", '{"flags": [1], "metrics": {}}'),
+    # the dictionary id is a string or null, the version a string
+    ("compare", '{"dictionary": 5, "metrics": {}}'),
+    ("compare", '{"version": ["x"], "metrics": {}}'),
     # every count rdfqa writes is at least 0
     ("compare to itself",
      '{"metrics": {"M1": {"value": 0.5, "numerator": -3, "denominator": -1}}}'),

@@ -30,10 +30,13 @@ from rdfqa.core.indexing import SchemaIndex
 from rdfqa.core.model import (
     OWL_CLASS,
     OWL_DATATYPE_PROPERTY,
+    OWL_DISJOINT_WITH,
     OWL_FUNCTIONAL_PROPERTY,
     OWL_OBJECT_PROPERTY,
     RDF_TYPE,
+    RDFS_DOMAIN,
     RDFS_RANGE,
+    RDFS_SUBCLASSOF,
     XSD_BOOLEAN,
     XSD_INTEGER,
     XSD_STRING,
@@ -46,6 +49,7 @@ from rdfqa.core.model import (
 )
 from rdfqa.core.parsing import parse_dataset, triple_to_ntriples
 from rdfqa.fixtures import fixture_path
+from rdfqa.metrics import LEXICAL_CHECKS
 
 from .test_acceptance import build_scale_document, build_wide_document
 
@@ -112,20 +116,24 @@ def _one_value_of(ranges, literal, *types):
     ])
 
 
-@pytest.mark.parametrize("h, ranges, literal", [
-    (HeuristicId.H3, (XSD_INTEGER,), Literal("5", datatype=XSD_INTEGER)),
-    (HeuristicId.H3, (XSD_INTEGER, XSD_STRING), Literal("5", datatype=XSD_INTEGER)),
-    (HeuristicId.H13, (XSD_INTEGER,), Literal("12", datatype=XSD_INTEGER)),
-    (HeuristicId.H13, (XSD_INTEGER, XSD_STRING), Literal("12", datatype=XSD_STRING)),
+@pytest.mark.parametrize("h, ranges, literal, achieved", [
+    (HeuristicId.H3, (XSD_INTEGER,), Literal("5", datatype=XSD_INTEGER), 1),
+    # with an xsd:string range M2 checks no lexical form, so H3 has no edit
+    (HeuristicId.H3, (XSD_INTEGER, XSD_STRING), Literal("5", datatype=XSD_INTEGER), 0),
+    (HeuristicId.H13, (XSD_INTEGER,), Literal("12", datatype=XSD_INTEGER), 1),
+    # xsd:string and xsd:integer are declared, so H13 retags to xsd:decimal
+    (HeuristicId.H13, (XSD_INTEGER, XSD_STRING), Literal("12", datatype=XSD_STRING), 1),
+    (HeuristicId.H13, (XSD_INTEGER, XSD_STRING), Literal("12", datatype=XSD_INTEGER), 1),
+    # every tag H13 may write is declared, so M9 would flag none
+    (HeuristicId.H13, (XSD_STRING, *LEXICAL_CHECKS), Literal("12", datatype=XSD_INTEGER), 0),
 ])
-def test_each_edit_a_heuristic_counts_raises_its_metric(words, h, ranges, literal):
-    # with an xsd:string range, M2 checks no lexical form and M9 flags no
-    # retag to xsd:integer, so neither H3 nor H13 has an edit to make
+def test_each_edit_a_heuristic_counts_raises_its_metric(words, h, ranges, literal, achieved):
     dataset = _one_value_of(ranges, literal)
     dirty, manifest = contaminate(dataset, ContaminationPlan({h: 1}, 0), words)
     target = HEURISTIC_TARGETS[h]
     before, after = (assess(d, words).metrics[target].numerator for d in (dataset, dirty))
-    assert after - before == manifest.achieved[h] == (XSD_STRING not in ranges)
+    assert after - before == manifest.achieved[h] == achieved
+    assert bool(manifest.warnings) == (not achieved)
 
 
 def test_h3_counts_no_rewrite_onto_the_triple_itself(words):
@@ -158,6 +166,22 @@ def test_h7_removes_only_the_declarations_of_the_role_it_picks(words, seed):
                                     Triple(i, P, Iri("http://ex/o"))])
     _, manifest = contaminate(dataset, ContaminationPlan({HeuristicId.H7: 1}, seed), words)
     assert [e.before for e in manifest.edits] in ([as_class], [as_property])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_h7_removes_only_the_triples_the_schema_index_reads_as_declarations(words, seed):
+    # none of the last three declares C: a blank or literal object, a blank subject
+    C, i = Iri("http://ex/C"), Iri("http://ex/i")
+    declaration = Triple(C, RDF_TYPE, OWL_CLASS)
+    dataset = make_dataset("ignored", [
+        declaration, Triple(i, RDF_TYPE, C),
+        Triple(C, RDFS_SUBCLASSOF, BlankNode("b")),
+        Triple(C, OWL_DISJOINT_WITH, Literal("x")),
+        Triple(BlankNode("p"), RDFS_DOMAIN, C),
+    ])
+    _, manifest = contaminate(dataset, ContaminationPlan({HeuristicId.H7: 1}, seed), words)
+    assert [e.before for e in manifest.edits] == [declaration]
+    assert manifest.achieved[HeuristicId.H7] == 1
 
 
 def test_h9_adds_instance_into_disjoint_pair(zoo, words):

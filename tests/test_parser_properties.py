@@ -15,7 +15,8 @@ from hypothesis import assume, example, given, strategies as st
 from rdfqa import Dataset, ParseError, assess, load_dataset, parse_dataset, serialize_dataset
 from rdfqa.cli import main
 from rdfqa.contaminate import contaminate, load_plan, manifest_to_dict
-from rdfqa.core.parsing import _TOKEN_RE, parse_ntriples, parse_turtle
+from rdfqa.core import parsing
+from rdfqa.core.parsing import _TOKEN_RE, _dotted, parse_ntriples, parse_turtle
 from rdfqa.fixtures import fixture_path
 from rdfqa.metrics import Dictionary
 from rdfqa.reporting import report_to_dict
@@ -336,3 +337,26 @@ def test_unrolled_strings_match_the_span_of_the_alternating_pattern(quote, body,
     old = _ALTERNATING_STRING_RE.match(text)
     new = _TOKEN_RE.match(text)
     assert (new and new.lastgroup, new and new.span()) == (old and "string", old and old.span())
+
+
+# the (first, rest) pairs that parsing.py builds its three names from
+_DOTTED_NAMES = {
+    "blank node label": ("[A-Za-z0-9_]", parsing._PN_CHARS),
+    "prefix": ("[A-Za-z]", parsing._PN_CHARS),
+    "local name": (f"(?:[A-Za-z0-9_:]|{parsing._PLX})", f"[A-Za-z0-9_:\\-]|{parsing._PLX}"),
+}
+
+
+def test_the_dotted_name_pairs_are_the_ones_the_parser_uses():
+    assert [_dotted(*pair) for pair in _DOTTED_NAMES.values()] == [
+        parsing._BNODE_LABEL[2:], parsing._PN_PREFIX, parsing._PN_LOCAL]
+
+
+@given(name=st.sampled_from(sorted(_DOTTED_NAMES)),
+       text=st.text("a1_-.:%4F\\~ ", max_size=10))
+def test_unrolled_dotted_names_match_the_span_of_the_lookahead_pattern(name, text):
+    # the earlier form: each character is a rest or a run of dots that one follows
+    first, rest = _DOTTED_NAMES[name]
+    old = re.compile(rf"{first}(?:{rest}|\.++(?={rest}))*").match(text)
+    new = re.compile(_dotted(first, rest)).match(text)
+    assert (new and new.span()) == (old and old.span())

@@ -369,6 +369,22 @@ def test_ancestors_match_the_oracle_superclasses():
             assert schema.ancestors(c) == oracle._superclasses(ds.triples, c), (ds.id, c)
 
 
+def test_declared_by_is_the_one_record_of_classes_and_property_order():
+    for ds in datasets(120):
+        schema = build_schema_index(ds)
+        assert {term for role, term in schema.declared_by if role == "class"} == schema.classes
+        assert [term for role, term in schema.declared_by
+                if role == "property"] == list(schema.properties)
+        place = {t: i for i, t in enumerate(ds.triples)}
+        for (role, term), triples in schema.declared_by.items():
+            # each recorded triple is in the dataset, once, in document order
+            where = [place[t] for t in triples]
+            assert where == sorted(set(where))
+            rest = make_dataset(ds.id, [t for t in ds.triples if t not in set(triples)])
+            again = build_schema_index(rest)
+            assert term not in (again.classes if role == "class" else again.properties)
+
+
 # -- the edit engine caches the schema index and drops it only after an edit
 #    to a declaration triple; its by-predicate view tracks every edit
 
