@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 from rdfqa import assess, default_dictionary, load_dataset, serialize_dataset
+from rdfqa.cli import significance_level
 from rdfqa.contaminate import contaminate, load_plan, manifest_to_json
 from rdfqa.reporting import render_report
 from rdfqa.stats import compute_delta, correlation_matrix, render_delta_table, render_matrix
@@ -32,7 +33,7 @@ def main(argv=None) -> int:
     parser.add_argument("dataset_dir", type=Path)
     parser.add_argument("plan_dir", type=Path)
     parser.add_argument("out_dir", type=Path)
-    parser.add_argument("--alpha", type=float, default=0.05)
+    parser.add_argument("--alpha", type=significance_level, default=0.05)
     parser.add_argument("--clean-only", action="store_true",
                         help="pool only the clean reports for the correlation matrix")
     args = parser.parse_args(argv)

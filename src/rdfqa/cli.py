@@ -93,6 +93,14 @@ def _load_input_dataset(args: argparse.Namespace):
     return dataset
 
 
+def significance_level(text: str) -> float:
+    """An ``--alpha``: a number strictly between 0 and 1, else a usage error."""
+    value = float(text)
+    if not 0 < value < 1:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"alpha must lie strictly between 0 and 1, not {text}")
+    return value
+
+
 def _parse_metric_selection(raw: str) -> tuple[MetricId, ...]:
     from .metrics import metric_id
 
@@ -254,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_corr = sub.add_parser("correlate", help="inter-metric rank correlation over reports")
     p_corr.add_argument("reports", type=Path, nargs="+")
-    p_corr.add_argument("--alpha", type=float, default=0.05)
+    p_corr.add_argument("--alpha", type=significance_level, default=0.05)
 
     # last in each command, so its help and usage text keep their order
     for p in (p_assess, p_cmp, p_corr):

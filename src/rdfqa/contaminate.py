@@ -7,6 +7,13 @@ is recorded in a manifest; replaying the manifest against the original
 dataset reproduces the contaminated dataset exactly. When a heuristic's
 preconditions cannot be met, the shortfall is a warning, never an error.
 
+An edit is its two triples, a ``before`` to remove and an ``after`` to add;
+its manifest action (add, remove or rewrite, and ``_axiom`` when the triple
+added or removed is a declaration) is read off them, and a manifest whose
+label disagrees is malformed. ``run()`` is the one place that knows which
+heuristic is running: it tags each edit with it, and it records the count
+each heuristic achieved and the warning for any shortfall.
+
 The contaminator and replay share one edit engine, ``EditLog``: a slot list
 with holes plus a position map, so value-based edits are O(1) and both paths
 apply an edit the same way. The log keeps one view from each predicate to
@@ -65,11 +72,12 @@ from .core.model import (
     Iri,
     Literal,
     Triple,
+    is_builtin,
     is_declaration_triple,
 )
 from .core.parsing import ParseError, parse_ntriples, triple_to_ntriples
-from .metrics import (LEXICAL_CHECKS, Dictionary, MetricId, checkable_mask,
-                      default_dictionary, has_unknown_token, improper_tag, token_flags)
+from .metrics import (LEXICAL_CHECKS, Dictionary, MetricId, checkable_mask, has_unknown_token,
+                      improper_tag, token_flags)
 from .reporting import counted, malformed, read_json, to_json, typed, typed_items
 
 
@@ -129,10 +137,29 @@ class EditAction(enum.StrEnum):
 
 @dataclass(frozen=True)
 class Edit:
+    """One edit of a heuristic: ``before`` is removed, ``after`` is added, and
+    an edit with both rewrites ``before`` into ``after`` in its place. An edit
+    names at least one triple, and its ``action`` is read off the two."""
+
     heuristic: HeuristicId
-    action: EditAction
     before: Triple | None = None
     after: Triple | None = None
+
+    def __post_init__(self):
+        if self.before is None and self.after is None:
+            raise ValueError(f"an edit of {self.heuristic.value} names no triple")
+
+    @property
+    def action(self) -> EditAction:
+        """Only an ``after`` is an add, only a ``before`` a remove, both a
+        rewrite; adding or removing a declaration triple is an axiom edit."""
+        if self.before is None:
+            return (EditAction.ADD_AXIOM if is_declaration_triple(self.after)
+                    else EditAction.ADD_TRIPLE)
+        if self.after is None:
+            return (EditAction.REMOVE_AXIOM if is_declaration_triple(self.before)
+                    else EditAction.REMOVE_TRIPLE)
+        return EditAction.REWRITE_TRIPLE
 
 
 @dataclass(frozen=True)
@@ -193,10 +220,6 @@ def _with_lexical(t: Triple, lexical: str) -> Triple:
     return Triple(t.subject, t.predicate, Literal(lexical, t.object.datatype, t.object.language))
 
 
-_ADD_ACTIONS = frozenset({EditAction.ADD_TRIPLE, EditAction.ADD_AXIOM})
-_REMOVE_ACTIONS = frozenset({EditAction.REMOVE_TRIPLE, EditAction.REMOVE_AXIOM})
-
-
 class EditLog:
     """The edit engine shared by the contaminator and manifest replay.
 
@@ -209,6 +232,10 @@ class EditLog:
     and ``build_instance_index`` take the log itself. The one cached index
     is ``schema()``, built on first use and dropped after an edit to a
     declaration triple.
+
+    ``apply`` reads only the triples an edit names: its ``before`` must be
+    present, and its ``after`` absent unless it is the ``before``. A
+    rejected edit raises ``ReplayError`` and leaves the log as it was.
     """
 
     def __init__(self, triples: Iterable[Triple]):
@@ -236,22 +263,15 @@ class EditLog:
 
     def apply(self, edit: Edit):
         before, after = edit.before, edit.after
-        if edit.action in _ADD_ACTIONS:
-            if after is None or after in self.pos:
-                _reject(edit, after, "is already present")
-            before, i = None, len(self.triples)
+        if before is not None and before not in self.pos:
+            _reject(edit, before, "is absent")
+        if after is not None and after != before and after in self.pos:
+            _reject(edit, after, "is already present")
+        # a before frees its slot and an after fills it, or a new last one
+        if before is None:
+            i = len(self.triples)
             self.triples.append(None)
-        elif edit.action in _REMOVE_ACTIONS:
-            if before is None or before not in self.pos:
-                _reject(edit, before, "is absent")
-            after = None
         else:
-            if before is None or after is None or before not in self.pos:
-                _reject(edit, before, "is absent")
-            if after != before and after in self.pos:
-                _reject(edit, after, "is already present")
-        # a before frees its slot and an after fills it
-        if before is not None:
             i = self.pos.pop(before)
             self.triples[i] = None
             del self.by_predicate[before.predicate][i]
@@ -269,10 +289,9 @@ class EditLog:
         return self._schema
 
 
-def _reject(edit: Edit, t: Triple | None, why: str):
-    line = triple_to_ntriples(t) if t is not None else "(none given)"
+def _reject(edit: Edit, t: Triple, why: str):
     raise ReplayError(f"cannot apply {edit.heuristic.value} {edit.action.value}, "
-                      f"triple {why}: {line}")
+                      f"triple {why}: {triple_to_ntriples(t)}")
 
 
 class _Contaminator:
@@ -285,8 +304,8 @@ class _Contaminator:
         self.log = EditLog(dataset.triples)
         # H1 and H9 need no candidates, so their edits are bounded by the input
         self.edit_cap = EDITS_PER_INPUT_TRIPLE * len(dataset.triples)
-        self.achieved: dict[HeuristicId, int] = {}
-        self.warnings: list[str] = []
+        # the heuristic ``run()`` is running; ``apply`` tags each edit with it
+        self.heuristic: HeuristicId | None = None
         # the input IRIs that ``fresh_iri`` could mint, the only ones it must skip
         self.input_terms = {t for t in set(chain.from_iterable(dataset.triples))
                             if isinstance(t, Iri) and t.text.startswith(FRESH_IRI_PREFIX)}
@@ -298,12 +317,11 @@ class _Contaminator:
     def _sample(self, candidates: list, n: int) -> list:
         return self.rng.sample(candidates, min(n, len(candidates)))
 
-    def apply(self, h: HeuristicId, action: EditAction,
-              before: Triple | None = None, after: Triple | None = None) -> int:
-        """Apply one edit; 0 when ``after`` is already present, else 1."""
+    def apply(self, before: Triple | None = None, after: Triple | None = None) -> int:
+        """Apply one edit of the running heuristic; 0 if ``after`` is present, else 1."""
         if after is not None and after in self.log:
             return 0
-        self.log.apply(Edit(h, action, before, after))
+        self.log.apply(Edit(self.heuristic, before, after))
         return 1
 
     def fresh_iri(self, tag: str) -> Iri:
@@ -314,13 +332,8 @@ class _Contaminator:
             if iri not in self.input_terms:
                 return iri
 
-    def record(self, h: HeuristicId, requested: int, achieved: int, why: str = ""):
-        self.achieved[h] = achieved
-        if achieved < requested:
-            reason = f" ({why})" if why else ""
-            self.warnings.append(f"{h.value}: requested {requested}, achieved {achieved}{reason}")
-
-    # -- heuristics, in application order
+    # -- heuristics, in application order; each returns how many of its
+    #    ``n`` edits it achieved, and why it fell short if it did
 
     def _capped(self, n: int) -> tuple[int, str]:
         return min(n, self.edit_cap), f"at most {EDITS_PER_INPUT_TRIPLE} per input triple"
@@ -328,15 +341,13 @@ class _Contaminator:
     def h1_fresh_properties(self, n: int):
         done, why = self._capped(n)
         for _ in range(done):
-            self.apply(HeuristicId.H1, EditAction.ADD_AXIOM,
-                       after=Triple(self.fresh_iri("h1-property"), RDF_TYPE, RDF_PROPERTY))
-        self.record(HeuristicId.H1, n, done, why)
+            self.apply(after=Triple(self.fresh_iri("h1-property"), RDF_TYPE, RDF_PROPERTY))
+        return done, why
 
     def h2_remove_triples(self, n: int):
         candidates = [t for t in self.log.current() if not is_declaration_triple(t)]
-        done = sum(self.apply(HeuristicId.H2, EditAction.REMOVE_TRIPLE, before=t)
-                   for t in self._sample(candidates, n))
-        self.record(HeuristicId.H2, n, done, "not enough removable triples")
+        done = sum(self.apply(before=t) for t in self._sample(candidates, n))
+        return done, "not enough removable triples"
 
     def h3_out_of_range(self, n: int):
         schema = self.log.schema()
@@ -347,11 +358,10 @@ class _Contaminator:
                    if p in xsd_ranges and XSD_STRING not in xsd_ranges[p]}
         candidates = [(t, targets[t.predicate]) for t in self.log.of(targets)
                       if isinstance(t.object, Literal)]
-        done = sum(self.apply(HeuristicId.H3, EditAction.REWRITE_TRIPLE, t,
-                              Triple(t.subject, t.predicate,
-                                     Literal(self._fresh_plain_value(), datatype=target)))
+        done = sum(self.apply(t, Triple(t.subject, t.predicate,
+                                        Literal(self._fresh_plain_value(), datatype=target)))
                    for t, target in self._sample(candidates, n))
-        self.record(HeuristicId.H3, n, done, "no rewritable datatype-property triples")
+        return done, "no rewritable datatype-property triples"
 
     def _fresh_plain_value(self) -> str:
         # digit-bearing token: invalid for every fakeable datatype, and the
@@ -377,9 +387,8 @@ class _Contaminator:
                 break
             lexical = self._mutate_lexical(t.object.lexical)
             if lexical is not None:
-                done += self.apply(HeuristicId.H4, EditAction.REWRITE_TRIPLE, t,
-                                   _with_lexical(t, lexical))
-        self.record(HeuristicId.H4, n, done, "no cleanly-spelled literals to corrupt")
+                done += self.apply(t, _with_lexical(t, lexical))
+        return done, "no cleanly-spelled literals to corrupt"
 
     def _mutate_lexical(self, lexical: str) -> str | None:
         for _ in range(20):
@@ -398,10 +407,9 @@ class _Contaminator:
 
     def h5_replace_literals(self, n: int):
         candidates = self._spellable_candidates(self.log.schema())
-        done = sum(self.apply(HeuristicId.H5, EditAction.REWRITE_TRIPLE, t,
-                              _with_lexical(t, self._absent_token()))
+        done = sum(self.apply(t, _with_lexical(t, self._absent_token()))
                    for t in self._sample(candidates, n))
-        self.record(HeuristicId.H5, n, done, "no cleanly-spelled literals to replace")
+        return done, "no cleanly-spelled literals to replace"
 
     def _absent_token(self) -> str:
         while True:
@@ -420,17 +428,15 @@ class _Contaminator:
     def h6_rename_terms(self, n: int):
         schema = self.log.schema()
         candidates = [t for t in self.log.of((RDF_TYPE,)) if t.object in schema.classes]
-        done = sum(self.apply(HeuristicId.H6, EditAction.REWRITE_TRIPLE, t,
-                              Triple(t.subject, RDF_TYPE, self.fresh_iri("h6-class")))
+        done = sum(self.apply(t, Triple(t.subject, RDF_TYPE, self.fresh_iri("h6-class")))
                    for t in self._sample(candidates, n))
         if done < n:
             # fall back to renaming predicates of declared-property usage
             # triples; this also lowers the missing-values usage sum
             candidates = self.log.of(p for p in schema.properties if p != RDF_TYPE)
-            done += sum(self.apply(HeuristicId.H6, EditAction.REWRITE_TRIPLE, t,
-                                   Triple(t.subject, self.fresh_iri("h6-property"), t.object))
+            done += sum(self.apply(t, Triple(t.subject, self.fresh_iri("h6-property"), t.object))
                         for t in self._sample(candidates, n - done))
-        self.record(HeuristicId.H6, n, done, "no renameable usage triples")
+        return done, "no renameable usage triples"
 
     def h7_remove_declarations(self, n: int):
         schema = self.log.schema()
@@ -443,8 +449,8 @@ class _Contaminator:
         for key in chosen:
             for t in schema.declared_by[key]:
                 if t in self.log:
-                    self.apply(HeuristicId.H7, EditAction.REMOVE_AXIOM, before=t)
-        self.record(HeuristicId.H7, n, len(chosen), "no used declared terms")
+                    self.apply(before=t)
+        return len(chosen), "no used declared terms"
 
     def h8_make_disjoint(self, n: int):
         schema = self.log.schema()
@@ -455,51 +461,48 @@ class _Contaminator:
         shared = {pair for classes in asserted
                   for pair in combinations(sorted(classes), 2)}
         candidates = sorted(pair for pair in shared if not schema.disjoint(*pair))
-        done = sum(self.apply(HeuristicId.H8, EditAction.ADD_AXIOM,
-                              after=Triple(a, OWL_DISJOINT_WITH, b))
+        done = sum(self.apply(after=Triple(a, OWL_DISJOINT_WITH, b))
                    for a, b in self._sample(candidates, n))
-        self.record(HeuristicId.H8, n, done, "no class pairs share instances")
+        return done, "no class pairs share instances"
 
     def h9_disjoint_instances(self, n: int):
         schema = self.log.schema()
-        # every class in a disjoint pair is declared disjoint or has parents
-        related = sorted(schema.parents.keys() | schema.disjoint_with.keys())
+        # every class in a disjoint pair is declared disjoint or has parents;
+        # M5 reads no builtin class, so a builtin one is no class here
+        related = sorted(c for c in schema.parents.keys() | schema.disjoint_with.keys()
+                         if not is_builtin(c))
         pairs = [pair for pair in combinations(related, 2) if schema.disjoint(*pair)]
         done, why = self._capped(n) if pairs else (0, "no disjoint class pairs available")
         for _ in range(done):
             a, b = self.rng.choice(pairs)
             inst = self.fresh_iri("h9-instance")
-            self.apply(HeuristicId.H9, EditAction.ADD_TRIPLE, after=Triple(inst, RDF_TYPE, a))
-            self.apply(HeuristicId.H9, EditAction.ADD_TRIPLE, after=Triple(inst, RDF_TYPE, b))
-        self.record(HeuristicId.H9, n, done, why)
+            self.apply(after=Triple(inst, RDF_TYPE, a))
+            self.apply(after=Triple(inst, RDF_TYPE, b))
+        return done, why
 
     def h10_type_conflicts(self, n: int):
         schema = self.log.schema()
         candidates = [t for t in self.log.of(p for p in schema.properties
                                              if p != RDF_TYPE and p not in schema.functional)
                       if isinstance(t.object, Literal)]
-        done = sum(self.apply(HeuristicId.H10, EditAction.ADD_TRIPLE,
-                              after=Triple(t.subject, t.predicate, self.fresh_iri("h10-object")))
+        done = sum(self.apply(after=Triple(t.subject, t.predicate, self.fresh_iri("h10-object")))
                    for t in self._sample(candidates, n))
-        self.record(HeuristicId.H10, n, done, "no literal-valued usage triples")
+        return done, "no literal-valued usage triples"
 
     def h11_functional_duplicates(self, n: int):
         schema = self.log.schema()
         candidates = self.log.of(schema.functional)
         targets = _fake_targets(schema)
-        done = sum(self.apply(HeuristicId.H11, EditAction.ADD_TRIPLE,
-                              after=Triple(t.subject, t.predicate, new_object))
+        done = sum(self.apply(after=Triple(t.subject, t.predicate, new_object))
                    for t in self._sample(candidates, n)
                    if (new_object := self._fresh_object_like(t, targets, "h11-object")) is not None)
-        self.record(HeuristicId.H11, n, done, "no functional-property triples to copy")
+        return done, "no functional-property triples to copy"
 
     def h12_inverse_functional_duplicates(self, n: int):
         candidates = self.log.of(self.log.schema().inverse_functional)
-        done = sum(self.apply(HeuristicId.H12, EditAction.ADD_TRIPLE,
-                              after=Triple(self.fresh_iri("h12-subject"), t.predicate, t.object))
+        done = sum(self.apply(after=Triple(self.fresh_iri("h12-subject"), t.predicate, t.object))
                    for t in self._sample(candidates, n))
-        self.record(HeuristicId.H12, n, done,
-                    "no inverse-functional-property triples to copy")
+        return done, "no inverse-functional-property triples to copy"
 
     def _fresh_object_like(self, t: Triple, targets: Mapping[Iri, Iri], tag: str):
         """A new object distinct from the original, matching its term type and
@@ -532,11 +535,10 @@ class _Contaminator:
         # only a literal with no checked token is retagged
         _, checked = token_flags([t.object.lexical for t, _ in candidates], self.dictionary)
         candidates = list(compress(candidates, map(not_, checked)))
-        done = sum(self.apply(HeuristicId.H13, EditAction.REWRITE_TRIPLE, t,
-                              Triple(t.subject, t.predicate,
-                                     Literal(t.object.lexical, datatype=new_tag)))
+        done = sum(self.apply(t, Triple(t.subject, t.predicate,
+                                        Literal(t.object.lexical, datatype=new_tag)))
                    for t, new_tag in self._sample(candidates, n))
-        self.record(HeuristicId.H13, n, done, "no retaggable datatype-property literals")
+        return done, "no retaggable datatype-property literals"
 
     def h14_clone_classes(self, n: int):
         classes = self.log.schema().classes
@@ -546,53 +548,38 @@ class _Contaminator:
         chosen = self._sample(candidates, n)
         for cls in chosen:
             clone = self.fresh_iri("h14-class")
-            self.apply(HeuristicId.H14, EditAction.ADD_AXIOM,
-                       after=Triple(clone, RDF_TYPE, OWL_CLASS))
+            self.apply(after=Triple(clone, RDF_TYPE, OWL_CLASS))
             for member in sorted(members_of[cls]):
-                self.apply(HeuristicId.H14, EditAction.ADD_TRIPLE,
-                           after=Triple(member, RDF_TYPE, clone))
-        self.record(HeuristicId.H14, n, len(chosen), "no classes with instances")
+                self.apply(after=Triple(member, RDF_TYPE, clone))
+        return len(chosen), "no classes with instances"
 
     def run(self) -> tuple[Dataset, ContaminationManifest]:
-        steps = {
-            HeuristicId.H1: self.h1_fresh_properties,
-            HeuristicId.H2: self.h2_remove_triples,
-            HeuristicId.H3: self.h3_out_of_range,
-            HeuristicId.H4: self.h4_mutate_literals,
-            HeuristicId.H5: self.h5_replace_literals,
-            HeuristicId.H6: self.h6_rename_terms,
-            HeuristicId.H7: self.h7_remove_declarations,
-            HeuristicId.H8: self.h8_make_disjoint,
-            HeuristicId.H9: self.h9_disjoint_instances,
-            HeuristicId.H10: self.h10_type_conflicts,
-            HeuristicId.H11: self.h11_functional_duplicates,
-            HeuristicId.H12: self.h12_inverse_functional_duplicates,
-            HeuristicId.H13: self.h13_retag_literals,
-            HeuristicId.H14: self.h14_clone_classes,
-        }
-        for h in ALL_HEURISTICS:
+        steps = (self.h1_fresh_properties, self.h2_remove_triples, self.h3_out_of_range,
+                 self.h4_mutate_literals, self.h5_replace_literals, self.h6_rename_terms,
+                 self.h7_remove_declarations, self.h8_make_disjoint,
+                 self.h9_disjoint_instances, self.h10_type_conflicts,
+                 self.h11_functional_duplicates, self.h12_inverse_functional_duplicates,
+                 self.h13_retag_literals, self.h14_clone_classes)
+        achieved, warnings = {}, []
+        for h, step in zip(ALL_HEURISTICS, steps, strict=True):
             n = self.plan.intensity(h)
             if n > 0:
-                steps[h](n)
-        contaminated = self.log.dataset(self.dataset_id)
-        manifest = ContaminationManifest(
-            plan=self.plan,
-            edits=tuple(self.log.edits),
-            achieved=dict(self.achieved),
-            warnings=tuple(self.warnings),
-        )
-        return contaminated, manifest
+                self.heuristic = h
+                achieved[h], why = step(n)
+                if achieved[h] < n:
+                    warnings.append(f"{h.value}: requested {n}, achieved {achieved[h]} ({why})")
+        manifest = ContaminationManifest(self.plan, tuple(self.log.edits), achieved,
+                                         tuple(warnings))
+        return self.log.dataset(self.dataset_id), manifest
 
 
 def contaminate(dataset: Dataset, plan: ContaminationPlan,
-                dictionary: Dictionary | None = None) -> tuple[Dataset, ContaminationManifest]:
+                dictionary: Dictionary) -> tuple[Dataset, ContaminationManifest]:
     """Apply the plan's heuristics in H1..H14 order with a seeded stream.
 
-    The dictionary is consulted by H4/H5 so injected misspellings are
-    guaranteed absent from it; the bundled word list is used by default.
+    The dictionary is consulted by H4, H5 and H13, so an injected misspelling
+    is absent from it and a retagged literal holds no word M3 checks.
     """
-    if dictionary is None:
-        dictionary = default_dictionary()
     return _Contaminator(dataset, plan, dictionary).run()
 
 
@@ -653,20 +640,23 @@ def manifest_to_dict(manifest: ContaminationManifest) -> dict:
     }
 
 
+def _edit_from_dict(entry: Mapping) -> Edit:
+    """The edit of its triples; an ``action`` other than theirs is malformed."""
+    before, after = (_triple_from_line(entry[k]) if entry.get(k) else None
+                     for k in ("before", "after"))
+    edit = Edit(HeuristicId(entry["heuristic"]), before, after)
+    if entry["action"] != edit.action:
+        raise ValueError(f"malformed manifest: an edit labelled {entry['action']!r}, "
+                         f"but its triples make it {edit.action.value}")
+    return edit
+
+
 def manifest_from_dict(data: Mapping) -> ContaminationManifest:
     with malformed("manifest"):
         plan = plan_from_dict({**data, "intensities": data.get("requested", {})})
-        edits = []
-        for entry in data.get("edits", ()):
-            edits.append(Edit(
-                heuristic=HeuristicId(entry["heuristic"]),
-                action=EditAction(entry["action"]),
-                before=_triple_from_line(entry["before"]) if entry.get("before") else None,
-                after=_triple_from_line(entry["after"]) if entry.get("after") else None,
-            ))
         return ContaminationManifest(
             plan=plan,
-            edits=tuple(edits),
+            edits=tuple(map(_edit_from_dict, data.get("edits", ()))),
             achieved={HeuristicId(k): counted(v, "manifest", f"achieved {k}")
                       for k, v in data.get("achieved", {}).items()},
             warnings=typed_items(data.get("warnings", []), str),

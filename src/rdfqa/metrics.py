@@ -152,10 +152,11 @@ class Dictionary:
 
 
 def load_dictionary(path: str | Path, dictionary_id: str | None = None) -> Dictionary:
-    """Load a word list: UTF-8, one word per line, '#' lines are comments."""
+    """Load a word list: UTF-8, one word per line, '#' lines are comments.
+    A leading byte order mark is dropped, as it is from a dataset."""
     path = Path(path)
     words = set()
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in path.read_text(encoding="utf-8-sig").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -525,18 +526,17 @@ def m10_similar_classes(schema: SchemaIndex, instances: InstanceIndex) -> Metric
 # Orchestration
 
 
-def assess(dataset: Dataset, dictionary: Dictionary | None = None,
+def assess(dataset: Dataset, dictionary: Dictionary,
            selection: Iterable[MetricId] | None = None) -> MetricReport:
     """Index the dataset once and evaluate the selected metrics (default: all).
 
+    M3 checks tokens against ``dictionary``; an empty one is flagged.
     Metric-level degeneracies become report flags, never errors; two
     assessments of the same bytes produce identical reports.
     """
     selected = tuple(selection) if selection is not None else ALL_METRICS
     schema = build_schema_index(dataset)
     instances = build_instance_index(dataset)
-    if dictionary is None:
-        dictionary = Dictionary(id="(none)", words=frozenset())
 
     evaluators = {
         MetricId.MISSING_VALUES: lambda: m1_missing_property_values(schema, instances),

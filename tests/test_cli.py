@@ -331,8 +331,11 @@ def test_dictionary_flag_beats_env(tmp_path, capsys, monkeypatch):
 def test_contaminate_writes_outputs_and_manifest(tmp_path, capsys):
     out = tmp_path / "dirty.nt"
     assert run_cli(["contaminate", ZOO, "--plan", PLAN, "-o", str(out)]) == 0
-    assert out.exists()
-    manifest = json.loads((tmp_path / "dirty.manifest.json").read_text())
+    # the bundled fixture's bytes, manifest and all
+    assert out.read_bytes() == fixture_path("zoo_dirty.nt").read_bytes()
+    path = tmp_path / "dirty.manifest.json"
+    assert path.read_bytes() == fixture_path("zoo_dirty.manifest.json").read_bytes()
+    manifest = json.loads(path.read_text())
     assert manifest["seed"] == 20240808
     assert manifest["achieved"]
 
@@ -536,6 +539,27 @@ def test_compare_trend_has_the_same_rows_in_every_format(tmp_path, capsys, metri
     assert out["table"].split("\n\n")[-1].splitlines() == expected
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-0.1", "0", "1"])
+@pytest.mark.parametrize("command", ["correlate", "run_experiment"])
+def test_an_alpha_outside_0_1_exits_2_before_reading_input(tmp_path, command, alpha):
+    # none of the inputs exist: a read of any would exit 1
+    root = Path(__file__).resolve().parent.parent
+    script = root / "scripts" / "run_experiment.py"
+    args = {
+        "correlate": ["-m", "rdfqa", "correlate", *(tmp_path / f"r{k}.json" for k in range(3)),
+                      "--format", "json", "-o", tmp_path / "out.json"],
+        "run_experiment": [script, tmp_path / "data", tmp_path / "plans", tmp_path / "out"],
+    }[command]
+    proc = subprocess.run([sys.executable, *map(str, args), "--alpha", alpha],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"alpha must lie strictly between 0 and 1, not {alpha}" in proc.stderr
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_correlate_requires_three_reports(tmp_path, capsys):
     r = _write_report(tmp_path, "r.json")
     assert run_cli(["correlate", str(r), str(r)]) == 2
@@ -618,6 +642,16 @@ def test_contaminate_bad_plan_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+_S_P_O = "<http://ex/s> <http://ex/p> <http://ex/o> ."
+_CLASS_DECLARATION = ("<http://ex/x> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+                      "<http://www.w3.org/2002/07/owl#Class> .")
+
+
+def _one_edit_manifest(action, before=None, after=None):
+    return json.dumps({"seed": 1, "edits": [{"heuristic": "H1", "action": action,
+                                             "before": before, "after": after}]})
+
+
 @pytest.mark.parametrize("command, bad", [
     ("contaminate", '{"seed": null, "intensities": {}}'),
     ("contaminate", "[1]"),
@@ -667,6 +701,12 @@ def test_contaminate_bad_plan_exits_1(tmp_path, capsys):
     ("compare --manifest", '{"seed": 1, "warnings": [null]}'),
     ("compare --manifest", '{"seed": 1, "edits": [{"heuristic": "H1", '
                            '"action": "add_axiom", "after": "garbage"}]}'),
+    # an edit's action is the one its triples give, and it names a triple
+    ("compare --manifest", _one_edit_manifest("add_triple", _S_P_O, _S_P_O)),
+    ("compare --manifest", _one_edit_manifest("remove_triple", _S_P_O, _S_P_O)),
+    ("compare --manifest", _one_edit_manifest("rewrite_triple", before=_S_P_O)),
+    ("compare --manifest", _one_edit_manifest("add_triple")),
+    ("compare --manifest", _one_edit_manifest("add_triple", after=_CLASS_DECLARATION)),
     # nesting too deep for the JSON decoder
     *(pytest.param(command, "[" * 100_000, id=f"{command}-nested")
       for command in ("contaminate", "compare --manifest", "compare", "correlate")),

@@ -116,19 +116,31 @@ def _one_value_of(ranges, literal, *types):
     ])
 
 
-@pytest.mark.parametrize("h, ranges, literal, achieved", [
-    (HeuristicId.H3, (XSD_INTEGER,), Literal("5", datatype=XSD_INTEGER), 1),
+def _disjoint_pair(a, b):
+    """``a owl:disjointWith b`` and one usage triple."""
+    s, p, o = (Iri(f"http://ex/{x}") for x in "spo")
+    return make_dataset("pair", [Triple(a, OWL_DISJOINT_WITH, b), Triple(s, p, o)])
+
+
+@pytest.mark.parametrize("h, dataset, achieved", [
+    (HeuristicId.H3, _one_value_of((XSD_INTEGER,), Literal("5", datatype=XSD_INTEGER)), 1),
     # with an xsd:string range M2 checks no lexical form, so H3 has no edit
-    (HeuristicId.H3, (XSD_INTEGER, XSD_STRING), Literal("5", datatype=XSD_INTEGER), 0),
-    (HeuristicId.H13, (XSD_INTEGER,), Literal("12", datatype=XSD_INTEGER), 1),
+    (HeuristicId.H3, _one_value_of((XSD_INTEGER, XSD_STRING), Literal("5", datatype=XSD_INTEGER)),
+     0),
+    (HeuristicId.H13, _one_value_of((XSD_INTEGER,), Literal("12", datatype=XSD_INTEGER)), 1),
     # xsd:string and xsd:integer are declared, so H13 retags to xsd:decimal
-    (HeuristicId.H13, (XSD_INTEGER, XSD_STRING), Literal("12", datatype=XSD_STRING), 1),
-    (HeuristicId.H13, (XSD_INTEGER, XSD_STRING), Literal("12", datatype=XSD_INTEGER), 1),
+    (HeuristicId.H13,
+     _one_value_of((XSD_INTEGER, XSD_STRING), Literal("12", datatype=XSD_STRING)), 1),
+    (HeuristicId.H13,
+     _one_value_of((XSD_INTEGER, XSD_STRING), Literal("12", datatype=XSD_INTEGER)), 1),
     # every tag H13 may write is declared, so M9 would flag none
-    (HeuristicId.H13, (XSD_STRING, *LEXICAL_CHECKS), Literal("12", datatype=XSD_INTEGER), 0),
+    (HeuristicId.H13,
+     _one_value_of((XSD_STRING, *LEXICAL_CHECKS), Literal("12", datatype=XSD_INTEGER)), 0),
+    (HeuristicId.H9, _disjoint_pair(Iri("http://ex/A"), Iri("http://ex/B")), 1),
+    # M5 reads no builtin class, so H9 types no instance into a builtin pair
+    (HeuristicId.H9, _disjoint_pair(OWL_OBJECT_PROPERTY, OWL_DATATYPE_PROPERTY), 0),
 ])
-def test_each_edit_a_heuristic_counts_raises_its_metric(words, h, ranges, literal, achieved):
-    dataset = _one_value_of(ranges, literal)
+def test_each_edit_a_heuristic_counts_raises_its_metric(words, h, dataset, achieved):
     dirty, manifest = contaminate(dataset, ContaminationPlan({h: 1}, 0), words)
     target = HEURISTIC_TARGETS[h]
     before, after = (assess(d, words).metrics[target].numerator for d in (dataset, dirty))
@@ -284,15 +296,33 @@ def test_edit_log_rejects_edits_that_cannot_apply():
     a, b = (Triple(Iri("http://ex/s"), Iri("http://ex/p"), Iri(f"http://ex/{o}"))
             for o in "ab")
     log = EditLog([a])
-    for edit in (Edit(HeuristicId.H1, EditAction.ADD_TRIPLE, after=a),
-                 Edit(HeuristicId.H2, EditAction.REMOVE_TRIPLE, before=b),
-                 Edit(HeuristicId.H3, EditAction.REWRITE_TRIPLE, before=b, after=a)):
+    for edit in (Edit(HeuristicId.H1, after=a),
+                 Edit(HeuristicId.H2, before=b),
+                 Edit(HeuristicId.H3, before=b, after=a)):
         with pytest.raises(ReplayError):
             log.apply(edit)
-    rewrite = Edit(HeuristicId.H3, EditAction.REWRITE_TRIPLE, before=a, after=b)
+    with pytest.raises(ValueError, match="names no triple"):
+        Edit(HeuristicId.H1)
+    rewrite = Edit(HeuristicId.H3, before=a, after=b)
     log.apply(rewrite)
     assert log.current() == [b]
     assert log.edits == [rewrite]  # rejected edits leave no trace
+
+
+def test_h11_adding_a_declaration_triple_writes_add_axiom(words):
+    # rdfs:subClassOf declared functional: H11's copy is a subclass axiom
+    A = Iri("http://ex/A")
+    dataset = make_dataset("axiom", [Triple(RDFS_SUBCLASSOF, RDF_TYPE, OWL_FUNCTIONAL_PROPERTY),
+                                     Triple(A, RDFS_SUBCLASSOF, Iri("http://ex/B"))])
+    dirty, manifest = contaminate(dataset, ContaminationPlan({HeuristicId.H11: 1}, 0), words)
+    (edit,) = manifest_to_dict(manifest)["edits"]
+    assert edit == {"heuristic": "H11", "action": "add_axiom", "before": None,
+                    "after": f"<{A.text}> <{RDFS_SUBCLASSOF.text}> <contam:h11-object-0> ."}
+    # the bytes the contaminator wrote when it labelled this edit add_triple
+    assert hashlib.sha256(serialize_dataset(dirty)).hexdigest() == \
+        "9b616ffdf33fa7fb6f0b04c45aff64cfc9079926a2a1e6e0d5ddb0cc8d372ee1"
+    loaded = manifest_from_dict(json.loads(manifest_to_json(manifest)))
+    assert replay_manifest(dataset, loaded).triples == dirty.triples
 
 
 def test_replay_rejects_a_rewrite_onto_a_present_triple():
