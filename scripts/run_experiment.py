@@ -56,10 +56,15 @@ def main(argv=None) -> int:
         dirty, manifest = contaminate(dataset, plan, words)
         dirty_report = assess(dirty, words)
 
-        (args.out_dir / f"{stem}.clean.json").write_text(render_report(clean_report, "json"))
-        (args.out_dir / f"{stem}.dirty.nt").write_bytes(serialize_dataset(dirty))
-        (args.out_dir / f"{stem}.dirty.manifest.json").write_text(manifest_to_json(manifest))
-        (args.out_dir / f"{stem}.dirty.json").write_text(render_report(dirty_report, "json"))
+        # UTF-8 whatever the locale, as the CLI writes them
+        out = args.out_dir
+        (out / f"{stem}.clean.json").write_text(render_report(clean_report, "json"),
+                                                encoding="utf-8")
+        (out / f"{stem}.dirty.nt").write_bytes(serialize_dataset(dirty))
+        (out / f"{stem}.dirty.manifest.json").write_text(manifest_to_json(manifest),
+                                                         encoding="utf-8")
+        (out / f"{stem}.dirty.json").write_text(render_report(dirty_report, "json"),
+                                                encoding="utf-8")
 
         print(f"== {stem}")
         print(render_delta_table(compute_delta(clean_report, dirty_report)))

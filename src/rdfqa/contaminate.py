@@ -21,8 +21,9 @@ its slots, so a heuristic reads only the triples of its own predicates, in
 document order. The index builders read the log itself, as they read a
 ``Dataset``; the schema index is cached and rebuilt only after an edit to a
 declaration triple. Every heuristic picks its candidates with one
-sample step, through the rule of the metric it raises (H3 fakes a range in
-the order of M2's ``LEXICAL_CHECKS``; H4, H5 and H13 ask M3's
+sample step, through the rule of the metric it raises (H3 fakes the first
+range M2's ``checked_ranges`` lists for a property, H4 and H5 leave those
+properties, and H11 stays valid for them; H4, H5 and H13 ask M3's
 ``token_flags``, and H13 M9's ``improper_tag``; H7 removes the triples that
 ``SchemaIndex.declared_by`` records for a term, what M4 reads as declared;
 H8 pairs classes within each asserted class set, as M5 reads them), and
@@ -76,8 +77,8 @@ from .core.model import (
     is_declaration_triple,
 )
 from .core.parsing import ParseError, parse_ntriples, triple_to_ntriples
-from .metrics import (LEXICAL_CHECKS, Dictionary, MetricId, checkable_mask, has_unknown_token,
-                      improper_tag, token_flags)
+from .metrics import (LEXICAL_CHECKS, Dictionary, MetricId, checkable_mask, checked_ranges,
+                      has_unknown_token, improper_tag, token_flags)
 from .reporting import counted, malformed, read_json, to_json, typed, typed_items
 
 
@@ -189,21 +190,11 @@ class ReplayError(Exception):
     pass
 
 
-#: datatypes whose lexical space admits generated-invalid values
-_FAKEABLE = tuple(LEXICAL_CHECKS)
 #: the tags H13 may write, in the order it tries them
 _RETAGS = (XSD_STRING, *LEXICAL_CHECKS)
 
-
-def _fake_targets(schema: SchemaIndex) -> dict[Iri, Iri]:
-    """Each property's first declared range in ``_FAKEABLE`` order, for the
-    properties that have one."""
-    return {p: target for p, ranges in schema.range_of.items()
-            if (target := next((r for r in _FAKEABLE if r in ranges), None)) is not None}
-
-
-#: the k-th fresh lexical form inside each fake target's range (``None``: no
-#: fakeable range); xsd:boolean is absent, it has no unbounded distinct values
+#: the k-th fresh lexical form inside each range M2 checks, and (``None``) one
+#: failing every check; xsd:boolean is absent, it has no unbounded distinct values
 _IN_RANGE_LEXICAL = {
     None: lambda k: f"contamvalue{k}",
     XSD_INTEGER: lambda k: str(900000 + k),
@@ -350,13 +341,9 @@ class _Contaminator:
         return done, "not enough removable triples"
 
     def h3_out_of_range(self, n: int):
-        schema = self.log.schema()
-        xsd_ranges = schema.xsd_ranges
-        # every fakeable range is an XSD range; M2 checks the lexical forms of
-        # a datatype-kind property unless one of its ranges is xsd:string
-        targets = {p: target for p, target in _fake_targets(schema).items()
-                   if p in xsd_ranges and XSD_STRING not in xsd_ranges[p]}
-        candidates = [(t, targets[t.predicate]) for t in self.log.of(targets)
+        # fake the first range M2 checks a property's lexical forms against
+        ranges = checked_ranges(self.log.schema())
+        candidates = [(t, ranges[t.predicate][0]) for t in self.log.of(ranges)
                       if isinstance(t.object, Literal)]
         done = sum(self.apply(t, Triple(t.subject, t.predicate,
                                         Literal(self._fresh_plain_value(), datatype=target)))
@@ -364,7 +351,7 @@ class _Contaminator:
         return done, "no rewritable datatype-property triples"
 
     def _fresh_plain_value(self) -> str:
-        # digit-bearing token: invalid for every fakeable datatype, and the
+        # digit-bearing token: invalid for every checked datatype, and the
         # spell checker skips it
         self.value_counter += 1
         return _IN_RANGE_LEXICAL[None](self.value_counter)
@@ -373,10 +360,10 @@ class _Contaminator:
         current = self.log.current()
         checkable = list(compress(current, checkable_mask(map(itemgetter(2), current))))
         unknown, checked = token_flags([t.object.lexical for t in checkable], self.dictionary)
-        fakeable = _fake_targets(schema).keys()
-        # a candidate holds checked tokens, every one of them in the dictionary
+        in_m2 = checked_ranges(schema)
+        # checked tokens, all in the dictionary, of a property M2 does not check
         return [t for t, bad, good in zip(checkable, unknown, checked)
-                if good and not bad and t.predicate not in fakeable]
+                if good and not bad and t.predicate not in in_m2]
 
     def h4_mutate_literals(self, n: int):
         candidates = self._spellable_candidates(self.log.schema())
@@ -492,10 +479,10 @@ class _Contaminator:
     def h11_functional_duplicates(self, n: int):
         schema = self.log.schema()
         candidates = self.log.of(schema.functional)
-        targets = _fake_targets(schema)
+        ranges = checked_ranges(schema)
         done = sum(self.apply(after=Triple(t.subject, t.predicate, new_object))
                    for t in self._sample(candidates, n)
-                   if (new_object := self._fresh_object_like(t, targets, "h11-object")) is not None)
+                   if (new_object := self._fresh_object_like(t, ranges, "h11-object")) is not None)
         return done, "no functional-property triples to copy"
 
     def h12_inverse_functional_duplicates(self, n: int):
@@ -504,13 +491,14 @@ class _Contaminator:
                    for t in self._sample(candidates, n))
         return done, "no inverse-functional-property triples to copy"
 
-    def _fresh_object_like(self, t: Triple, targets: Mapping[Iri, Iri], tag: str):
-        """A new object distinct from the original, matching its term type and
-        staying inside the declared lexical range (no side effects on the
-        range/datatype metrics)."""
+    def _fresh_object_like(self, t: Triple, ranges: Mapping[Iri, list[Iri]], tag: str):
+        """A new object distinct from the original, of its term type and tags,
+        inside the first of its ``checked_ranges`` that has fresh values (any
+        value when M2 checks none), so the range/datatype metrics stay put."""
         if not isinstance(t.object, Literal):
             return self.fresh_iri(tag)
-        lexical = _IN_RANGE_LEXICAL.get(targets.get(t.predicate))
+        lexical = next((_IN_RANGE_LEXICAL[r] for r in ranges.get(t.predicate, (None,))
+                        if r in _IN_RANGE_LEXICAL), None)
         for _ in range(50):
             self.value_counter += 1
             if lexical is None:

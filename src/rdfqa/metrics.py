@@ -18,7 +18,8 @@ flagged indices into document order. In detail:
 
 - M2 decides once per distinct asserted class set (object properties) or
   lexical form (datatype properties), and skips a property whose verdict
-  cannot vary: no class set misses its range, or a range is xsd:string.
+  cannot vary: no class set misses its range, or ``checked_ranges`` (its
+  lexical rule, which the contaminator reads too) leaves it out.
 - M3's rule reads only the object, so it takes the whole object column.
   The literals it checks are found per distinct (datatype, language) pair,
   and ``token_flags``, the token kernel the contaminator shares, decides
@@ -253,9 +254,9 @@ def _valid_datetime(lexical: str) -> bool:
 
 
 #: A truthy result for a valid lexical form, per datatype whose lexical forms
-#: are checked, in the order the contaminator picks a fake target from a
-#: property's declared ranges. xsd:string is absent: every lexical form is
-#: valid for it. Only xsd:date and xsd:dateTime need Python past the pattern.
+#: are checked, in the order ``checked_ranges`` lists a property's ranges.
+#: xsd:string is absent: every lexical form is valid for it. Only xsd:date
+#: and xsd:dateTime need Python past the pattern.
 LEXICAL_CHECKS: dict[Iri, Callable[[str], object]] = {
     XSD_INTEGER: re.compile(r"[+-]?[0-9]+\Z").match,
     XSD_DECIMAL: re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)\Z").match,
@@ -266,6 +267,15 @@ LEXICAL_CHECKS: dict[Iri, Callable[[str], object]] = {
     XSD_DATETIME: _valid_datetime,
     XSD_GYEAR: re.compile(r"-?[0-9]{4,}(?:Z|[+-](?:0[0-9]|1[0-4]):[0-5][0-9])?\Z").match,
 }
+
+
+def checked_ranges(schema: SchemaIndex) -> dict[Iri, list[Iri]]:
+    """M2's lexical rule: each datatype property whose lexical forms M2
+    checks, mapped to the ranges it checks them against, in
+    ``LEXICAL_CHECKS`` order. A property with an xsd:string range is absent,
+    since every lexical form is valid for it."""
+    return {p: checked for p, ranges in schema.xsd_ranges.items() if XSD_STRING not in ranges
+            and (checked := [r for r in LEXICAL_CHECKS if r in ranges])}
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +353,8 @@ def m2_out_of_range_values(dataset: Dataset, schema: SchemaIndex,
 
     Object properties: the object must carry at least one asserted class that
     is, or transitively specializes, a declared class range. Datatype
-    properties: the literal's lexical form must be valid for some checkable
-    datatype range; unknown datatypes are never flagged.
+    properties that ``checked_ranges`` lists: the literal's lexical form
+    must be valid for one of the ranges it lists.
     """
     class_ranges = {p: frozenset(r for r in schema.range_of.get(p, ()) if r in schema.classes)
                     for p, kind in schema.properties.items() if kind is PropertyKind.OBJECT}
@@ -358,16 +368,14 @@ def m2_out_of_range_values(dataset: Dataset, schema: SchemaIndex,
         if ranges and out and (idx := by_predicate.get(p)):
             flagged += compress(idx, map(out.__contains__,
                                          map(classes_of.get, _objects(dataset, idx))))
-    for p, ranges in schema.xsd_ranges.items():
-        checks = [LEXICAL_CHECKS[r] for r in ranges if r in LEXICAL_CHECKS]
-        # every lexical form is valid for xsd:string
-        if not checks or XSD_STRING in ranges or not (idx := by_predicate.get(p)):
+    for p, ranges in checked_ranges(schema).items():
+        if not (idx := by_predicate.get(p)):
             continue
         idx, literals = _literal_objects(dataset, idx)
         lexicals = list(map(itemgetter(1), literals))
         invalid = list(set(lexicals))
-        for check in checks:
-            invalid = list(compress(invalid, map(not_, map(check, invalid))))
+        for r in ranges:
+            invalid = list(compress(invalid, map(not_, map(LEXICAL_CHECKS[r], invalid))))
         if invalid:
             flagged += compress(idx, map(set(invalid).__contains__, lexicals))
     return _flagged(MetricId.OUT_OF_RANGE, dataset, flagged)

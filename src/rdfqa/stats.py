@@ -179,6 +179,8 @@ def correlation_matrix(reports: Sequence[MetricReport],
     which operationalizes the caveat that all-zero metric columns would
     otherwise manufacture spurious correlations.
     """
+    if not 0 < alpha < 1:  # NaN fails both comparisons
+        raise ValueError(f"alpha must lie strictly between 0 and 1, not {alpha}")
     if len(reports) < 3:
         raise ValueError("need at least 3 reports")
     ids = tuple(mid for mid in MetricId if all(mid in r.metrics for r in reports))

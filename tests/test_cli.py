@@ -753,6 +753,35 @@ def test_json_nested_too_deeply_says_so(tmp_path, what, opener):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json", "good.json"]
 
 
+@pytest.mark.parametrize("command",
+                         ["run_experiment", "assess", "contaminate", "compare", "correlate"])
+def test_no_command_reads_or_writes_in_the_locale_encoding(tmp_path, command):
+    # -X warn_default_encoding warns at each text open with no encoding, and
+    # -W turns that warning into an error, so such an open exits non-zero
+    root = Path(__file__).resolve().parent.parent
+    data = root / "src" / "rdfqa" / "data"
+    reports = [tmp_path / f"{stem}.json" for stem in ("family", "zoo_clean", "zoo_dirty")]
+    for report in reports:
+        assert run_cli(["assess", str(data / f"{report.stem}.nt"), "--format", "json",
+                        "-o", str(report)]) == 0
+    out = tmp_path / "out"
+    args = {
+        "run_experiment": [root / "scripts" / "run_experiment.py", data, data / "plans", out],
+        "assess": ["-m", "rdfqa", "assess", ZOO, "--dictionary", data / "words.txt",
+                   "--format", "json", "-o", out],
+        "contaminate": ["-m", "rdfqa", "contaminate", ZOO, "--plan", PLAN, "-o", out],
+        "compare": ["-m", "rdfqa", "compare", *reports[1:],
+                    "--manifest", data / "zoo_dirty.manifest.json", "-o", out],
+        "correlate": ["-m", "rdfqa", "correlate", *reports, "-o", out],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         *map(str, args)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert "EncodingWarning" not in proc.stderr
+
+
 def test_run_experiment_script_on_bundled_fixtures(tmp_path):
     root = Path(__file__).resolve().parent.parent
     data = root / "src" / "rdfqa" / "data"

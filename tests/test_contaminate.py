@@ -19,6 +19,7 @@ from rdfqa.contaminate import (
     EditAction,
     EditLog,
     ReplayError,
+    _IN_RANGE_LEXICAL,
     contaminate,
     load_plan,
     manifest_from_dict,
@@ -38,6 +39,7 @@ from rdfqa.core.model import (
     RDFS_RANGE,
     RDFS_SUBCLASSOF,
     XSD_BOOLEAN,
+    XSD_DATE,
     XSD_INTEGER,
     XSD_STRING,
     BlankNode,
@@ -136,6 +138,16 @@ def _disjoint_pair(a, b):
     # every tag H13 may write is declared, so M9 would flag none
     (HeuristicId.H13,
      _one_value_of((XSD_STRING, *LEXICAL_CHECKS), Literal("12", datatype=XSD_INTEGER)), 0),
+    # M2 checks no lexical form of a property with an xsd:string range, so H4
+    # and H5 may misspell its values and H11 may write any value for it
+    (HeuristicId.H4, _one_value_of((XSD_BOOLEAN, XSD_STRING), Literal("true")), 1),
+    (HeuristicId.H5, _one_value_of((XSD_BOOLEAN, XSD_STRING), Literal("true")), 1),
+    (HeuristicId.H11,
+     _one_value_of((XSD_BOOLEAN, XSD_STRING), Literal("true"), OWL_FUNCTIONAL_PROPERTY), 1),
+    # xsd:boolean has no fresh values, so H11 writes one valid for xsd:date
+    (HeuristicId.H11, _one_value_of((XSD_BOOLEAN, XSD_DATE),
+                                    Literal("2000-01-01", datatype=XSD_DATE),
+                                    OWL_FUNCTIONAL_PROPERTY), 1),
     (HeuristicId.H9, _disjoint_pair(Iri("http://ex/A"), Iri("http://ex/B")), 1),
     # M5 reads no builtin class, so H9 types no instance into a builtin pair
     (HeuristicId.H9, _disjoint_pair(OWL_OBJECT_PROPERTY, OWL_DATATYPE_PROPERTY), 0),
@@ -146,6 +158,18 @@ def test_each_edit_a_heuristic_counts_raises_its_metric(words, h, dataset, achie
     before, after = (assess(d, words).metrics[target].numerator for d in (dataset, dirty))
     assert after - before == manifest.achieved[h] == achieved
     assert bool(manifest.warnings) == (not achieved)
+
+
+def test_each_in_range_value_passes_its_check_and_each_plain_value_fails_all():
+    # H11 writes in-range values that M2 must pass, H3 plain ones it must flag;
+    # k runs past the 700-year cycle of the date generators
+    assert _IN_RANGE_LEXICAL.keys() == LEXICAL_CHECKS.keys() - {XSD_BOOLEAN} | {None}
+    for k in range(1501):
+        plain = _IN_RANGE_LEXICAL[None](k)
+        for datatype, check in LEXICAL_CHECKS.items():
+            assert not check(plain), (datatype, plain)
+            if datatype in _IN_RANGE_LEXICAL:
+                assert check(_IN_RANGE_LEXICAL[datatype](k)), (datatype, k)
 
 
 def test_h3_counts_no_rewrite_onto_the_triple_itself(words):

@@ -21,8 +21,7 @@ from rdfqa import (
     serialize_dataset,
 )
 from rdfqa import metrics
-from rdfqa.contaminate import (Edit, EditLog, _Contaminator, _fake_targets,
-                               contaminate, manifest_to_json)
+from rdfqa.contaminate import Edit, EditLog, _Contaminator, contaminate, manifest_to_json
 from rdfqa.core.indexing import PropertyKind
 from rdfqa.core.model import (AXIOM_PREDICATES, OWL_CLASS, OWL_COMPLEMENT_OF,
                               OWL_DATATYPE_PROPERTY, OWL_DISJOINT_WITH, OWL_OBJECT_PROPERTY,
@@ -478,7 +477,7 @@ def _heuristic_predicate_sets(schema):
     return [
         (RDF_TYPE, *AXIOM_PREDICATES),
         (RDF_TYPE,),
-        [p for p in _fake_targets(schema) if p in schema.xsd_ranges],
+        list(metrics.checked_ranges(schema)),
         declared,
         [p for p in declared if p not in schema.functional],
         schema.functional,

@@ -238,3 +238,11 @@ def test_matrix_exactly_one_significant_pair():
 def test_matrix_requires_three_reports():
     with pytest.raises(ValueError):
         correlation_matrix([fake_report("a", [0.0] * 10)] * 2)
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-0.1", "0", "1"])
+def test_matrix_requires_an_alpha_strictly_between_0_and_1(alpha):
+    # a NaN alpha would reach the JSON matrix as the non-JSON token NaN
+    reports = [fake_report(f"d{i}", [float(i)] * 10) for i in range(3)]
+    with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+        correlation_matrix(reports, alpha=float(alpha))
