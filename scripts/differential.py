@@ -6,8 +6,12 @@ Each tree runs the same cases in one child process of its own, with its own
 A case is the JSON report of one dataset, or the contaminated N-Triples plus
 manifest of one plan at one seed. The plans are every heuristic at
 intensity 3, and each heuristic alone at 1 and at 3; the seeds are
-0..S-1. The datasets are the four bundled fixtures and N datasets of
-``make_random_dataset``, drawn in turn from one ``Random(7)``.
+0..S-1. The datasets are the four bundled fixtures, one escape-heavy
+dataset and N datasets of ``make_random_dataset``, drawn in turn from one
+``Random(7)``. The escape-heavy dataset holds every character of both
+writer escape tables in IRIs, blank node labels, datatypes and lexical
+forms, all in the middle one of three writer blocks, so the writer's clean
+and escaping paths both write its output.
 
 Usage:
     python scripts/differential.py OTHER_TREE [--random 400] [--seeds 3]
@@ -28,20 +32,54 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-_CASES = """
+_CASES = r"""
 import hashlib, json, sys
 from random import Random
-from rdfqa import (ALL_HEURISTICS, ContaminationPlan, assess, default_dictionary,
-                   load_dataset, serialize_dataset)
+from rdfqa import (ALL_HEURISTICS, BlankNode, ContaminationPlan, Iri, Literal, Triple,
+                   assess, default_dictionary, load_dataset, make_dataset, serialize_dataset)
 from rdfqa.contaminate import contaminate, manifest_to_json
+from rdfqa.core.parsing import SERIALIZE_BLOCK_TRIPLES as BLOCK
 from rdfqa.fixtures import fixture_path
 from rdfqa.reporting import render_report
 from tests.datagen import make_random_dataset
+
+
+def escape_heavy():
+    ex, xsd = "http://example.org/esc#", "http://www.w3.org/2001/XMLSchema#"
+    owl, rdfs = "http://www.w3.org/2002/07/owl#", "http://www.w3.org/2000/01/rdf-schema#"
+    rdf_type = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
+    cls, prop = Iri(ex + "C"), Iri(ex + "p")
+    schema = [Triple(cls, rdf_type, Iri(owl + "Class")),
+              Triple(prop, rdf_type, Iri(owl + "DatatypeProperty")),
+              Triple(prop, Iri(rdfs + "range"), Iri(xsd + "string"))]
+    escaping = []
+    for k, c in enumerate([*map(chr, range(0x21)), *'<>"{}|^`\\']):
+        s = Iri(f"{ex}s{c}{k}")
+        escaping += [Triple(Iri(f"{ex}C{c}"), rdf_type, Iri(owl + "Class")),
+                     Triple(s, rdf_type, Iri(f"{ex}C{c}")), Triple(s, rdf_type, cls),
+                     Triple(s, Iri(f"{ex}p{c}"), Iri(f"{ex}o{c}")),
+                     Triple(BlankNode(f"b{c}{k}"), prop, Literal(f"{k}", datatype=Iri(ex + c)))]
+    for k, c in enumerate([*map(chr, range(0x20)), "\\", '"']):
+        escaping.append(Triple(Iri(f"{ex}t{k}"), prop, Literal(f"word{c}text", language="en")))
+
+    def clean(start, stop):
+        # an instance of C, then its value, one triple per k
+        return [Triple(Iri(f"{ex}i{k // 2}"), rdf_type, cls) if k % 2 == 0 else
+                Triple(Iri(f"{ex}i{k // 2}"), prop, Literal(f"value {k // 2}", language="en"))
+                for k in range(start, stop)]
+
+    return make_dataset("escape-heavy", [
+        *schema, *clean(0, BLOCK - len(schema)),
+        *escaping, *clean(BLOCK, 2 * BLOCK - len(escaping)),
+        *clean(2 * BLOCK, 3 * BLOCK)])
+
 
 n_random, n_seeds = map(int, sys.argv[1:])
 words = default_dictionary()
 datasets = {name: load_dataset(fixture_path(name))
             for name in ("family.nt", "family.ttl", "zoo_clean.nt", "zoo_dirty.nt")}
+datasets["escape-heavy"] = escape_heavy()
+assert len(datasets["escape-heavy"].triples) == 3 * BLOCK
 rng = Random(7)
 datasets.update((f"random-{i}", make_random_dataset(rng)) for i in range(n_random))
 plans = {"all@3": dict.fromkeys(ALL_HEURISTICS, 3)}

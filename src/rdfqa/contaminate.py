@@ -20,19 +20,31 @@ apply an edit the same way. The log keeps one view from each predicate to
 its slots, so a heuristic reads only the triples of its own predicates, in
 document order. The index builders read the log itself, as they read a
 ``Dataset``; the schema index is cached and rebuilt only after an edit to a
-declaration triple. Every heuristic picks its candidates with one
-sample step, through the rule of the metric it raises (H3 fakes the first
-range M2's ``checked_ranges`` lists for a property, H4 and H5 leave those
-properties, and H11 stays valid for them; H4, H5 and H13 ask M3's
-``token_flags``, and H13 M9's ``improper_tag``; H7 removes the triples that
+declaration triple, and the instance memberships, which H8 and H14 read,
+only after an edit to an ``rdf:type`` triple.
+
+A pass over the whole log, or over all triples of a predicate, runs as
+C-level iterators (``map``, ``compress``, ``filter``, set and dict
+membership) and decides its rule once per distinct value, as the metrics
+do: H2 finds the declarations through the predicate view, H3 and H10 keep
+the literal-valued triples by kind, H4 reads M3's ``checkable_mask`` and
+H13 decides M9's rule once per distinct (predicate, datatype). H5 reads
+the candidates H4 found, less those H4 rewrote.
+
+Every heuristic picks its candidates with one sample step, through the
+rule of the metric it raises (H3 fakes the first range M2's
+``checked_ranges`` lists for a property, H4 and H5 leave those properties,
+and H11 stays valid for them; H4, H5 and H13 ask M3's ``token_flags``, and
+H13 M9's ``improper_tag``; H7 removes the triples that
 ``SchemaIndex.declared_by`` records for a term, what M4 reads as declared;
 H8 pairs classes within each asserted class set, as M5 reads them), and
 makes every edit through one apply rule, which skips an edit whose
 resulting triple is already present.
 
 Injected terms live under the reserved ``contam:`` IRI scheme so they are
-recognizable, and a minted IRI skips any term the input already holds, so it
-can never collide with source vocabulary.
+recognizable, and a minted IRI skips any IRI the input already holds as a
+subject, predicate, object or literal datatype, so it can never collide
+with source vocabulary.
 
 Heuristics are designed to hit only their own metric, but defects interact;
 measure one heuristic at a time when studying metric response. Documented
@@ -50,13 +62,13 @@ import enum
 import string
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain, combinations, compress, count
-from operator import itemgetter, not_
+from itertools import chain, combinations, compress, count, repeat
+from operator import and_, itemgetter, not_
 from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping
 
-from .core.indexing import SchemaIndex, build_instance_index, build_schema_index
+from .core.indexing import SchemaIndex, build_schema_index, instance_memberships
 from .core.model import (
     OWL_CLASS,
     OWL_DISJOINT_WITH,
@@ -73,6 +85,7 @@ from .core.model import (
     Iri,
     Literal,
     Triple,
+    datatype_or_kind,
     is_builtin,
     is_declaration_triple,
 )
@@ -206,6 +219,15 @@ _IN_RANGE_LEXICAL = {
 }
 
 
+def mintable_input_iris(triples: Iterable[Triple]) -> set[Iri]:
+    """The IRIs of ``triples`` that ``fresh_iri`` could mint, the only ones it
+    must skip: each subject, predicate, object or literal datatype under
+    ``FRESH_IRI_PREFIX``."""
+    terms = set(chain.from_iterable(triples))
+    return {t for t in chain(terms, set(map(datatype_or_kind, terms)))
+            if isinstance(t, Iri) and t.text.startswith(FRESH_IRI_PREFIX)}
+
+
 def _with_lexical(t: Triple, lexical: str) -> Triple:
     """``t`` with its literal's lexical form replaced; datatype and language kept."""
     return Triple(t.subject, t.predicate, Literal(lexical, t.object.datatype, t.object.language))
@@ -220,9 +242,11 @@ class EditLog:
     filled slots; ``of()`` reads it, so a heuristic visits only the triples
     of its own predicates. ``of()`` is a ``Dataset``'s own, and
     ``by_predicate`` reads as a ``Dataset``'s does, so ``build_schema_index``
-    and ``build_instance_index`` take the log itself. The one cached index
-    is ``schema()``, built on first use and dropped after an edit to a
-    declaration triple.
+    and ``build_instance_index`` take the log itself. Two indexes are cached,
+    each built on first use: ``schema()``, dropped after an edit to a
+    declaration triple, and ``memberships()``, the instance index's
+    ``classes_of`` and ``members_of``, dropped after an edit to an
+    ``rdf:type`` triple.
 
     ``apply`` reads only the triples an edit names: its ``before`` must be
     present, and its ``after`` absent unless it is the ``before``. A
@@ -239,15 +263,18 @@ class EditLog:
             self.by_predicate.setdefault(t.predicate, {})[i] = None
         self.edits: list[Edit] = []
         self._schema: SchemaIndex | None = None
+        self._memberships: tuple[dict[Iri, frozenset[Iri]], dict[Iri, frozenset[Iri]]] | None = None
 
     def __contains__(self, t: Triple) -> bool:
         return t in self.pos
 
     def current(self) -> list[Triple]:
-        return [t for t in self.triples if t is not None]
+        # a triple is a non-empty tuple, so only the holes are false
+        return list(filter(None, self.triples))
 
     # the view lists filled slots only, so of() never meets a hole
     of = Dataset.of
+    declarations = Dataset.declarations
 
     def dataset(self, dataset_id: str) -> Dataset:
         return Dataset(id=dataset_id, triples=tuple(self.current()))
@@ -271,13 +298,22 @@ class EditLog:
             self.pos[after] = i
             self.by_predicate.setdefault(after.predicate, {})[i] = None
         self.edits.append(edit)
-        if any(t is not None and is_declaration_triple(t) for t in (before, after)):
-            self._schema = None
+        for t in (before, after):
+            if t is not None:
+                if is_declaration_triple(t):
+                    self._schema = None
+                if t.predicate == RDF_TYPE:
+                    self._memberships = None
 
     def schema(self) -> SchemaIndex:
         if self._schema is None:
             self._schema = build_schema_index(self)
         return self._schema
+
+    def memberships(self) -> tuple[dict[Iri, frozenset[Iri]], dict[Iri, frozenset[Iri]]]:
+        if self._memberships is None:
+            self._memberships = instance_memberships(self)
+        return self._memberships
 
 
 def _reject(edit: Edit, t: Triple, why: str):
@@ -297,9 +333,9 @@ class _Contaminator:
         self.edit_cap = EDITS_PER_INPUT_TRIPLE * len(dataset.triples)
         # the heuristic ``run()`` is running; ``apply`` tags each edit with it
         self.heuristic: HeuristicId | None = None
-        # the input IRIs that ``fresh_iri`` could mint, the only ones it must skip
-        self.input_terms = {t for t in set(chain.from_iterable(dataset.triples))
-                            if isinstance(t, Iri) and t.text.startswith(FRESH_IRI_PREFIX)}
+        self.input_terms = mintable_input_iris(dataset.triples)
+        # H4's candidates, which H5 reads next (``_spellable_candidates``)
+        self.spellable: list[Triple] | None = None
         self.fresh_counter = 0
         self.value_counter = 0
 
@@ -314,6 +350,12 @@ class _Contaminator:
             return 0
         self.log.apply(Edit(self.heuristic, before, after))
         return 1
+
+    def _literal_valued(self, predicates: Iterable[Iri]) -> list[Triple]:
+        """The current triples of ``predicates`` whose object is a literal."""
+        triples = self.log.of(predicates)
+        return list(compress(triples, map(isinstance, map(itemgetter(2), triples),
+                                          repeat(Literal))))
 
     def fresh_iri(self, tag: str) -> Iri:
         # the counter never repeats a text, so only the input's terms can collide
@@ -336,18 +378,21 @@ class _Contaminator:
         return done, why
 
     def h2_remove_triples(self, n: int):
-        candidates = [t for t in self.log.current() if not is_declaration_triple(t)]
+        # every current triple but the declarations
+        keep = [True] * len(self.log.triples)
+        for i in self.log.declarations():
+            keep[i] = False
+        candidates = list(filter(None, compress(self.log.triples, keep)))
         done = sum(self.apply(before=t) for t in self._sample(candidates, n))
         return done, "not enough removable triples"
 
     def h3_out_of_range(self, n: int):
         # fake the first range M2 checks a property's lexical forms against
         ranges = checked_ranges(self.log.schema())
-        candidates = [(t, ranges[t.predicate][0]) for t in self.log.of(ranges)
-                      if isinstance(t.object, Literal)]
         done = sum(self.apply(t, Triple(t.subject, t.predicate,
-                                        Literal(self._fresh_plain_value(), datatype=target)))
-                   for t, target in self._sample(candidates, n))
+                                        Literal(self._fresh_plain_value(),
+                                                datatype=ranges[t.predicate][0])))
+                   for t in self._sample(self._literal_valued(ranges), n))
         return done, "no rewritable datatype-property triples"
 
     def _fresh_plain_value(self) -> str:
@@ -356,17 +401,26 @@ class _Contaminator:
         self.value_counter += 1
         return _IN_RANGE_LEXICAL[None](self.value_counter)
 
-    def _spellable_candidates(self, schema):
+    def _spellable_candidates(self) -> list[Triple]:
+        """The current triples whose object is a checkable literal holding
+        checked tokens, all in the dictionary, of a property M2 does not
+        check, in document order. H4 finds them; H5, which runs next, reads
+        those still present: H4 rewrites only candidates, each into a triple
+        with an unknown token, and edits no range M2 checks."""
+        if self.spellable is not None:
+            self.spellable = list(filter(self.log.pos.__contains__, self.spellable))
+            return self.spellable
         current = self.log.current()
-        checkable = list(compress(current, checkable_mask(map(itemgetter(2), current))))
-        unknown, checked = token_flags([t.object.lexical for t in checkable], self.dictionary)
-        in_m2 = checked_ranges(schema)
-        # checked tokens, all in the dictionary, of a property M2 does not check
-        return [t for t, bad, good in zip(checkable, unknown, checked)
-                if good and not bad and t.predicate not in in_m2]
+        checkable = list(compress(current, checkable_mask(list(map(itemgetter(2), current)))))
+        unknown, checked = token_flags(map(itemgetter(1), map(itemgetter(2), checkable)),
+                                       self.dictionary)
+        in_m2 = checked_ranges(self.log.schema())
+        self.spellable = [t for t, bad, good in zip(checkable, unknown, checked)
+                          if good and not bad and t.predicate not in in_m2]
+        return self.spellable
 
     def h4_mutate_literals(self, n: int):
-        candidates = self._spellable_candidates(self.log.schema())
+        candidates = self._spellable_candidates().copy()
         self.rng.shuffle(candidates)
         done = 0
         for t in candidates:
@@ -393,7 +447,7 @@ class _Contaminator:
         return None
 
     def h5_replace_literals(self, n: int):
-        candidates = self._spellable_candidates(self.log.schema())
+        candidates = self._spellable_candidates()
         done = sum(self.apply(t, _with_lexical(t, self._absent_token()))
                    for t in self._sample(candidates, n))
         return done, "no cleanly-spelled literals to replace"
@@ -443,8 +497,8 @@ class _Contaminator:
         schema = self.log.schema()
         # M5's shape: two declared classes share an instance only inside one
         # distinct asserted class set
-        asserted = {classes & schema.classes
-                    for classes in set(build_instance_index(self.log).classes_of.values())}
+        classes_of, _ = self.log.memberships()
+        asserted = {classes & schema.classes for classes in set(classes_of.values())}
         shared = {pair for classes in asserted
                   for pair in combinations(sorted(classes), 2)}
         candidates = sorted(pair for pair in shared if not schema.disjoint(*pair))
@@ -469,9 +523,8 @@ class _Contaminator:
 
     def h10_type_conflicts(self, n: int):
         schema = self.log.schema()
-        candidates = [t for t in self.log.of(p for p in schema.properties
-                                             if p != RDF_TYPE and p not in schema.functional)
-                      if isinstance(t.object, Literal)]
+        candidates = self._literal_valued(p for p in schema.properties
+                                          if p != RDF_TYPE and p not in schema.functional)
         done = sum(self.apply(after=Triple(t.subject, t.predicate, self.fresh_iri("h10-object")))
                    for t in self._sample(candidates, n))
         return done, "no literal-valued usage triples"
@@ -514,24 +567,34 @@ class _Contaminator:
         # M9 flags the new tag only when no range declares it
         new_tags = {p: tag for p, ranges in schema.xsd_ranges.items() if p != RDF_TYPE and
                     (tag := next((x for x in _RETAGS if improper_tag(x, ranges)), None)) is not None}
-        typed_values = self.log.of(new_tags)
-        group_sizes = Counter((t.subject, t.predicate) for t in typed_values)
-        candidates = [(t, new_tags[t.predicate]) for t in typed_values
-                      if isinstance(t.object, Literal)
-                      and not improper_tag(t.object.datatype, schema.xsd_ranges[t.predicate])
-                      and group_sizes[t.subject, t.predicate] == 1]
+        # per property, M9's rule once per distinct datatype, and the lone
+        # value of a subject; an IRI or blank node object, whose kind tag is
+        # an int, is never retagged
+        triples, slots = self.log.triples, []
+        for p in new_tags:
+            ix = list(self.log.by_predicate.get(p, ()))
+            values = list(map(triples.__getitem__, ix))
+            subjects = list(map(itemgetter(0), values))
+            datatypes = list(map(datatype_or_kind, map(itemgetter(2), values)))
+            proper = {d for d in set(datatypes)
+                      if not isinstance(d, int) and not improper_tag(d, schema.xsd_ranges[p])}
+            sizes = Counter(subjects)
+            slots += compress(ix, map(and_, map(proper.__contains__, datatypes),
+                                      map((1).__eq__, map(sizes.__getitem__, subjects))))
+        candidates = list(map(triples.__getitem__, sorted(slots)))
         # only a literal with no checked token is retagged
-        _, checked = token_flags([t.object.lexical for t, _ in candidates], self.dictionary)
+        _, checked = token_flags(map(itemgetter(1), map(itemgetter(2), candidates)),
+                                 self.dictionary)
         candidates = list(compress(candidates, map(not_, checked)))
         done = sum(self.apply(t, Triple(t.subject, t.predicate,
-                                        Literal(t.object.lexical, datatype=new_tag)))
-                   for t, new_tag in self._sample(candidates, n))
+                                        Literal(t.object.lexical, datatype=new_tags[t.predicate])))
+                   for t in self._sample(candidates, n))
         return done, "no retaggable datatype-property literals"
 
     def h14_clone_classes(self, n: int):
         classes = self.log.schema().classes
-        members_of = {cls: members for cls, members
-                      in build_instance_index(self.log).members_of.items() if cls in classes}
+        _, members = self.log.memberships()
+        members_of = {cls: members for cls, members in members.items() if cls in classes}
         candidates = sorted(members_of)
         chosen = self._sample(candidates, n)
         for cls in chosen:

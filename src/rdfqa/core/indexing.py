@@ -6,11 +6,14 @@ declared disjoint pairs; ``SchemaIndex.disjoint`` derives the rest), and in
 ``declared_by`` the triples that declare each term in each role, so the
 contaminator's H7 removes declarations by the same rule. The instance index
 holds what the document *uses* (instance/class memberships and per-predicate
-triple counts). Keeping declaration and usage apart is what lets
-the undefined-terms metric compare the two. Both builders read only their own
-predicates through ``of()``, and ``predicate_counts`` is read off the same
-by-predicate view. A ``Dataset`` and the contaminator's ``EditLog`` answer
-both reads alike, so an index of the log equals one of its current triples.
+triple counts); it decides once per distinct ``rdf:type`` object whether it
+is a class, and keeps each equal class set once. Keeping declaration and
+usage apart is what lets the undefined-terms metric compare the two. The
+schema builder reads only the declaration triples (``declarations()``), the
+instance builder only the ``rdf:type`` triples (``of()``), and
+``predicate_counts`` is read off the same by-predicate view. A ``Dataset``
+and the contaminator's ``EditLog`` answer these reads alike, so an index of
+the log equals one of its current triples.
 Subclass links are kept as declared and walked for each class asked about.
 """
 
@@ -18,16 +21,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import itemgetter
 from typing import Mapping
 
 from .model import (
-    AXIOM_PREDICATES,
     CLASS_TYPES,
     OWL_DATATYPE_PROPERTY,
     OWL_FUNCTIONAL_PROPERTY,
     OWL_INVERSE_FUNCTIONAL_PROPERTY,
     OWL_OBJECT_PROPERTY,
-    PROPERTY_TYPES,
     RDF_TYPE,
     RDFS_DOMAIN,
     RDFS_RANGE,
@@ -143,14 +146,14 @@ def build_schema_index(store) -> SchemaIndex:
         if role == "property" or not is_builtin(term):
             declared_by.setdefault((role, term), []).append(t)
 
-    for t in store.of((RDF_TYPE, *AXIOM_PREDICATES)):
+    for t in map(store.triples.__getitem__, store.declarations()):
         s, p, o = t
         if not isinstance(s, Iri):
             continue
-        if p == RDF_TYPE:
+        if p == RDF_TYPE:  # its object is a class or a property type
             if o in CLASS_TYPES:
                 declare("class", s, t)
-            elif o in PROPERTY_TYPES:
+            else:
                 prop_types.setdefault(s, set()).add(o)
                 declare("property", s, t)
         elif p == RDFS_DOMAIN:
@@ -210,6 +213,32 @@ def build_schema_index(store) -> SchemaIndex:
     )
 
 
+def instance_memberships(store) -> tuple[dict[Iri, frozenset[Iri]], dict[Iri, frozenset[Iri]]]:
+    """The ``classes_of`` and ``members_of`` of ``store``, a ``Dataset`` or an
+    ``EditLog``, read from its ``rdf:type`` triples alone.
+
+    Whether an object is a class is decided once per distinct object, and
+    equal sets are kept once: most instances share their class set with
+    many others.
+    """
+    typed = store.of((RDF_TYPE,))
+    objects = list(map(itemgetter(2), typed))
+    classes = {o for o in set(objects) if isinstance(o, Iri) and not is_builtin(o)}
+    classes_of: dict[Iri, set[Iri]] = {}
+    members_of: dict[Iri, set[Iri]] = {}
+    for s, _, o in compress(typed, map(classes.__contains__, objects)):
+        if isinstance(s, Iri):
+            classes_of.setdefault(s, set()).add(o)
+            members_of.setdefault(o, set()).add(s)
+
+    interned: dict[frozenset[Iri], frozenset[Iri]] = {}
+    for groups in (classes_of, members_of):
+        for key, values in groups.items():  # in place: each set is freed as it goes
+            values = frozenset(values)
+            groups[key] = interned.setdefault(values, values)
+    return classes_of, members_of
+
+
 def build_instance_index(store) -> InstanceIndex:
     """Collect the instance memberships and per-predicate triple counts of
     ``store``, a ``Dataset`` or an ``EditLog``.
@@ -217,16 +246,7 @@ def build_instance_index(store) -> InstanceIndex:
     Membership requires an IRI subject and a non-builtin IRI class; blank
     nodes are never instances.
     """
-    classes_of: dict[Iri, set[Iri]] = {}
-    members_of: dict[Iri, set[Iri]] = {}
-    for t in store.of((RDF_TYPE,)):
-        if isinstance(t.object, Iri) and isinstance(t.subject, Iri) and not is_builtin(t.object):
-            classes_of.setdefault(t.subject, set()).add(t.object)
-            members_of.setdefault(t.object, set()).add(t.subject)
-
-    for groups in (classes_of, members_of):
-        for key, values in groups.items():  # in place: each set is freed as it goes
-            groups[key] = frozenset(values)
+    classes_of, members_of = instance_memberships(store)
     return InstanceIndex(
         classes_of=classes_of,
         members_of=members_of,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -105,9 +106,10 @@ class Dataset:
     ``by_predicate``, read by ``of()``, and ``objects`` are caches built on
     first use, not fields: ``==``, ``hash``, ``repr`` and
     ``dataclasses.replace`` ignore them.
-    ``of()`` and the sizes of the ``by_predicate`` entries are what the index
-    builders read; the contaminator's ``EditLog`` shares ``of()`` and keeps
-    a ``by_predicate`` of its own.
+    ``of()``, ``declarations()`` and the sizes of the ``by_predicate``
+    entries are what the index builders read; the contaminator's ``EditLog``
+    shares ``of()`` and ``declarations()`` and keeps a ``by_predicate`` of
+    its own.
     """
 
     id: str
@@ -130,15 +132,31 @@ class Dataset:
 
     def of(self, predicates: Iterable[Iri]) -> list[Triple]:
         """The triples of ``predicates``, in document order."""
-        triples = self.triples
-        return [triples[i] for i in sorted(i for p in set(predicates)
-                                           for i in self.by_predicate.get(p, ()))]
+        indices = chain.from_iterable(map(self.by_predicate.get, set(predicates), repeat(())))
+        return list(map(self.triples.__getitem__, sorted(indices)))
+
+    def declarations(self) -> list[int]:
+        """The indices of the declaration triples (``is_declaration_triple``)
+        in document order: the triples of the axiom predicates, and the
+        ``rdf:type`` triples whose object is a declaration type."""
+        by_predicate, triples = self.by_predicate, self.triples
+        typed = list(by_predicate.get(RDF_TYPE, ()))
+        declaring = map(DECLARATION_TYPES.__contains__,
+                        map(itemgetter(2), map(triples.__getitem__, typed)))
+        return sorted(chain(*map(by_predicate.get, AXIOM_PREDICATES, repeat(())),
+                            compress(typed, declaring)))
 
 
 def make_dataset(dataset_id: str, triples: Sequence[Triple]) -> Dataset:
     """Build a Dataset, keeping the first of exact duplicates and counting the rest."""
     kept = tuple(dict.fromkeys(triples))
     return Dataset(id=dataset_id, triples=kept, duplicate_count=len(triples) - len(kept))
+
+
+#: A term's next-to-last field, read without slicing the term: a literal's
+#: datatype (an ``Iri`` or None), and an IRI's or blank node's kind tag (0 or
+#: 1). The tag is an int, so it is never taken for a datatype.
+datatype_or_kind = itemgetter(-2)
 
 
 def is_builtin(iri: Iri) -> bool:

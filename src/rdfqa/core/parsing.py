@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import replace
+from itertools import chain, compress
+from operator import itemgetter, not_
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 from urllib.parse import urljoin
 
 from .model import (
@@ -334,19 +336,21 @@ _LITERAL_ESCAPES = {i: "\\u%04X" % i for i in range(0x20)} | {
 # every character an IRIREF body excludes, and the backslash that starts an escape
 _IRI_ESCAPES = {i: "\\u%04X" % i for i in [*range(0x21), *map(ord, _IRI_EXCLUDED + "\\")]}
 
-
-def _escaped_chars(table: dict[int, str]) -> re.Pattern:
-    """One character class of the characters ``table`` maps. Few texts hold
-    any of them, and a search for one is much cheaper than ``str.translate``."""
-    return re.compile("[" + "".join(re.escape(chr(c)) for c in table) + "]")
+# the characters each table maps, all ASCII, as the bytes ``_escapes`` deletes
+_LITERAL_ESCAPED = bytes(_LITERAL_ESCAPES)
+_IRI_ESCAPED = bytes(_IRI_ESCAPES)
 
 
-_LITERAL_ESCAPED = _escaped_chars(_LITERAL_ESCAPES)
-_IRI_ESCAPED = _escaped_chars(_IRI_ESCAPES)
+def _escapes(texts: Iterable[str], escaped: bytes) -> bool:
+    """Whether any of ``texts`` holds one of the ``escaped`` characters: one
+    C-level pass, which deletes them from the texts' UTF-8 and compares the
+    lengths. A non-ASCII character is bytes of 0x80 and up, so never deleted."""
+    data = "".join(texts).encode("utf-8", "surrogatepass")
+    return len(data.translate(None, escaped)) < len(data)
 
 
 def _iri_ntriples(text: str) -> str:
-    return "<" + (text.translate(_IRI_ESCAPES) if _IRI_ESCAPED.search(text) else text) + ">"
+    return "<" + (text.translate(_IRI_ESCAPES) if _escapes((text,), _IRI_ESCAPED) else text) + ">"
 
 
 def term_to_ntriples(term: Term) -> str:
@@ -355,7 +359,7 @@ def term_to_ntriples(term: Term) -> str:
     if isinstance(term, BlankNode):
         return "_:" + term.label
     lex = term.lexical
-    if _LITERAL_ESCAPED.search(lex):
+    if _escapes((lex,), _LITERAL_ESCAPED):
         lex = lex.translate(_LITERAL_ESCAPES)
     if term.datatype is not None:
         return f'"{lex}"^^{_iri_ntriples(term.datatype.text)}'
@@ -368,35 +372,74 @@ def triple_to_ntriples(t: Triple) -> str:
     return f"{term_to_ntriples(t.subject)} {term_to_ntriples(t.predicate)} {term_to_ntriples(t.object)} ."
 
 
-class _NodeTexts(dict):
-    """The N-Triples text of each IRI or blank node asked for, kept once made."""
-
-    def __missing__(self, term):
-        text = self[term] = term_to_ntriples(term)
-        return text
-
-
 # Triples per block of serialized output: a writer holds one block's text
 # and bytes at a time, never the whole document's.
 SERIALIZE_BLOCK_TRIPLES = 4096
+
+# a clean line is seven pieces: subject open, text and the predicate's open;
+# predicate text; object open, text and close. Each but the texts is looked
+# up by the term's kind (0 IRI, 1 blank node, 2 literal), and a literal's
+# close by its datatype and language
+_SUBJECT_OPEN = ("<", "_:")
+_PREDICATE_OPEN = ("> <", " <")
+_OBJECT_OPEN = ("> <", "> _:", '> "')
+_NODE_CLOSE = ("> .\n", " .\n", None)
+
+
+def _literal_close(datatype: Iri | None, language: str | None) -> str:
+    if datatype is not None:
+        return f'"^^{_iri_ntriples(datatype.text)} .\n'
+    if language is not None:
+        return f'"@{language} .\n'
+    return '" .\n'
+
+
+def _each(table: tuple[str, ...], keys: list[int]) -> tuple[str, ...]:
+    """``table[k]`` for each of ``keys``, from one C call rather than one per
+    key. ``itemgetter`` gives a lone key's item bare, not in a tuple, so one
+    more key goes in front and its item is dropped."""
+    return itemgetter(0, *keys)(table)[1:]
+
+
+def _block_text(block: tuple[Triple, ...]) -> str:
+    subjects, predicates, objects = zip(*block)
+    s_kinds, s_texts = list(map(itemgetter(0), subjects)), list(map(itemgetter(1), subjects))
+    p_texts = list(map(itemgetter(1), predicates))
+    o_kinds, o_texts = list(map(itemgetter(0), objects)), list(map(itemgetter(1), objects))
+    literal = list(map((2).__eq__, o_kinds))
+    # the clean path writes a subject as an IRI or blank node and a predicate
+    # as an IRI, the only terms the parser and the contaminator put there
+    iri_texts = chain(s_texts, p_texts, compress(o_texts, map(not_, literal)))
+    if (2 in s_kinds or any(map(itemgetter(0), predicates))
+            or _escapes(iri_texts, _IRI_ESCAPED)
+            or _escapes(compress(o_texts, literal), _LITERAL_ESCAPED)):
+        return "".join([triple_to_ntriples(t) + "\n" for t in block])
+    # a literal's (datatype, language), and () for an IRI or blank node
+    tails = list(map(itemgetter(slice(2, None)), objects))
+    closes = {tail: _literal_close(*tail) for tail in set(tails) if tail}
+    return "".join(chain.from_iterable(zip(
+        _each(_SUBJECT_OPEN, s_kinds), s_texts, _each(_PREDICATE_OPEN, s_kinds), p_texts,
+        _each(_OBJECT_OPEN, o_kinds), o_texts,
+        map(closes.get, tails, _each(_NODE_CLOSE, o_kinds)))))
 
 
 def serialize_blocks(dataset: Dataset) -> Iterator[bytes]:
     """Canonical N-Triples (the only output syntax), as UTF-8 blocks of
     ``SERIALIZE_BLOCK_TRIPLES`` lines, each line ending in a newline.
 
-    A term is escaped only where the check of its table finds a character to
-    escape; all other text is written as it is. Each IRI and blank node is
-    formatted once per block, through a memo as short-lived as the block;
-    a literal is formatted where it stands, as ``triple_to_ntriples`` does.
+    Each block is checked once, in one C-level pass per table: its IRI texts
+    and blank node labels against the characters ``_IRI_ESCAPES`` maps, its
+    lexical forms against those ``_LITERAL_ESCAPES`` maps. A clean block is
+    formatted from the term fields alone, a handful of C-level passes over
+    its columns; a literal's close is made once per distinct datatype and
+    language, its datatype IRI escaped there if it must be. A block whose
+    check finds a character to escape, or that holds a literal subject or a
+    predicate that is not an IRI, is written through ``term_to_ntriples``,
+    as ``triple_to_ntriples`` writes a line.
     """
     triples = dataset.triples
     for start in range(0, len(triples), SERIALIZE_BLOCK_TRIPLES):
-        block = triples[start:start + SERIALIZE_BLOCK_TRIPLES]
-        nodes = _NodeTexts()
-        yield "".join([f"{nodes[s]} {nodes[p]} "
-                       f"{term_to_ntriples(o) if o[0] == 2 else nodes[o]} .\n"
-                       for s, p, o in block]).encode("utf-8")
+        yield _block_text(triples[start:start + SERIALIZE_BLOCK_TRIPLES]).encode("utf-8")
 
 
 def serialize_dataset(dataset: Dataset) -> bytes:

@@ -21,7 +21,8 @@ flagged indices into document order. In detail:
   cannot vary: no class set misses its range, or ``checked_ranges`` (its
   lexical rule, which the contaminator reads too) leaves it out.
 - M3's rule reads only the object, so it takes the whole object column.
-  The literals it checks are found per distinct (datatype, language) pair,
+  ``checkable_mask``, which H4 and H5 share, finds the literals it checks
+  by datatype and then language, each decided once per distinct value,
   and ``token_flags``, the token kernel the contaminator shares, decides
   their tokens once per distinct token.
 - M4 flags every triple of an undeclared predicate, and decides
@@ -67,6 +68,7 @@ from .core.model import (
     Literal,
     Term,
     Triple,
+    datatype_or_kind,
     is_builtin,
 )
 from . import __version__
@@ -175,24 +177,30 @@ def default_dictionary() -> Dictionary:
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-def _spellable_tags(datatype: Iri | None, language: str | None) -> bool:
-    """Whether a literal with these tags is plain, English-tagged or xsd:string."""
-    if datatype is not None and datatype != XSD_STRING:
-        return False
-    if language is None:
-        return True
+#: the datatype of a spell-checkable literal: none (plain or language-tagged)
+#: or xsd:string
+_SPELLABLE_DATATYPES = frozenset({None, XSD_STRING})
+
+
+def _english(language: str) -> bool:
     lang = language.lower()
     return lang == "en" or lang.startswith("en-")
 
 
-def checkable_mask(objects: Iterable[Term]) -> list[bool]:
+def checkable_mask(objects: Sequence[Term]) -> list[bool]:
     """Which of ``objects`` are spell-checkable literals (plain,
-    English-tagged or xsd:string); decided once per distinct pair of tags,
-    so no Python code runs per object."""
-    # a literal's (datatype, language), and () for an IRI or blank node
-    tags = list(map(itemgetter(slice(2, None)), objects))
-    spellable = {tag for tag in set(tags) if tag and _spellable_tags(*tag)}
-    return list(map(spellable.__contains__, tags))
+    English-tagged or xsd:string). No term is sliced: ``datatype_or_kind``
+    reads a literal's datatype, and then the last field is its language.
+    Datatypes and languages are each decided once per distinct value; only
+    a literal tagged with another language is unmarked alone."""
+    mask = list(map(_SPELLABLE_DATATYPES.__contains__, map(datatype_or_kind, objects)))
+    languages = list(map(itemgetter(-1), compress(objects, mask)))
+    other = {lang for lang in set(languages) if lang is not None and not _english(lang)}
+    if other:
+        for i in list(compress(compress(range(len(mask)), mask),
+                               map(other.__contains__, languages))):
+            mask[i] = False
+    return mask
 
 
 def token_flags(texts: Iterable[str], dictionary: Dictionary) -> tuple[list[bool], list[bool]]:

@@ -566,12 +566,13 @@ def test_injected_terms_use_reserved_namespace(zoo, words):
     assert not {t.text for t in fresh} & source_iris
 
 
-@pytest.mark.parametrize("position", ["subject", "predicate", "object"])
+@pytest.mark.parametrize("position", ["subject", "predicate", "object", "datatype"])
 def test_fresh_iri_skips_only_an_input_iri_of_its_text(words, position):
     taken = Iri("contam:h1-property-0")
     ex = {part: Iri(f"http://example.org/{part}") for part in ("subject", "predicate", "object")}
     dataset = make_dataset("d", [
-        Triple(**{**ex, position: taken}),
+        Triple(ex["subject"], ex["predicate"], Literal("1", datatype=taken))
+        if position == "datatype" else Triple(**{**ex, position: taken}),
         # the next text, but as a literal and a blank node: neither is an IRI
         Triple(ex["subject"], ex["predicate"], Literal("contam:h1-property-1")),
         Triple(BlankNode("contam:h1-property-1"), ex["predicate"], ex["object"]),

@@ -16,7 +16,7 @@ def _differential(tree):
 def test_a_tree_against_itself_differs_in_no_case():
     proc = _differential(ROOT)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.endswith("\n210 cases, 0 differ\n")
+    assert proc.stdout.endswith("\n240 cases, 0 differ\n")
 
 
 def test_a_changed_contaminator_differs_in_contaminations_only(tmp_path):
@@ -33,10 +33,10 @@ def test_a_changed_contaminator_differs_in_contaminations_only(tmp_path):
     proc = _differential(tmp_path)
     assert proc.returncode == 1, proc.stderr
     lines = proc.stdout.splitlines()
-    assert "assess: 0 of 7 differ" in lines
+    assert "assess: 0 of 8 differ" in lines
     # H1 mints a fresh IRI for every edit it makes
-    assert "H1@1: 7 of 7 differ" in lines
-    assert lines[-1].startswith("210 cases, ") and not lines[-1].endswith(" 0 differ")
+    assert "H1@1: 8 of 8 differ" in lines
+    assert lines[-1].startswith("240 cases, ") and not lines[-1].endswith(" 0 differ")
 
 
 def test_a_tree_whose_run_fails_exits_1(tmp_path):

@@ -19,6 +19,7 @@ from rdfqa import (
 )
 from rdfqa.core.model import (RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, is_declaration_triple,
                               make_dataset)
+from rdfqa.core import parsing
 from rdfqa.core.parsing import (
     _IRI_ESCAPED,
     _IRI_ESCAPES,
@@ -28,6 +29,7 @@ from rdfqa.core.parsing import (
     _STRING_ESCAPES,
     SERIALIZE_BLOCK_TRIPLES,
     _Fault,
+    _escapes,
     _nt_line_fault,
     _unescape,
     serialize_blocks,
@@ -541,11 +543,58 @@ def test_ntriples_lines_parse_or_fail_in_place(data, expected):
         assert serialize_dataset(parse_dataset(data, "ntriples")) == expected
 
 
-@pytest.mark.parametrize("check, table", [(_IRI_ESCAPED, _IRI_ESCAPES),
-                                          (_LITERAL_ESCAPED, _LITERAL_ESCAPES)])
-def test_escape_checks_find_exactly_the_characters_their_table_escapes(check, table):
-    scalars = "".join(chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF)
-    assert set(map(ord, check.findall(scalars))) == set(table)
+@pytest.mark.parametrize("escaped, table", [(_IRI_ESCAPED, _IRI_ESCAPES),
+                                            (_LITERAL_ESCAPED, _LITERAL_ESCAPES)],
+                         ids=["iri", "literal"])
+def test_escape_checks_find_exactly_the_characters_their_table_escapes(escaped, table):
+    # the one check of a term and of a writer block: all other code points at
+    # once, non-ASCII ones and lone surrogates among them, are never flagged,
+    # and each character the table maps is flagged wherever it stands
+    assert sorted(escaped) == sorted(table)
+    assert not _escapes([chr(c) for c in range(0x110000) if c not in table], escaped)
+    for c in map(chr, table):
+        assert _escapes([c], escaped) and _escapes(["\u00e9", "a" + c, "\U0010FFFF"], escaped)
+
+
+def test_clean_and_escaping_blocks_alternate_with_the_bytes_of_the_one_shot_writer(monkeypatch):
+    # every character of each table alone in its own block, in each place the
+    # table covers, and a clean block after each: both writer paths, side by
+    # side, and every kind of subject and object in both
+    monkeypatch.setattr(parsing, "SERIALIZE_BLOCK_TRIPLES", 4)
+    p = Iri(EX + "p")
+
+    def clean(k):
+        s = Iri(f"{EX}s{k}")
+        return [Triple(BlankNode(f"b{k}"), p, Literal(f"\u00e9 {k}", language="en-GB")),
+                Triple(s, p, Literal(f"{k}", datatype=XSD_INTEGER)),
+                Triple(s, p, Literal(f"plain {k}")),
+                Triple(s, Iri(EX + "q"), BlankNode(f"o{k}"))]
+
+    def escaping(c, k):
+        s = Iri(f"{EX}s{k}")
+        return {"subject": Triple(Iri(f"{EX}s{c}{k}"), p, Iri(EX + "o")),
+                "predicate": Triple(s, Iri(f"{EX}p{c}"), Iri(EX + "o")),
+                "object": Triple(s, p, Iri(f"{EX}o{c}")),
+                "datatype": Triple(s, p, Literal("v", datatype=Iri(f"{EX}dt{c}"))),
+                "lexical": Triple(s, p, Literal(f"a{c}b")),
+                # terms the model's types leave out, which the clean path never writes
+                "literal subject": Triple(Literal(f"x{k}"), p, Iri(EX + "o")),
+                "blank predicate": Triple(s, BlankNode(f"p{k}"), Iri(EX + "o"))}
+
+    places = [(c, place) for c in map(chr, _IRI_ESCAPES)
+              for place in ("subject", "predicate", "object", "datatype")]
+    places += [(c, "lexical") for c in map(chr, _LITERAL_ESCAPES)]
+    places += [("", "literal subject"), ("", "blank predicate")]
+    triples = []
+    for k, (c, place) in enumerate(places):
+        triples += [escaping(c, k)[place], *clean(f"e{k}")[1:], *clean(k)]
+    ds = make_dataset("alternating", triples)
+    assert len(ds.triples) == 8 * len(places)
+    blocks = list(serialize_blocks(ds))
+    assert len(blocks) == 2 * len(places)
+    for k, block in enumerate(blocks):
+        assert block == one_shot_serialization(make_dataset("", ds.triples[4 * k:4 * k + 4]))
+    assert b"".join(blocks) == one_shot_serialization(ds)
 
 
 def test_every_escaped_character_round_trips_in_the_bytes_written_before():

@@ -21,12 +21,14 @@ from rdfqa import (
     serialize_dataset,
 )
 from rdfqa import metrics
-from rdfqa.contaminate import Edit, EditLog, _Contaminator, contaminate, manifest_to_json
+from rdfqa import contaminate as contaminate_module
+from rdfqa.contaminate import (_RETAGS, FRESH_IRI_PREFIX, Edit, EditLog, _Contaminator,
+                               contaminate, manifest_to_json)
 from rdfqa.core.indexing import PropertyKind
 from rdfqa.core.model import (AXIOM_PREDICATES, OWL_CLASS, OWL_COMPLEMENT_OF,
                               OWL_DATATYPE_PROPERTY, OWL_DISJOINT_WITH, OWL_OBJECT_PROPERTY,
                               RDF_TYPE, RDFS_DOMAIN, RDFS_RANGE, RDFS_SUBCLASSOF, XSD_NS,
-                              Triple, is_builtin, is_declaration_triple, make_dataset)
+                              XSD_STRING, Triple, is_builtin, is_declaration_triple, make_dataset)
 from rdfqa.metrics import OFFENDER_CAP, Dictionary, has_unknown_token
 from rdfqa.reporting import report_from_dict, report_to_dict
 
@@ -413,15 +415,38 @@ def test_index_cache_never_changes_a_choice(monkeypatch):
         return out
 
     cached = run_all()
-    # the reference has no cache and no view: every read filters all current triples
-    monkeypatch.setattr(EditLog, "schema",
-                        lambda log: build_schema_index(make_dataset("", log.current())))
+    # the reference has no cache, no view and nothing shared: every read
+    # rebuilds from all current triples, one triple at a time
+    def current_dataset(log):
+        return make_dataset("", log.current())
+
+    def memberships(log):
+        instances = build_instance_index(current_dataset(log))
+        return instances.classes_of, instances.members_of
 
     def of(log, predicates):
         predicates = set(predicates)
         return [t for t in log.current() if t.predicate in predicates]
 
+    def spellable_candidates(self):
+        in_m2 = metrics.checked_ranges(self.log.schema())
+        return [t for t in self.log.current()
+                if isinstance(t.object, Literal) and t.object.datatype in (None, XSD_STRING)
+                and (t.object.language is None or t.object.language.lower() == "en"
+                     or t.object.language.lower().startswith("en-"))
+                and metrics.token_flags([t.object.lexical], WORDS) == ([False], [True])
+                and t.predicate not in in_m2]
+
+    def mintable_input_iris(triples):
+        return {term for t in triples
+                for term in (*t, t.object.datatype if isinstance(t.object, Literal) else None)
+                if isinstance(term, Iri) and term.text.startswith(FRESH_IRI_PREFIX)}
+
+    monkeypatch.setattr(EditLog, "schema", lambda log: build_schema_index(current_dataset(log)))
+    monkeypatch.setattr(EditLog, "memberships", memberships)
     monkeypatch.setattr(EditLog, "of", of)
+    monkeypatch.setattr(_Contaminator, "_spellable_candidates", spellable_candidates)
+    monkeypatch.setattr(contaminate_module, "mintable_input_iris", mintable_input_iris)
     assert run_all() == cached
 
 
@@ -471,6 +496,73 @@ def test_h8_candidates_match_the_pairwise_rule(monkeypatch):
     assert sum(1 for candidates, _ in seen if len(candidates) > 1) >= 4  # order pinned
 
 
+def _h2_candidates(log):
+    return [t for t in log.current() if not is_declaration_triple(t)]
+
+
+def _h13_candidates(log):
+    """H13's candidates by its rule, one triple at a time."""
+    schema = log.schema()
+    retagged = {p for p, ranges in schema.xsd_ranges.items() if p != RDF_TYPE
+                and any(metrics.improper_tag(tag, ranges) for tag in _RETAGS)}
+    typed = [t for t in log.current() if t.predicate in retagged]
+    sizes = Counter((t.subject, t.predicate) for t in typed)
+    return [t for t in typed if isinstance(t.object, Literal)
+            and not metrics.improper_tag(t.object.datatype, schema.xsd_ranges[t.predicate])
+            and sizes[t.subject, t.predicate] == 1
+            and not metrics.token_flags([t.object.lexical], WORDS)[1][0]]
+
+
+def _typed_value_datasets(seed, runs):
+    """Datasets whose properties have XSD ranges and values of each shape H13
+    reads: proper and improper tags, plain and language-tagged literals, IRIs
+    and blank nodes, lone and repeated (subject, predicate) pairs, with and
+    without checked tokens."""
+    rng = Random(seed)
+    props, datatypes = datagen.PROPS[:3], datagen.DATATYPES[:4]
+
+    def value():
+        roll, lexical = rng.random(), rng.choice(datagen.LEXICALS)
+        if roll < 0.6:
+            return Literal(lexical, datatype=rng.choice(datatypes))
+        if roll < 0.85:
+            return Literal(lexical, language=rng.choice(datagen.LANGS))
+        return rng.choice(datagen.INSTANCES + datagen.BNODES)
+
+    for _ in range(runs):
+        triples = [Triple(p, RDFS_RANGE, r) for p in props
+                   for r in rng.sample(datatypes, rng.randint(1, 2))]
+        triples += [Triple(rng.choice(datagen.INSTANCES), rng.choice(props), value())
+                    for _ in range(15)]
+        yield make_dataset("typed", triples)
+
+
+def test_h2_and_h13_candidates_match_their_rules(monkeypatch):
+    # both filter the whole log in C-level passes; the list each samples is
+    # the one its rule gives triple by triple, on a log that the heuristics
+    # before it have edited
+    rules = {HeuristicId.H2: _h2_candidates, HeuristicId.H13: _h13_candidates}
+    seen = []
+    sample = _Contaminator._sample
+
+    def recording_sample(self, candidates, n):
+        if n == 10**6:
+            seen.append((self.heuristic, candidates, rules[self.heuristic](self.log)))
+        return sample(self, candidates, n)
+
+    monkeypatch.setattr(_Contaminator, "_sample", recording_sample)
+    plans = [{HeuristicId.H2: 10**6}, {HeuristicId.H1: 2, HeuristicId.H2: 10**6},
+             {HeuristicId.H13: 10**6}, {**{h: 2 for h in HeuristicId}, HeuristicId.H13: 10**6}]
+    for ds in [*datasets(116, runs=50), *_typed_value_datasets(117, 50)]:
+        for seed, intensities in enumerate(plans):
+            contaminate(ds, ContaminationPlan(intensities, seed), WORDS)
+    assert len(seen) == 4 * 100
+    for _, candidates, by_rule in seen:
+        assert candidates == by_rule
+    for h in rules:
+        assert sum(1 for seen_h, candidates, _ in seen if seen_h == h and len(candidates) > 1) >= 20
+
+
 def _heuristic_predicate_sets(schema):
     """Each predicate set that a heuristic passes to ``EditLog.of``."""
     declared = [p for p in schema.properties if p != RDF_TYPE]
@@ -516,10 +608,14 @@ def test_by_predicate_view_follows_every_edit():
             schema = build_schema_index(log)
             assert schema == build_schema_index(reference) == log.schema()
             assert list(schema.properties) == list(build_schema_index(reference).properties)
-            assert build_instance_index(log) == build_instance_index(reference)
+            instances = build_instance_index(reference)
+            assert build_instance_index(log) == instances
+            assert log.memberships() == (instances.classes_of, instances.members_of)
             for chosen in _heuristic_predicate_sets(log.schema()):
                 chosen = set(chosen)
                 assert log.of(chosen) == [t for t in current if t.predicate in chosen]
+            assert log.declarations() == [i for i, t in enumerate(log.triples)
+                                          if t is not None and is_declaration_triple(t)]
             used = {t.predicate for t in current}
             assert {p for p, slots in log.by_predicate.items() if slots} == used
 
@@ -547,9 +643,12 @@ def test_by_predicate_view_answers_every_set_the_indices_and_metrics_pass(monkey
     for ds in datasets(112):
         asked.clear()
         assess(ds, WORDS)
-        # both indices; every triple metric reads each predicate's triples
-        # straight from dataset.by_predicate
-        assert len(asked) == 2
+        # the instance index; the schema index reads declarations(), and
+        # every triple metric reads each predicate's triples straight from
+        # dataset.by_predicate
+        assert len(asked) == 1
+        assert ds.declarations() == [i for i, t in enumerate(ds.triples)
+                                     if is_declaration_triple(t)]
         used = [t.predicate for t in ds.triples[:4]]
         for chosen in [*asked, [], [unused], [unused, *used], used + used[::-1]]:
             assert of(ds, chosen) == _brute_of(ds, chosen)
