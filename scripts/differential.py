@@ -3,7 +3,7 @@
 
 Each tree runs the same cases in one child process of its own, with its own
 ``src`` and ``tests/datagen.py`` on the path, and prints a sha256 per case.
-A case is the JSON report of one dataset, or the contaminated N-Triples plus
+A case is one CLI output in one format, or the contaminated N-Triples plus
 manifest of one plan at one seed. The plans are every heuristic at
 intensity 3, and each heuristic alone at 1 and at 3; the seeds are
 0..S-1. The datasets are the four bundled fixtures, one escape-heavy
@@ -12,6 +12,15 @@ dataset and N datasets of ``make_random_dataset``, drawn in turn from one
 writer escape tables in IRIs, blank node labels, datatypes and lexical
 forms, all in the middle one of three writer blocks, so the writer's clean
 and escaping paths both write its output.
+
+The CLI outputs are written by ``rdfqa.cli.main`` to ``-o`` files, in
+json, csv and table: each dataset's report (``assess``), each dataset's
+``compare`` against its contamination by every heuristic at 3 with seed
+0, without and with that contamination's manifest, and one ``correlate``
+over the reports of the bundled and the random datasets. A command that
+exits non-zero gives its exit code as its case. The escape-heavy
+dataset's blank node labels cannot be written as N-Triples, so its one
+report case is its JSON report made in process.
 
 Usage:
     python scripts/differential.py OTHER_TREE [--random 400] [--seeds 3]
@@ -33,14 +42,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 _CASES = r"""
-import hashlib, json, sys
+import hashlib, json, os, shutil, sys, tempfile
+from pathlib import Path
 from random import Random
 from rdfqa import (ALL_HEURISTICS, BlankNode, ContaminationPlan, Iri, Literal, Triple,
                    assess, default_dictionary, load_dataset, make_dataset, serialize_dataset)
+from rdfqa.cli import main
 from rdfqa.contaminate import contaminate, manifest_to_json
 from rdfqa.core.parsing import SERIALIZE_BLOCK_TRIPLES as BLOCK
 from rdfqa.fixtures import fixture_path
-from rdfqa.reporting import render_report
+from rdfqa.reporting import report_to_dict, to_json
 from tests.datagen import make_random_dataset
 
 
@@ -74,10 +85,26 @@ def escape_heavy():
         *clean(2 * BLOCK, 3 * BLOCK)])
 
 
+def write(path, data):
+    Path(path).write_bytes(data)
+    return path
+
+
+def cli(key, *argv):
+    # runs rdfqa *argv in each format and records each output, or the exit
+    # code of a command that fails; returns the path of the JSON output
+    outs = {fmt: os.path.join(tmp, f"{len(digests)}.{fmt}") for fmt in ("json", "csv", "table")}
+    for fmt, out in outs.items():
+        code = main([*argv, "--format", fmt, "-o", out])
+        digests[f"{key}.{fmt}"] = (hashlib.sha256(Path(out).read_bytes()).hexdigest()
+                                   if code == 0 else f"exit {code}")
+    return outs["json"]
+
+
 n_random, n_seeds = map(int, sys.argv[1:])
 words = default_dictionary()
-datasets = {name: load_dataset(fixture_path(name))
-            for name in ("family.nt", "family.ttl", "zoo_clean.nt", "zoo_dirty.nt")}
+bundled = ("family.nt", "family.ttl", "zoo_clean.nt", "zoo_dirty.nt")
+datasets = {name: load_dataset(fixture_path(name)) for name in bundled}
 datasets["escape-heavy"] = escape_heavy()
 assert len(datasets["escape-heavy"].triples) == 3 * BLOCK
 rng = Random(7)
@@ -85,15 +112,34 @@ datasets.update((f"random-{i}", make_random_dataset(rng)) for i in range(n_rando
 plans = {"all@3": dict.fromkeys(ALL_HEURISTICS, 3)}
 plans.update((f"{h.value}@{n}", {h: n}) for h in ALL_HEURISTICS for n in (1, 3))
 digests = {}
+tmp = tempfile.mkdtemp()
+reports = []
 for name, dataset in datasets.items():
-    report = render_report(assess(dataset, words), "json").encode()
-    digests[f"assess/{name}"] = hashlib.sha256(report).hexdigest()
+    if name == "escape-heavy":  # its blank node labels are no N-Triples labels
+        report = to_json(report_to_dict(assess(dataset, words))).encode()
+        digests[f"assess/{name}.json"] = hashlib.sha256(report).hexdigest()
+    else:
+        source = (str(fixture_path(name)) if name in bundled else
+                  write(os.path.join(tmp, f"{name}.nt"), serialize_dataset(dataset)))
+        report = cli(f"assess/{name}", "assess", source)
+        reports.append(report)
+        dirty, manifest = contaminate(dataset, ContaminationPlan(plans["all@3"], 0), words)
+        dirty_path = write(os.path.join(tmp, f"{name}.dirty.nt"), serialize_dataset(dirty))
+        manifest_path = write(os.path.join(tmp, f"{name}.manifest.json"),
+                              manifest_to_json(manifest).encode())
+        dirty_report = os.path.join(tmp, f"{name}.dirty.json")
+        assert main(["assess", dirty_path, "--format", "json", "-o", dirty_report]) == 0
+        cli(f"compare/{name}", "compare", report, dirty_report)
+        cli(f"compare-manifest/{name}", "compare", report, dirty_report,
+            "--manifest", manifest_path)
     for plan, intensities in plans.items():
         for seed in range(n_seeds):
             dirty, manifest = contaminate(dataset, ContaminationPlan(intensities, seed), words)
             digest = hashlib.sha256(serialize_dataset(dirty))
             digest.update(manifest_to_json(manifest).encode())
             digests[f"{plan}/{name}/seed{seed}"] = digest.hexdigest()
+cli("correlate/bundled+random", "correlate", *reports)
+shutil.rmtree(tmp)
 json.dump(digests, sys.stdout)
 """
 

@@ -24,8 +24,8 @@ from pathlib import Path
 from rdfqa import assess, default_dictionary, load_dataset, serialize_dataset
 from rdfqa.cli import significance_level
 from rdfqa.contaminate import contaminate, load_plan, manifest_to_json
-from rdfqa.reporting import render_report
-from rdfqa.stats import compute_delta, correlation_matrix, render_delta_table, render_matrix
+from rdfqa.reporting import render
+from rdfqa.stats import compute_delta, correlation_matrix
 
 
 def main(argv=None) -> int:
@@ -58,16 +58,16 @@ def main(argv=None) -> int:
 
         # UTF-8 whatever the locale, as the CLI writes them
         out = args.out_dir
-        (out / f"{stem}.clean.json").write_text(render_report(clean_report, "json"),
+        (out / f"{stem}.clean.json").write_text(render(clean_report, "json"),
                                                 encoding="utf-8")
         (out / f"{stem}.dirty.nt").write_bytes(serialize_dataset(dirty))
         (out / f"{stem}.dirty.manifest.json").write_text(manifest_to_json(manifest),
                                                          encoding="utf-8")
-        (out / f"{stem}.dirty.json").write_text(render_report(dirty_report, "json"),
+        (out / f"{stem}.dirty.json").write_text(render(dirty_report, "json"),
                                                 encoding="utf-8")
 
         print(f"== {stem}")
-        print(render_delta_table(compute_delta(clean_report, dirty_report)))
+        print(render(compute_delta(clean_report, dirty_report), "table"))
         for warning in manifest.warnings:
             print(f"  warning: {warning}")
 
@@ -81,7 +81,7 @@ def main(argv=None) -> int:
 
     matrix = correlation_matrix(pool, alpha=args.alpha)
     print(f"== pooled correlation over {matrix.n} reports")
-    print(render_matrix(matrix))
+    print(render(matrix, "table"))
     return 0
 
 

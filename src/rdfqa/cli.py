@@ -1,5 +1,8 @@
 """Command-line front end: assess, contaminate, compare, correlate.
 
+This module handles arguments and files only: a command's result goes
+through ``reporting.render``, and its UTF-8 bytes to ``-o`` or to stdout.
+
 Exit codes: 0 success, 1 an input that cannot be read or parsed or an
 output that cannot be written, 2 usage error. An error names the file it
 came from. Output files are written atomically; a failing command leaves no
@@ -69,10 +72,12 @@ def _write_atomic(*files: tuple[Path, Iterable[bytes]]):
 
 
 def _emit(text: str, output_path: Path | None):
+    data = text.encode("utf-8")
     if output_path is None:
-        sys.stdout.write(text)
+        sys.stdout.flush()  # whatever was printed before goes first
+        sys.stdout.buffer.write(data)
     else:
-        _write_atomic((output_path, (text.encode("utf-8"),)))
+        _write_atomic((output_path, (data,)))
 
 
 def _resolve_dictionary(args: argparse.Namespace) -> Dictionary:
@@ -104,9 +109,7 @@ def significance_level(text: str) -> float:
 def _parse_metric_selection(raw: str) -> tuple[MetricId, ...]:
     from .metrics import metric_id
 
-    ids = []
-    for token in raw.replace(",", " ").split():
-        ids.append(metric_id(token))
+    ids = [metric_id(token) for token in raw.replace(",", " ").split()]
     if not ids:
         raise ValueError("empty metric selection")
     return tuple(dict.fromkeys(ids))
@@ -114,7 +117,7 @@ def _parse_metric_selection(raw: str) -> tuple[MetricId, ...]:
 
 def cmd_assess(args: argparse.Namespace) -> int:
     from .metrics import assess
-    from .reporting import render_report
+    from .reporting import render
 
     selection = None
     if args.metrics is not None:
@@ -124,7 +127,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
             return _fail(str(exc), EXIT_USAGE)
     dataset = _load_input_dataset(args)
     report = assess(dataset, _resolve_dictionary(args), selection=selection)
-    _emit(render_report(report, args.format), args.output)
+    _emit(render(report, args.format), args.output)
     return EXIT_OK
 
 
@@ -149,42 +152,9 @@ def cmd_contaminate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _trend_rows(delta_report, manifest) -> list[dict]:
-    """The heuristic trend, one row per heuristic in H1..H14 order: the
-    intensity the plan requested (None if it names no such heuristic), the
-    edits achieved, the target metric and its delta (None if not compared)."""
-    from .contaminate import ALL_HEURISTICS, HEURISTIC_TARGETS
-
-    return [{"heuristic": h.value, "requested": manifest.plan.intensities.get(h),
-             "achieved": manifest.achieved.get(h, 0), "metric": HEURISTIC_TARGETS[h].value,
-             "delta": delta_report.delta.get(HEURISTIC_TARGETS[h])}
-            for h in ALL_HEURISTICS]
-
-
-def _requested(rows: list[dict]) -> list[dict]:
-    return [row for row in rows if row["requested"] is not None]
-
-
-def _trend_table(rows: list[dict]) -> str:
-    """One line per metric that a requested heuristic targets, naming every
-    heuristic that targets it; H1..H14 meet the metrics in M1..M10 order."""
-    from itertools import groupby
-
-    lines = ["heuristics  applied   metric  delta"]
-    for metric, group in groupby(rows, key=lambda row: row["metric"]):
-        group = list(group)
-        if _requested(group):
-            label = "+".join(row["heuristic"] for row in group)
-            applied = "+".join(str(row["achieved"]) for row in group)
-            delta = group[0]["delta"]
-            delta_txt = f"{delta:+.2f}" if delta is not None else "n/a"
-            lines.append(f"{label:<10}  {applied:<8}  {metric:<6}  {delta_txt}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
-    from .reporting import load_report, to_csv, to_json
-    from .stats import MetricMismatch, compute_delta, delta_to_csv, delta_to_dict, render_delta_table
+    from .reporting import load_report, render
+    from .stats import MetricMismatch, compute_delta
 
     before = _read(load_report, args.before)
     after = _read(load_report, args.after)
@@ -194,42 +164,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
         manifest = _read(load_manifest, args.manifest)
     try:
-        delta_report = compute_delta(before, after)
+        delta_report = compute_delta(before, after, manifest)
     except MetricMismatch as exc:
         return _fail(str(exc), EXIT_USAGE)
-    rows = None if manifest is None else _trend_rows(delta_report, manifest)
-    if args.format == "json":
-        payload = delta_to_dict(delta_report)
-        if rows is not None:
-            payload["trend"] = _requested(rows)
-        text = to_json(payload)
-    elif args.format == "csv":
-        text = delta_to_csv(delta_report)
-        if rows is not None:  # headed by the JSON keys; an n/a delta is an empty cell
-            text += "\n" + to_csv([rows[0].keys(), *(row.values() for row in _requested(rows))])
-    else:
-        text = render_delta_table(delta_report)
-        if rows is not None:
-            text += "\n" + _trend_table(rows)
-    _emit(text, args.output)
+    _emit(render(delta_report, args.format), args.output)
     return EXIT_OK
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
     if len(args.reports) < 3:
         return _fail("correlate needs at least 3 report files", EXIT_USAGE)
-    from .reporting import load_report, to_json
-    from .stats import correlation_matrix, matrix_to_csv, matrix_to_dict, render_matrix
+    from .reporting import load_report, render
+    from .stats import correlation_matrix
 
     reports = [_read(load_report, p) for p in args.reports]
-    matrix = correlation_matrix(reports, alpha=args.alpha)
-    if args.format == "json":
-        text = to_json(matrix_to_dict(matrix))
-    elif args.format == "csv":
-        text = matrix_to_csv(matrix)
-    else:
-        text = render_matrix(matrix)
-    _emit(text, args.output)
+    _emit(render(correlation_matrix(reports, alpha=args.alpha), args.format), args.output)
     return EXIT_OK
 
 
@@ -240,12 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_assess = sub.add_parser("assess", help="compute the quality metrics for a dataset")
+    p_assess.set_defaults(run=cmd_assess)
     p_assess.add_argument("dataset", type=Path)
     p_assess.add_argument("--schema", type=Path, help="separate schema file merged before indexing")
     p_assess.add_argument("--dictionary", type=Path, help="word list for the misspelling metric")
     p_assess.add_argument("--metrics", help="subset to compute, e.g. M1,M7")
 
     p_cont = sub.add_parser("contaminate", help="inject quality defects per a plan file")
+    p_cont.set_defaults(run=cmd_contaminate)
     p_cont.add_argument("dataset", type=Path)
     p_cont.add_argument("--plan", type=Path, required=True)
     p_cont.add_argument("--seed", type=int, help="override the plan's seed")
@@ -255,12 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cont.add_argument("-o", "--output", type=Path, required=True)
 
     p_cmp = sub.add_parser("compare", help="delta between two metric reports")
+    p_cmp.set_defaults(run=cmd_compare)
     p_cmp.add_argument("before", type=Path)
     p_cmp.add_argument("after", type=Path)
     p_cmp.add_argument("--manifest", type=Path,
                        help="contamination manifest; adds the heuristic trend table")
 
     p_corr = sub.add_parser("correlate", help="inter-metric rank correlation over reports")
+    p_corr.set_defaults(run=cmd_correlate)
     p_corr.add_argument("reports", type=Path, nargs="+")
     p_corr.add_argument("--alpha", type=significance_level, default=0.05)
 
@@ -279,13 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         args = build_parser().parse_args(argv)
-        handlers = {
-            "assess": cmd_assess,
-            "contaminate": cmd_contaminate,
-            "compare": cmd_compare,
-            "correlate": cmd_correlate,
-        }
-        return handlers[args.command](args)
+        return args.run(args)
     except (InputError, OSError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     finally:

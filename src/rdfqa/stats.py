@@ -1,6 +1,6 @@
-"""Statistical analysis over metric reports.
-
-Before/after deltas and Spearman rank correlation with average-rank tie
+"""Statistical analysis over metric reports; ``reporting.render`` writes
+its results. Before/after deltas, with the heuristic trend of a
+contamination manifest, and Spearman rank correlation with average-rank tie
 handling. The two-sided p-value uses the Student-t approximation
 t = rho*sqrt((n-2)/(1-rho^2)) with n-2 degrees of freedom, computed as the
 regularized incomplete beta function I_x((n-2)/2, 1/2) by its continued
@@ -13,10 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import partial
+from itertools import combinations
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .metrics import MetricId, MetricReport
-from .reporting import to_csv
+from .reporting import render
+
+if TYPE_CHECKING:
+    from .contaminate import ContaminationManifest
 
 
 @dataclass(frozen=True)
@@ -25,6 +30,10 @@ class DeltaReport:
     before: MetricReport
     after: MetricReport
     delta: Mapping[MetricId, float]
+    #: with a manifest, one row per heuristic in H1..H14 order: the intensity
+    #: requested (None if the plan names none), the edits achieved, the
+    #: target metric and its delta (None if not compared)
+    trend: tuple[dict, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -51,15 +60,24 @@ class MetricMismatch(Exception):
     """Reports do not cover the same metric selection."""
 
 
-def compute_delta(before: MetricReport, after: MetricReport) -> DeltaReport:
-    """Elementwise after - before. Raises MetricMismatch on differing selections."""
+def compute_delta(before: MetricReport, after: MetricReport,
+                  manifest: ContaminationManifest | None = None) -> DeltaReport:
+    """Elementwise after - before, with the heuristic trend of ``manifest``
+    if one is given. Raises MetricMismatch on differing selections."""
     if set(before.metrics) != set(after.metrics):
         missing = {m.value for m in set(before.metrics) ^ set(after.metrics)}
         raise MetricMismatch(f"metric selections differ: {sorted(missing)}")
     delta = {mid: after.metrics[mid].value - before.metrics[mid].value
              for mid in before.metrics}
+    trend = None
+    if manifest is not None:
+        from .contaminate import HEURISTIC_TARGETS  # loaded: it made ``manifest``
+
+        trend = tuple({"heuristic": h.value, "requested": manifest.plan.intensities.get(h),
+                       "achieved": manifest.achieved.get(h, 0), "metric": metric.value,
+                       "delta": delta.get(metric)} for h, metric in HEURISTIC_TARGETS.items())
     return DeltaReport(dataset_id=after.dataset_id, before=before, after=after,
-                       delta=delta)
+                       delta=delta, trend=trend)
 
 
 # ---------------------------------------------------------------------------
@@ -185,92 +203,9 @@ def correlation_matrix(reports: Sequence[MetricReport],
         raise ValueError("need at least 3 reports")
     ids = tuple(mid for mid in MetricId if all(mid in r.metrics for r in reports))
     vectors = {mid: [r.metrics[mid].value for r in reports] for mid in ids}
-    cells: dict[tuple[MetricId, MetricId], SpearmanResult | None] = {}
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            cells[(a, b)] = spearman_rho(vectors[a], vectors[b])
+    cells = {(a, b): spearman_rho(vectors[a], vectors[b]) for a, b in combinations(ids, 2)}
     return CorrelationMatrix(metric_ids=ids, cells=cells, alpha=alpha, n=len(reports))
 
 
-# ---------------------------------------------------------------------------
-# Rendering
-
-
-def render_delta_table(report: DeltaReport) -> str:
-    lines = [f"dataset: {report.dataset_id}", "",
-             "metric  before  after   delta"]
-    for mid in MetricId:
-        if mid not in report.delta:
-            continue
-        b = report.before.metrics[mid].value
-        a = report.after.metrics[mid].value
-        d = report.delta[mid]
-        lines.append(f"{mid.value:<6}  {b:.2f}    {a:.2f}    {d:+.2f}")
-    return "\n".join(lines) + "\n"
-
-
-def delta_to_dict(report: DeltaReport) -> dict:
-    return {
-        "dataset": report.dataset_id,
-        "before": {m.value: report.before.metrics[m].value for m in report.delta},
-        "after": {m.value: report.after.metrics[m].value for m in report.delta},
-        "delta": {m.value: report.delta[m] for m in report.delta},
-    }
-
-
-def delta_to_csv(report: DeltaReport) -> str:
-    return to_csv([("metric", "before", "after", "delta"),
-                   *((mid, report.before.metrics[mid].value, report.after.metrics[mid].value,
-                      report.delta[mid]) for mid in MetricId if mid in report.delta)])
-
-
-def render_matrix(matrix: CorrelationMatrix) -> str:
-    """Upper-triangle text rendering: a rho row and a significance row per
-    metric; '*' marks p <= alpha, '-' otherwise, 'n/a' an undefined pair."""
-    ids = matrix.metric_ids
-    width = 7
-    header = "         " + "".join(f"{m.value:>{width}}" for m in ids)
-    lines = [header]
-    for i, a in enumerate(ids):
-        rho_cells = []
-        sig_cells = []
-        for j, b in enumerate(ids):
-            if j <= i:
-                rho_cells.append(" " * width)
-                sig_cells.append(" " * width)
-                continue
-            cell = matrix.cells[(a, b)]
-            if cell is None:
-                rho_cells.append(f"{'n/a':>{width}}")
-                sig_cells.append(f"{'-':>{width}}")
-            else:
-                rho_cells.append(f"{cell.rho:>{width}.2f}")
-                sig_cells.append(f"{'*' if matrix.significant(a, b) else '-':>{width}}")
-        lines.append(f"{a.value:<9}" + "".join(rho_cells))
-        lines.append(f"{'p value':<9}" + "".join(sig_cells))
-    lines.append("")
-    lines.append(f"('-' means p value > {matrix.alpha:g}, '*' means p value <= {matrix.alpha:g},"
-                 " 'n/a' an undefined pair)")
-    return "\n".join(lines) + "\n"
-
-
-def matrix_to_dict(matrix: CorrelationMatrix) -> dict:
-    pairs = []
-    for (a, b), cell in matrix.cells.items():
-        entry: dict = {"a": a.value, "b": b.value}
-        if cell is None:
-            entry["undefined"] = True
-        else:
-            entry.update(rho=cell.rho, p_value=cell.p_value,
-                         significant=matrix.significant(a, b))
-        pairs.append(entry)
-    return {"alpha": matrix.alpha, "n": matrix.n,
-            "metrics": [m.value for m in matrix.metric_ids], "pairs": pairs}
-
-
-def matrix_to_csv(matrix: CorrelationMatrix) -> str:
-    """One row per pair; an undefined pair has empty rho, p value and significance."""
-    return to_csv([("a", "b", "rho", "p_value", "significant"),
-                   *((a, b, None, None, None) if cell is None else
-                     (a, b, cell.rho, cell.p_value, str(matrix.significant(a, b)).lower())
-                     for (a, b), cell in matrix.cells.items())])
+# the names perfbench/layers.py imports
+render_delta_table = render_matrix = partial(render, fmt="table")

@@ -23,7 +23,7 @@ from rdfqa.contaminate import contaminate
 from rdfqa.core.model import OWL_CLASS, RDF_TYPE, XSD_INTEGER, XSD_STRING
 from rdfqa.fixtures import fixture_path
 from rdfqa.metrics import Dictionary
-from rdfqa.reporting import report_to_table
+from rdfqa.reporting import render
 
 from .datagen import DICT_WORDS, make_random_dataset
 from .oracle import brute_force_metrics, brute_force_spearman
@@ -43,7 +43,7 @@ def test_c1_family_m1_value(family, words):
     assert (m1.numerator, m1.denominator) == (37, 306)
     assert abs(m1.value - (1 - 37 / 306)) <= 0.0005
     assert f"{m1.value:.2f}" == "0.88"
-    assert "M1      0.88" in report_to_table(report)
+    assert "M1      0.88" in render(report, "table")
     assert report.counts.classes == 18 and report.counts.properties == 17
     assert elapsed < 1.0
     _report(f"C1 PASS family M1 = {m1.value:.4f} (37/306, displayed 0.88), {elapsed:.3f}s")

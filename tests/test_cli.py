@@ -187,6 +187,20 @@ def _assert_input_error(proc, named):
     assert proc.stderr.startswith(f"rdfqa: error: {named}"), proc.stderr
 
 
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_stdout_carries_the_bytes_of_the_output_file_in_any_locale(tmp_path, fmt, encoding):
+    # the dataset id is in neither encoding; stdout gets UTF-8, as -o does
+    dataset = tmp_path / "Ωμέγα.nt"
+    dataset.write_bytes(fixture_path("family.nt").read_bytes())
+    out = tmp_path / "out"
+    assert run_cli(["assess", str(dataset), "--format", fmt, "-o", str(out)]) == 0
+    proc = subprocess.run([sys.executable, "-m", "rdfqa", "assess", str(dataset), "--format", fmt],
+                          capture_output=True, env={**os.environ, "PYTHONIOENCODING": encoding})
+    assert proc.returncode == 0, proc.stderr.decode(encoding, "replace")
+    assert proc.stdout == out.read_bytes()
+
+
 @pytest.mark.parametrize("command", ["assess", "contaminate"])
 @pytest.mark.parametrize("source", ["flag", "env"])
 def test_undecodable_dictionary_exits_1_naming_it(tmp_path, command, source):

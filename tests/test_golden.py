@@ -2,10 +2,11 @@
 
 Each file under ``tests/golden`` holds the exact output of one command in
 one format: ``assess`` of the four bundled datasets, ``compare`` of the zoo
-reports with and without the bundled manifest, and ``correlate`` of the
-bundled reports, once with every pair defined and once with none. A change
-to any output byte, whitespace and float digits included, fails here; a
-deliberate one re-records the file it changes.
+reports with and without the bundled manifest, ``correlate`` of the
+bundled reports, once with every pair defined and once with none, and
+``assess`` of ``NOTES`` with an empty word list, whole and as a subset. A
+change to any output byte, whitespace and float digits included, fails
+here; a deliberate one re-records the file it changes.
 """
 
 import csv
@@ -21,17 +22,30 @@ GOLDEN = Path(__file__).parent / "golden"
 FORMATS = ("json", "csv", "table")
 SOURCES = {"family_nt": "family.nt", "family_ttl": "family.ttl",
            "zoo_clean": "zoo_clean.nt", "zoo_dirty": "zoo_dirty.nt"}
+#: one class and one datatype property used twice, one line twice: M1
+#: clamps, M5 has no instance to count, and every report note is written
+NOTES = """\
+<http://example.org/notes#Person> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://www.w3.org/2002/07/owl#Class> .
+<http://example.org/notes#name> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://www.w3.org/2002/07/owl#DatatypeProperty> .
+<http://example.org/notes#a> <http://example.org/notes#name> "Ada" .
+<http://example.org/notes#b> <http://example.org/notes#name> "Bob" .
+<http://example.org/notes#b> <http://example.org/notes#name> "Bob" .
+"""
 
 
 @pytest.fixture(scope="module")
-def reports(tmp_path_factory):
-    """The JSON report of each bundled dataset, by its name in ``SOURCES``."""
-    tmp = tmp_path_factory.mktemp("reports")
+def inputs(tmp_path_factory):
+    """The JSON report of each bundled dataset, by its name in ``SOURCES``;
+    ``NOTES`` as ``notes.nt`` and an empty word list, by "notes" and "empty"."""
+    tmp = tmp_path_factory.mktemp("inputs")
     paths = {}
     for name, source in SOURCES.items():
         paths[name] = str(tmp / f"{name}.json")
         assert main(["assess", str(fixture_path(source)), "--format", "json",
                      "-o", paths[name]]) == 0
+    for name, file, text in (("notes", "notes.nt", NOTES), ("empty", "empty.txt", "")):
+        paths[name] = str(tmp / file)
+        Path(paths[name]).write_text(text, encoding="utf-8")
     return paths
 
 
@@ -41,9 +55,12 @@ def _cases():
     yield "compare", lambda r: ["compare", r["zoo_clean"], r["zoo_dirty"]]
     yield "compare-manifest", lambda r: ["compare", r["zoo_clean"], r["zoo_dirty"], "--manifest",
                                          str(fixture_path("zoo_dirty.manifest.json"))]
-    yield "correlate", lambda r: ["correlate", *r.values()]
+    yield "correlate", lambda r: ["correlate", *(r[name] for name in SOURCES)]
     yield "correlate-undefined", lambda r: ["correlate", r["family_nt"], r["family_ttl"],
                                             r["zoo_clean"]]
+    yield "assess-notes", lambda r: ["assess", r["notes"], "--dictionary", r["empty"]]
+    yield "assess-subset", lambda r: ["assess", r["notes"], "--dictionary", r["empty"],
+                                      "--metrics", "M1,M7"]
 
 
 CASES = dict(_cases())
@@ -51,9 +68,9 @@ CASES = dict(_cases())
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("case", CASES)
-def test_cli_output_equals_its_golden_bytes(tmp_path, reports, case, fmt):
+def test_cli_output_equals_its_golden_bytes(tmp_path, inputs, case, fmt):
     out = tmp_path / "out"
-    assert main([*CASES[case](reports), "--format", fmt, "-o", str(out)]) == 0
+    assert main([*CASES[case](inputs), "--format", fmt, "-o", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{case}.{fmt}").read_bytes()
 
 

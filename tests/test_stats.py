@@ -18,7 +18,8 @@ from rdfqa import (
     spearman_rho,
 )
 from rdfqa.metrics import MetricReport, MetricValue, ReportCounts
-from rdfqa.stats import _student_t_two_sided_p, average_ranks, render_matrix
+from rdfqa.reporting import render
+from rdfqa.stats import _student_t_two_sided_p, average_ranks
 from .oracle import brute_force_ranks, brute_force_spearman, spearman_exact_p
 
 
@@ -204,7 +205,7 @@ def test_matrix_constant_column_is_undefined():
     cell = matrix.cells[(MetricId.MISSING_VALUES, MetricId.OUT_OF_RANGE)]
     assert cell is None
     assert not matrix.significant(MetricId.MISSING_VALUES, MetricId.OUT_OF_RANGE)
-    assert "n/a" in render_matrix(matrix)
+    assert "n/a" in render(matrix, "table")
 
 
 def test_matrix_covers_all_45_pairs_over_pooled_reports():
@@ -231,7 +232,7 @@ def test_matrix_exactly_one_significant_pair():
     significant = [(a.value, b.value) for (a, b), cell in matrix.cells.items()
                    if cell is not None and cell.p_value <= matrix.alpha]
     assert significant == [("M7", "M8")]
-    body = render_matrix(matrix).split("\n\n")[0]
+    body = render(matrix, "table").split("\n\n")[0]
     assert body.count("*") == 1
 
 
